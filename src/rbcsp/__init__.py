@@ -18,6 +18,7 @@ from .bench import (
     fit_linear_early,
     run_many,
     summarize,
+    summarize_best_conflicts,
     write_hist_csv,
     write_rtd_csv,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "step",
     "subset_conflicts",
     "summarize",
+    "summarize_best_conflicts",
     "write_hist_csv",
     "write_rtd_csv",
 ]

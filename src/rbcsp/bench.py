@@ -204,17 +204,20 @@ def best_conflicts_histogram(
     config = UlsaConfig(max_iterations=iteration_budget)
     records = run_many(instance, config, num_runs, base_seed,
                        workers=workers, track_best=True)
+    return summarize_best_conflicts(records)
+
+
+def summarize_best_conflicts(records: Sequence[RunRecord]) -> BestConflictsResult:
+    """Histogram and lowest-bucket witness counts of runs made with track_best."""
     counts = Counter(r.best_conflicts for r in records)
     low = min(counts)
     at_min = [r for r in records if r.best_conflicts == low]
-    assignments = {tuple(r.best_assignment) for r in at_min}
-    conflict_sets = {tuple(r.best_violated) for r in at_min}
     return BestConflictsResult(
         histogram=dict(sorted(counts.items())),
         min_conflicts=low,
         runs_at_min=len(at_min),
-        distinct_best_assignments=len(assignments),
-        distinct_best_conflict_sets=len(conflict_sets),
+        distinct_best_assignments=len({tuple(r.best_assignment) for r in at_min}),
+        distinct_best_conflict_sets=len({tuple(r.best_violated) for r in at_min}),
     )
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import secrets
 import sys
-from collections import Counter
 from typing import Optional
 
 from . import __version__
@@ -23,18 +22,12 @@ from .bench import (
     fit_linear_early,
     run_many,
     summarize,
+    summarize_best_conflicts,
     write_hist_csv,
     write_rtd_csv,
 )
-from .core import Assignment, CspFormatError, CspInstance, dumps_csp, loads_csp
-from .misbridge import (
-    DimacsFormatError,
-    MisStructureError,
-    csp_to_mis,
-    emit_dimacs,
-    mis_to_csp,
-    parse_dimacs,
-)
+from .core import Assignment, CspInstance, dumps_csp, loads_csp
+from .misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from .modelrb import (
     PHASE_ALPHA,
     PHASE_P,
@@ -153,31 +146,28 @@ def _cmd_bench(args) -> int:
 
     rtd = Rtd.from_records(records)
     fit = None
-    if rtd.num_runs >= 2:
+    try:
         fit = fit_exponential(rtd)
         summary["exponential_fit"] = {"m": fit.m, "ks_statistic": fit.ks_statistic}
-        try:
-            lin = fit_linear_early(rtd)
-            summary["early_linear_fit"] = {
-                "slope": lin.slope,
-                "intercept": lin.intercept,
-                "r_squared": lin.r_squared,
-            }
-        except FitError:
-            pass
+        lin = fit_linear_early(rtd)
+        summary["early_linear_fit"] = {
+            "slope": lin.slope,
+            "intercept": lin.intercept,
+            "r_squared": lin.r_squared,
+        }
+    except FitError:
+        pass
 
     if args.rtd_out:
         write_rtd_csv(args.rtd_out, rtd, fit)
+    best = summarize_best_conflicts(records)
     if args.hist_out:
-        write_hist_csv(args.hist_out, dict(Counter(r.best_conflicts
-                                                   for r in records)))
-    best = min(r.best_conflicts for r in records)
-    at_min = [r for r in records if r.best_conflicts == best]
+        write_hist_csv(args.hist_out, best.histogram)
     summary["best_conflicts"] = {
-        "min": best,
-        "runs_at_min": len(at_min),
-        "distinct_assignments": len({tuple(r.best_assignment) for r in at_min}),
-        "distinct_conflict_sets": len({tuple(r.best_violated) for r in at_min}),
+        "min": best.min_conflicts,
+        "runs_at_min": best.runs_at_min,
+        "distinct_assignments": best.distinct_best_assignments,
+        "distinct_conflict_sets": best.distinct_best_conflict_sets,
     }
     text = json.dumps(summary, indent=2)
     if args.summary_out:
@@ -194,24 +184,21 @@ def _cmd_convert(args) -> int:
         graph = csp_to_mis(instance)
         _write_text(args.out, emit_dimacs(
             graph, comments=[f"from {args.infile}: n={instance.n} d={instance.d}"]))
-    else:
-        graph = parse_dimacs(_read_text(args.infile))
-        if args.block_size is None:
-            print("error: --to-csp requires --block-size", file=sys.stderr)
-            return 1
-        instance = mis_to_csp(graph, args.block_size)
-        _write_text(args.out, dumps_csp(
-            instance,
-            comments=[f"recovered from {args.infile} with block size "
-                      f"{args.block_size}"]))
-    return 0
+        return 0
+    if args.block_size is None:
+        print("error: --to-csp requires --block-size", file=sys.stderr)
+        return 1
+    return _recover_csp(args.infile, args.block_size, args.out)
 
 
 def _cmd_recover(args) -> int:
-    graph = parse_dimacs(_read_text(args.dimacs))
-    instance = mis_to_csp(graph, args.d)
-    _write_text(args.out, dumps_csp(
-        instance, comments=[f"recovered from {args.dimacs} with block size {args.d}"]))
+    return _recover_csp(args.dimacs, args.d, args.out)
+
+
+def _recover_csp(path: str, block_size: int, out: Optional[str]) -> int:
+    instance = mis_to_csp(parse_dimacs(_read_text(path)), block_size)
+    _write_text(out, dumps_csp(
+        instance, comments=[f"recovered from {path} with block size {block_size}"]))
     return 0
 
 
@@ -301,9 +288,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
-        return 1
-    except (CspFormatError, DimacsFormatError, MisStructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

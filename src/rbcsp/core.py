@@ -229,15 +229,15 @@ class ViolatedIndex:
 class _Tables:
     """Static per-instance lookup structures shared by all search states.
 
-    rows[v] packs the incident constraints of v into one uint8 array of shape
-    (k_v * d, d): row (slot*d + w) holds, for each candidate value u of v, the
-    violation flag when the other endpoint of that slot's constraint holds w.
+    Per variable v, in incidence order (constraint id ascending):
+    inc_ids[v] lists the incident constraint ids, other_idx[v] the other
+    endpoint of each, and rows[v] packs their relations into one uint8 array
+    of shape (k_v * d, d): row (slot*d + w) holds, for each candidate value u
+    of v, the violation flag when the other endpoint of that slot's
+    constraint holds w.  base[v][slot] = slot * d is the slot's first row.
     """
 
-    __slots__ = (
-        "n", "d", "con_a", "con_b", "pair_sets", "adj",
-        "inc_ids", "other_idx", "rows", "base",
-    )
+    __slots__ = ("n", "d", "con_a", "con_b", "inc_ids", "other_idx", "rows", "base")
 
     def __init__(self, instance: CspInstance):
         n, d = instance.n, instance.d
@@ -245,20 +245,18 @@ class _Tables:
         self.d = d
         self.con_a = [c.var_a for c in instance.constraints]
         self.con_b = [c.var_b for c in instance.constraints]
-        self.pair_sets = [c.pair_set for c in instance.constraints]
         # (cid, other_var, var_is_a) per incidence
-        self.adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
+        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
         for cid, c in enumerate(instance.constraints):
-            self.adj[c.var_a].append((cid, c.var_b, True))
-            self.adj[c.var_b].append((cid, c.var_a, False))
+            adj[c.var_a].append((cid, c.var_b, True))
+            adj[c.var_b].append((cid, c.var_a, False))
 
         self.inc_ids: list[list[int]] = []
         self.other_idx: list[np.ndarray] = []
         self.rows: list[np.ndarray] = []
         self.base: list[np.ndarray] = []
         mats = [c.matrix(d) for c in instance.constraints]
-        for v in range(n):
-            entries = self.adj[v]
+        for entries in adj:
             self.inc_ids.append([cid for cid, _, _ in entries])
             self.other_idx.append(
                 np.fromiter((o for _, o, _ in entries), dtype=np.int64,
@@ -297,11 +295,12 @@ class SearchState:
         self.t = [0] * instance.n
         self.n_iter = 0
         self.violated = ViolatedIndex(instance.num_constraints)
-        tb = self._tb
-        xl = self._xl
-        for cid in range(instance.num_constraints):
-            if (xl[tb.con_a[cid]], xl[tb.con_b[cid]]) in tb.pair_sets[cid]:
-                self.violated.add(cid)
+        # both slots of a constraint hold its current flag; ids enter ascending
+        flags = np.zeros(instance.num_constraints, dtype=np.uint8)
+        for v, ids in enumerate(self._tb.inc_ids):
+            flags[ids] = self._counts_cols(v)[2][:, self._xl[v]]
+        for cid in np.flatnonzero(flags).tolist():
+            self.violated.add(cid)
 
     # -- queries ------------------------------------------------------------
 
@@ -319,31 +318,16 @@ class SearchState:
         return tuple(int(v) for v in self.x)
 
     def delta_conflicts(self, var: int, value: int) -> int:
-        """Total-conflict change if x[var] were set to `value` (0 for a no-op).
-
-        One pass over the constraints incident to var.
-        """
+        """Total-conflict change if x[var] were set to `value` (0 for a no-op)."""
         self._check_var_value(var, value)
-        old = self._xl[var]
-        if value == old:
-            return 0
-        delta = 0
-        x = self._xl
-        for cid, other, is_a in self._tb.adj[var]:
-            w = x[other]
-            s = self._tb.pair_sets[cid]
-            if is_a:
-                delta += ((value, w) in s) - ((old, w) in s)
-            else:
-                delta += ((w, value) in s) - ((w, old) in s)
-        return delta
+        return int(self.evaluate_all_values(var)[value])
 
     def evaluate_all_values(self, var: int) -> np.ndarray:
         """Conflict deltas for every candidate value of var, as one vector.
 
-        Entry u equals delta_conflicts(var, u); the entry at the current value
-        is 0.  Computed by a single gather over the incident-constraint table,
-        never by per-value rescans.
+        Entry u is the total-conflict change if x[var] were set to u; the
+        entry at the current value is 0.  Computed by a single gather over
+        the incident-constraint table, never by per-value rescans.
         """
         if not (0 <= var < self.instance.n):
             raise ValueError(f"variable {var} outside [0,{self.instance.n})")
@@ -357,11 +341,7 @@ class SearchState:
         cols[slot, u] = that slot's violation flag under value u.
         """
         tb = self._tb
-        oi = tb.other_idx[var]
-        if oi.size == 0:
-            counts = np.zeros(tb.d, dtype=np.int32)
-            return counts, 0, np.zeros((0, tb.d), dtype=np.uint8)
-        rows = tb.base[var] + self.x.take(oi)
+        rows = tb.base[var] + self.x.take(tb.other_idx[var])
         cols = tb.rows[var].take(rows, axis=0)
         counts = np.add.reduce(cols, axis=0, dtype=np.int32)
         return counts, int(counts[self._xl[var]]), cols
@@ -380,26 +360,14 @@ class SearchState:
             raise ValueError(
                 f"variable {var} must change to a value different from {old}"
             )
-        x = self._xl
-        violated = self.violated
-        for cid, other, is_a in self._tb.adj[var]:
-            w = x[other]
-            s = self._tb.pair_sets[cid]
-            if is_a:
-                was = (old, w) in s
-                now = (value, w) in s
-            else:
-                was = (w, old) in s
-                now = (w, value) in s
-            if was != now:
-                if now:
-                    violated.add(cid)
-                else:
-                    violated.discard(cid)
-        self._commit(var, value)
+        self._apply_with_cols(var, value, self._counts_cols(var)[2])
 
     def _apply_with_cols(self, var: int, value: int, cols: np.ndarray) -> None:
-        """Hot-path variant of apply_change reusing the evaluation gather."""
+        """Set x[var] to `value` given var's gather `cols` from _counts_cols.
+
+        The one update path of the violated set: the slots whose flag differs
+        between the old and the new value are added or discarded.
+        """
         old = self._xl[var]
         new_col = cols[:, value]
         changed = (new_col != cols[:, old]).nonzero()[0]

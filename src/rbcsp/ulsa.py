@@ -110,16 +110,13 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
     iteration counter, so nothing counts as "changed" yet.
     """
     tb = instance._tables
-    d = instance.d
     values = np.zeros(instance.n, dtype=np.int64)
     initialized = np.zeros(instance.n, dtype=bool)
     for v in rng.permutation(instance.n).tolist():
-        entries = tb.adj[v]
-        counts = np.zeros(d, dtype=np.int32)
-        table = tb.rows[v]
-        for slot, (_, other, _) in enumerate(entries):
-            if initialized[other]:
-                counts += table[slot * d + int(values[other])]
+        oi = tb.other_idx[v]
+        live = initialized[oi]
+        rows = tb.base[v][live] + values[oi[live]]
+        counts = np.add.reduce(tb.rows[v].take(rows, axis=0), axis=0, dtype=np.int32)
         best = counts.min()
         cands = np.flatnonzero(counts == best)
         values[v] = int(cands[int(rng.random() * len(cands))])

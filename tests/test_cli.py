@@ -140,6 +140,28 @@ class TestBench:
         assert summary["successes"] == 0 and "exponential_fit" not in summary
         assert summary["best_conflicts"]["min"] > 0
 
+    def test_zero_iteration_successes_still_report(self, tmp_path, capsys):
+        # greedy init already solves every run, so the RTD has mean 0
+        path = tmp_path / "a.csp"
+        path.write_text("p bcsp 3 2 1\nk 0 1 1\nf 0 0\n")
+        rtd_out = tmp_path / "rtd.csv"
+        hist_out = tmp_path / "hist.csv"
+        summary_out = tmp_path / "summary.json"
+        code, _, err = run_cli(
+            ["bench", "--in", str(path), "--runs", "4", "--base-seed", "1",
+             "--rtd-out", str(rtd_out), "--hist-out", str(hist_out),
+             "--summary-out", str(summary_out)], capsys)
+        assert code == 0, err
+        summary = json.loads(summary_out.read_text())
+        assert summary["successes"] == 4 and summary["total_iterations"] == 0
+        assert "exponential_fit" not in summary
+        with open(rtd_out) as f:
+            rows = list(csv.reader(f))
+        assert rows == [["iterations", "ecdf", "fitted"]] + [
+            ["0", f"{k / 4:.9f}", ""] for k in range(1, 5)]
+        with open(hist_out) as f:
+            assert list(csv.reader(f)) == [["conflicts", "runs"], ["0", "4"]]
+
     def test_summary_to_stdout_by_default(self, tmp_path, capsys):
         path = tmp_path / "a.csp"
         run_cli(["gen", "--n", "10", "--forced", "--seed", "8",
@@ -194,6 +216,12 @@ class TestConvertRecover:
         mis_path.write_text("p edge 2 1\ne 1 2\n")
         code, _, err = run_cli(
             ["convert", "--to-csp", "--in", str(mis_path)], capsys)
+        assert code == 1 and "block-size" in err
+
+    def test_block_size_checked_before_reading_graph(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["convert", "--to-csp", "--in", str(tmp_path / "missing.mis")],
+            capsys)
         assert code == 1 and "block-size" in err
 
     def test_structure_error_exit_1(self, tmp_path, capsys):
