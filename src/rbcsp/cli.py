@@ -228,30 +228,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="output path (default stdout)")
     gen.set_defaults(func=_cmd_gen)
 
-    solve = sub.add_parser("solve", help="run the local search solver")
-    solve.add_argument("--in", dest="infile", required=True)
+    # the instance and search options shared by solve and bench
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--in", dest="infile", required=True)
+    search.add_argument("--max-iters", type=int, default=0,
+                        help="iteration budget, 0 = unbounded (default)")
+    search.add_argument("--target", type=int, default=None,
+                        help="accept a conflict-free subset of this size")
+    search.add_argument("--conflict-cap", type=int, default=8,
+                        help="only check states with at most this many conflicts")
+    search.add_argument("--restart-every", type=int, default=None,
+                        help="reinitialize every N iterations")
+    search.add_argument("--stats", action=argparse.BooleanOptionalAction,
+                        default=True, help="include step counters in the output")
+
+    solve = sub.add_parser("solve", parents=[search],
+                           help="run the local search solver")
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--max-iters", type=int, default=0,
-                       help="iteration budget, 0 = unbounded (default)")
-    solve.add_argument("--target", type=int, default=None,
-                       help="accept a conflict-free subset of this size")
-    solve.add_argument("--conflict-cap", type=int, default=8,
-                       help="only check states with at most this many conflicts")
-    solve.add_argument("--restart-every", type=int, default=None,
-                       help="reinitialize every N iterations")
-    solve.add_argument("--stats", action=argparse.BooleanOptionalAction,
-                       default=True, help="include step counters in the output")
     solve.set_defaults(func=_cmd_solve)
 
-    bench = sub.add_parser("bench", help="multi-run benchmark with RTD outputs")
-    bench.add_argument("--in", dest="infile", required=True)
+    bench = sub.add_parser("bench", parents=[search],
+                           help="multi-run benchmark with RTD outputs")
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--base-seed", type=int, default=None)
-    bench.add_argument("--max-iters", type=int, default=0)
-    bench.add_argument("--target", type=int, default=None)
-    bench.add_argument("--conflict-cap", type=int, default=8)
-    bench.add_argument("--restart-every", type=int, default=None)
-    bench.add_argument("--stats", action=argparse.BooleanOptionalAction, default=True)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--rtd-out", default=None,
                        help="CSV: iterations, ecdf, fitted")
@@ -289,8 +288,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

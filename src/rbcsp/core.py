@@ -25,6 +25,25 @@ class CspFormatError(ValueError):
     """Malformed native CSP text."""
 
 
+# Size caps checked on a header before anything proportional to it is
+# allocated.  frb100-40 (n=100, d=40, ~1.3k constraints: 4 MB of tables,
+# 78k clique edges) sits two or more orders of magnitude below each.
+MAX_VARIABLES = 100_000
+MAX_TABLE_BYTES = 1 << 30  # 2·m·d² bytes of per-variable relation tables
+MAX_CLIQUE_EDGES = 10_000_000  # n·d(d−1)/2 clique edges of the MIS form
+
+
+def check_size(n: int, d: int, m: int) -> None:
+    """Raise ValueError when (n, d, m) exceeds a size cap above."""
+    for what, size, cap in (
+        ("variables", n, MAX_VARIABLES),
+        ("table bytes 2·m·d²", 2 * m * d * d, MAX_TABLE_BYTES),
+        ("clique edges n·d(d−1)/2", n * d * (d - 1) // 2, MAX_CLIQUE_EDGES),
+    ):
+        if size > cap:
+            raise ValueError(f"instance too large: {size} {what} exceed the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class Constraint:
     """A binary constraint: the value pairs `disallowed` for (var_a, var_b).
@@ -427,15 +446,22 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     """Parse the native CSP text format.
 
     Returns the instance plus the recorded solution if an `s` line is present.
-    Raises CspFormatError with a line number on malformed input.
+    Raises CspFormatError with a line number on malformed input, and on a
+    header beyond the size caps of `check_size` before reading further.
     """
     header: Optional[tuple[int, int, int]] = None
     constraints: list[Constraint] = []
     solution: Optional[list[int]] = None
     pending: Optional[tuple[int, int, int, list[tuple[int, int]]]] = None
 
-    def fail(lineno: int, msg: str) -> CspFormatError:
-        return CspFormatError(f"line {lineno}: {msg}")
+    def fail(lineno: Optional[int], msg: str) -> CspFormatError:
+        return CspFormatError(msg if lineno is None else f"line {lineno}: {msg}")
+
+    def close_block(lineno: Optional[int]) -> None:
+        # a complete block clears `pending`, so an open one here is short
+        if pending is not None:
+            raise fail(lineno, f"constraint expected {pending[2]} 'f' lines, "
+                               f"got {len(pending[3])}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -451,15 +477,16 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
                 n, d, m = (int(f) for f in fields[2:])
             except ValueError:
                 raise fail(lineno, f"non-integer header field in {raw!r}") from None
+            try:
+                check_size(n, d, m)
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from None
             header = (n, d, m)
             continue
         if header is None:
             raise fail(lineno, f"'{tag}' line before 'p bcsp' header")
         if tag == "k":
-            if pending is not None:
-                # a finished block clears `pending`, so reaching here means short
-                raise fail(lineno, f"constraint expected {pending[2]} 'f' lines, "
-                                   f"got {len(pending[3])}")
+            close_block(lineno)
             if len(fields) != 4:
                 raise fail(lineno, f"expected 'k <var_a> <var_b> <npairs>', got {raw!r}")
             try:
@@ -478,9 +505,13 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
                 va, vb = int(fields[1]), int(fields[2])
             except ValueError:
                 raise fail(lineno, f"non-integer field in {raw!r}") from None
-            pending[3].append((va, vb))
-            if len(pending[3]) == pending[2]:
-                constraints.append(_finish_constraint(pending, lineno, fail))
+            a, b, npairs, pairs = pending
+            pairs.append((va, vb))
+            if len(pairs) == npairs:
+                try:
+                    constraints.append(Constraint(a, b, tuple(pairs)))
+                except ValueError as exc:
+                    raise fail(lineno, str(exc)) from None
                 pending = None
         elif tag == "s":
             if solution is not None:
@@ -497,10 +528,7 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
 
     if header is None:
         raise CspFormatError("missing 'p bcsp' header")
-    if pending is not None:
-        raise CspFormatError(
-            f"constraint expected {pending[2]} 'f' lines, got {len(pending[3])}"
-        )
+    close_block(None)
     n, d, m = header
     if len(constraints) != m:
         raise CspFormatError(f"header declares {m} constraints, found {len(constraints)}")
@@ -514,13 +542,3 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
             raise CspFormatError(f"'s' value outside domain [0,{d})")
         asg = Assignment.from_values(solution)
     return instance, asg
-
-
-def _finish_constraint(pending, lineno, fail) -> Constraint:
-    a, b, npairs, pairs = pending
-    if len(pairs) != npairs:
-        raise fail(lineno, f"constraint expected {npairs} 'f' lines, got {len(pairs)}")
-    try:
-        return Constraint(a, b, tuple(pairs))
-    except ValueError as exc:
-        raise fail(lineno, str(exc)) from None

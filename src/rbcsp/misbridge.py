@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Constraint, CspInstance
+from .core import Constraint, CspInstance, check_size
 
 
 class DimacsFormatError(ValueError):
@@ -30,10 +30,10 @@ class MisStructureError(ValueError):
 
 @dataclass(frozen=True)
 class MisGraph:
-    """Undirected simple graph; edges are normalized (u < v) pairs.
+    """Undirected simple graph; `edges` is a frozenset of (u < v) pairs.
 
-    block_size is set when the vertices carry CSP block structure (d
-    consecutive vertices per variable).
+    The sole canonicalizer: any iterable of pairs in either order is ordered,
+    frozen and range-checked here.  block_size is set for CSP block structure.
     """
 
     num_vertices: int
@@ -43,20 +43,12 @@ class MisGraph:
     def __post_init__(self) -> None:
         if self.num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u},{v}) outside [0,{self.num_vertices})")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
-        if self.block_size is not None:
-            if self.block_size < 1 or self.num_vertices % self.block_size:
-                raise ValueError(
-                    f"{self.num_vertices} vertices do not split into blocks "
-                    f"of {self.block_size}"
-                )
+        edges = frozenset(_ordered(self.edges, self.num_vertices))
+        object.__setattr__(self, "edges", edges)
+        size = self.block_size
+        if size is not None and (size < 1 or self.num_vertices % size):
+            raise ValueError(f"{self.num_vertices} vertices do not split into blocks "
+                             f"of {size}")
 
     @property
     def num_edges(self) -> int:
@@ -64,6 +56,18 @@ class MisGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _ordered(pairs: Iterable[tuple[int, int]], num_vertices: int):
+    """Yield (u < v) pairs, reusing ordered tuples, checked in the same pass."""
+    for e in pairs:
+        u, v = e
+        if u > v:
+            u, v = e = (v, u)
+        if u == v or u < 0 or v >= num_vertices:
+            raise ValueError(f"self-loop on vertex {u}" if u == v
+                             else f"edge ({u},{v}) outside [0,{num_vertices})")
+        yield e
 
 
 def csp_to_mis(instance: CspInstance) -> MisGraph:
@@ -74,53 +78,49 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     deduplicated-constraint semantics.
     """
     n, d = instance.n, instance.d
-    edges: set[tuple[int, int]] = set()
-    for v in range(n):
-        lo = v * d
-        for a in range(d):
-            for b in range(a + 1, d):
-                edges.add((lo + a, lo + b))
+    edges = {(lo + a, lo + b) for lo in range(0, n * d, d)
+             for a in range(d) for b in range(a + 1, d)}
     for c in instance.constraints:
         base_a, base_b = c.var_a * d, c.var_b * d
-        for va, vb in c.disallowed:
-            u, w = base_a + va, base_b + vb
-            edges.add((u, w) if u < w else (w, u))
-    return MisGraph(n * d, frozenset(edges), block_size=d)
+        edges.update((base_a + va, base_b + vb) for va, vb in c.disallowed)
+    return MisGraph(n * d, edges, block_size=d)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     """Recover the CSP from a block-structured independent-set graph.
 
-    Requires every block of d consecutive vertices to be a complete clique;
-    cross edges between a block pair become that pair's single constraint.
-    Duplicate constraints of the original instance cannot be told apart in
-    the graph, so recovery yields deduplicated constraints.
+    Every block of d consecutive vertices must be a complete clique, that is,
+    hold d(d−1)/2 of the distinct edges; the lowest block short of that is
+    reported with its count.  Cross edges between a block pair become that
+    pair's single constraint; duplicate constraints of the original instance
+    cannot be told apart, so recovery yields deduplicated constraints.
+    Sizes beyond `check_size`'s caps are refused before anything scales with n.
     """
     if d < 1:
         raise ValueError(f"block size must be positive, got {d}")
     if graph.num_vertices % d:
-        raise MisStructureError(
-            f"{graph.num_vertices} vertices do not split into blocks of {d}"
-        )
+        raise MisStructureError(f"{graph.num_vertices} vertices do not split "
+                                f"into blocks of {d}")
     n = graph.num_vertices // d
     if n < 1:
         raise MisStructureError("graph has no vertices")
-    edges = graph.edges
-    for v in range(n):
-        lo = v * d
-        for a in range(d):
-            for b in range(a + 1, d):
-                if (lo + a, lo + b) not in edges:
-                    raise MisStructureError(
-                        f"block {v} (vertices {lo}..{lo + d - 1}) is not a "
-                        f"clique: edge ({lo + a},{lo + b}) missing"
-                    )
+    check_size(n, d, 0)
+    clique = d * (d - 1) // 2
+    if graph.num_edges < n * clique:
+        raise MisStructureError(f"{graph.num_edges} edges are too few for "
+                                f"{n} block cliques of {clique} edges")
+    inner = [0] * n
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, w in edges:
+    for u, w in graph.edges:
         bu, bw = u // d, w // d
         if bu == bw:
-            continue
-        groups.setdefault((bu, bw), []).append((u - bu * d, w - bw * d))
+            inner[bu] += 1
+        else:
+            groups.setdefault((bu, bw), []).append((u - bu * d, w - bw * d))
+    for v, count in enumerate(inner):
+        if count != clique:
+            raise MisStructureError(f"block {v} (vertices {v * d}..{v * d + d - 1}) "
+                                    f"is not a clique: {count} of {clique} edges present")
     constraints = [
         Constraint(a, b, tuple(pairs)) for (a, b), pairs in sorted(groups.items())
     ]
@@ -169,8 +169,8 @@ def parse_dimacs(text: str) -> MisGraph:
                 raise fail(lineno, f"vertex in ({u},{v}) outside 1..{num_vertices}")
             if u == v:
                 raise fail(lineno, f"self-loop on vertex {u}")
-            edge = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if edge in edges:
+            edge = (u - 1, v - 1)
+            if edge in edges or (v - 1, u - 1) in edges:
                 warnings.warn(f"line {lineno}: duplicate edge ({u},{v}) dropped",
                               stacklevel=2)
             else:
@@ -181,11 +181,9 @@ def parse_dimacs(text: str) -> MisGraph:
     if num_vertices is None:
         raise DimacsFormatError("missing 'p edge' header")
     if len(edges) != declared_edges:
-        warnings.warn(
-            f"header declares {declared_edges} edges, found {len(edges)}",
-            stacklevel=2,
-        )
-    return MisGraph(num_vertices, frozenset(edges))
+        warnings.warn(f"header declares {declared_edges} edges, found {len(edges)}",
+                      stacklevel=2)
+    return MisGraph(num_vertices, edges)
 
 
 def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:

@@ -7,6 +7,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rbcsp.cli import main
 from rbcsp.core import loads_csp
 from rbcsp.misbridge import parse_dimacs
@@ -230,7 +232,23 @@ class TestConvertRecover:
         code, _, err = run_cli(
             ["convert", "--to-csp", "--block-size", "2",
              "--in", str(mis_path), "--out", str(tmp_path / "x.csp")], capsys)
-        assert code == 1 and "not a" in err or "clique" in err
+        assert code == 1 and ("not a" in err or "clique" in err)
+
+
+class TestHostileHeaders:
+    @pytest.mark.parametrize("header", ["p bcsp 2 50000 1", "p bcsp 1000000000 2 0"])
+    def test_solve_refuses_oversized_header(self, tmp_path, capsys, header):
+        path = tmp_path / "hostile.csp"
+        path.write_text(header + "\nk 0 1 1\nf 0 0\n")
+        code, out, err = run_cli(["solve", "--in", str(path), "--seed", "0"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "too large" in err
+
+    def test_recover_refuses_oversized_graph(self, tmp_path, capsys):
+        path = tmp_path / "hostile.mis"
+        path.write_text("p edge 10000000000 0\n")
+        code, _, err = run_cli(["recover", str(path), "--d", "1"], capsys)
+        assert code == 1 and err.count("\n") == 1 and "too large" in err
 
 
 class TestEntryPoint:

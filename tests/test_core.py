@@ -301,6 +301,8 @@ class TestNativeFormat:
             "p bcsp 2 2 1\nf 0 0\n",         # f outside block
             "p bcsp 2 2 1\nk 0 1 1\nf 0 0\ns 0\n",  # short s line
             "p bcsp 2 2 1\nk 0 1 1\nf 0 0\nz 1\n",  # unknown tag
+            "p bcsp 2 50000 1\nk 0 1 1\nf 0 0\n",  # 5 GB of tables
+            "p bcsp 1000000000 2 0\n",      # 10⁹ variables
         ],
     )
     def test_malformed_inputs_rejected(self, text):

@@ -100,6 +100,23 @@ class TestMisToCsp:
         with pytest.raises(MisStructureError, match="block 0"):
             mis_to_csp(graph, 2)
 
+    def test_later_block_missing_clique_edge_reported(self):
+        # block 0 is complete, block 1 lacks (2,3); enough edges in total
+        graph = MisGraph(4, frozenset({(0, 1), (0, 2), (1, 3)}))
+        with pytest.raises(MisStructureError,
+                           match=r"block 1 \(vertices 2\.\.3\) is not a clique: 0 of 1"):
+            mis_to_csp(graph, 2)
+
+    def test_too_few_edges_for_cliques(self):
+        graph = MisGraph(6, frozenset({(0, 1), (1, 2), (3, 4)}))
+        with pytest.raises(MisStructureError, match="clique"):
+            mis_to_csp(graph, 3)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_oversized_graph_refused_before_allocating(self, d):
+        with pytest.raises(ValueError, match="too large"):
+            mis_to_csp(MisGraph(10**10, frozenset()), d)
+
     def test_bad_block_size(self):
         graph = MisGraph(4, frozenset({(0, 1)}))
         with pytest.raises(MisStructureError):
@@ -188,6 +205,12 @@ class TestDimacs:
     def test_malformed_rejected(self, text):
         with pytest.raises(DimacsFormatError):
             parse_dimacs(text)
+
+    def test_graph_from_plain_set_with_reversed_pairs(self):
+        graph = MisGraph(3, {(1, 0), (2, 1), (0, 2), (0, 1)})
+        assert graph == MisGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
+        assert isinstance(graph.edges, frozenset)
+        assert graph.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_graph_validation(self):
         with pytest.raises(ValueError):
