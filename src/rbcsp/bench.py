@@ -13,6 +13,7 @@ import csv
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,11 +24,6 @@ from .ulsa import RunRecord, StepStats, UlsaConfig, run
 
 class FitError(ValueError):
     """Not enough data to fit."""
-
-
-def _run_one(args) -> RunRecord:
-    instance, config, seed, track_best = args
-    return run(instance, config, seed, track_best=track_best)
 
 
 def run_many(
@@ -41,11 +37,12 @@ def run_many(
     """num_runs independent runs with seeds base_seed+i, ordered by seed."""
     if num_runs < 1:
         raise ValueError(f"need at least one run, got {num_runs}")
-    jobs = [(instance, config, base_seed + i, track_best) for i in range(num_runs)]
+    one = partial(run, instance, config, track_best=track_best)
+    seeds = range(base_seed, base_seed + num_runs)
     if workers <= 1:
-        return [_run_one(job) for job in jobs]
+        return list(map(one, seeds))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, jobs, chunksize=max(1, num_runs // (4 * workers))))
+        return list(pool.map(one, seeds, chunksize=max(1, num_runs // (4 * workers))))
 
 
 def aggregate_stats(records: Sequence[RunRecord]) -> StepStats:

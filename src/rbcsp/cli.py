@@ -33,6 +33,7 @@ from .modelrb import (
     PHASE_P,
     PHASE_R,
     ModelRbParams,
+    check_sample_size,
     generate,
     generate_forced,
 )
@@ -70,6 +71,7 @@ def _load_instance(path: str) -> tuple[CspInstance, Optional[Assignment]]:
 
 def _cmd_gen(args) -> int:
     params = ModelRbParams(n=args.n, alpha=args.alpha, r=args.r, p=args.p)
+    check_sample_size(params)  # refuse before drawing an entropy seed
     seed = args.seed if args.seed is not None else _fresh_seed()
     comments = [
         f"model RB n={params.n} alpha={params.alpha} r={params.r} p={params.p}",

@@ -382,7 +382,8 @@ class SearchState:
         self._apply_with_cols(var, value, self._counts_cols(var)[2])
 
     def _apply_with_cols(self, var: int, value: int, cols: np.ndarray) -> None:
-        """Set x[var] to `value` given var's gather `cols` from _counts_cols.
+        """Set x[var] to `value` given var's gather `cols` from _counts_cols,
+        bumping the clock and var's timestamp.
 
         The one update path of the violated set: the slots whose flag differs
         between the old and the new value are added or discarded.
@@ -398,9 +399,6 @@ class SearchState:
                     violated.add(ids[li])
                 else:
                     violated.discard(ids[li])
-        self._commit(var, value)
-
-    def _commit(self, var: int, value: int) -> None:
         self.x[var] = value
         self._xl[var] = value
         self.n_iter += 1

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .core import Assignment, Constraint, CspInstance
+from .core import Assignment, Constraint, CspInstance, check_size
 
 PHASE_ALPHA = 0.8
 PHASE_R = 0.8 / (math.log(4) - math.log(3))
 PHASE_P = 0.25
+MAX_DISALLOWED_PAIRS = 16_000_000  # m·q pairs sampled; frb100-40 has 0.51M
 
 
 def _round_half_away(x: float) -> int:
@@ -49,14 +51,19 @@ class ModelRbParams:
             raise ValueError(f"need 0 < p < 1, got {self.p}")
         if self.r <= 0.0:
             raise ValueError(f"need r > 0, got {self.r}")
-        if self.d < 2:
-            raise ValueError(f"derived domain size {self.d} < 2 (n={self.n}, "
+        try:
+            d, m, q = self.d, self.m_constraints, self.forbidden_per_constraint
+        except (OverflowError, ValueError):  # a float overflowed, or is inf or nan
+            raise ValueError("derived counts d = n^alpha, m = r·n·ln n and p·d² "
+                             "must be finite integers; lower n, alpha or r") from None
+        if d < 2:
+            raise ValueError(f"derived domain size {d} < 2 (n={self.n}, "
                              f"alpha={self.alpha})")
-        if self.forbidden_per_constraint < 1:
+        if q < 1:
             raise ValueError("derived forbidden-pair count is zero; raise p")
-        if self.forbidden_per_constraint >= self.d * self.d:
+        if q >= d * d:
             raise ValueError("every value pair would be disallowed; lower p")
-        if self.m_constraints < 1:
+        if m < 1:
             raise ValueError("derived constraint count is zero; raise r")
 
     @property
@@ -97,10 +104,6 @@ def phase_transition_params(n: int) -> ModelRbParams:
     return ModelRbParams(n=n, alpha=PHASE_ALPHA, r=PHASE_R, p=PHASE_P)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _draw_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
     """One unordered distinct variable pair, uniform over all n(n-1)/2."""
     a = int(rng.integers(n))
@@ -115,39 +118,48 @@ def _draw_disallowed(rng: np.random.Generator, d: int, q: int) -> np.ndarray:
     return rng.permutation(d * d)[:q]
 
 
-def generate(params: ModelRbParams, seed: int) -> CspInstance:
-    """Sample a Model RB instance. Deterministic in (params, seed)."""
-    rng = _rng(seed)
-    d, q = params.d, params.forbidden_per_constraint
+def check_sample_size(params: ModelRbParams) -> None:
+    """Raise ValueError when sampling `params` would exceed a cap of
+    `core.check_size` or MAX_DISALLOWED_PAIRS."""
+    m, q = params.m_constraints, params.forbidden_per_constraint
+    check_size(params.n, params.d, m)
+    if m * q > MAX_DISALLOWED_PAIRS:
+        raise ValueError(f"instance too large: {m * q} disallowed pairs m·q "
+                         f"exceed the cap of {MAX_DISALLOWED_PAIRS}")
+
+
+def _sample(params: ModelRbParams, seed: int,
+            forced: bool) -> tuple[CspInstance, Optional[np.ndarray]]:
+    """The one Model RB sampler; refuses oversized params before any draw.
+
+    Forced: a uniform hidden assignment is drawn first, and any disallowed
+    set that hits its value pair is fully redrawn (keeping the variable pair).
+    """
+    check_sample_size(params)
+    n, d, m = params.n, params.d, params.m_constraints
+    q = params.forbidden_per_constraint
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hidden = rng.integers(0, d, size=n) if forced else None
     constraints = []
-    for _ in range(params.m_constraints):
-        a, b = _draw_pair(rng, params.n)
+    for _ in range(m):
+        a, b = _draw_pair(rng, n)
         codes = _draw_disallowed(rng, d, q)
+        if hidden is not None:
+            hidden_code = int(hidden[a]) * d + int(hidden[b])
+            while (codes == hidden_code).any():
+                codes = _draw_disallowed(rng, d, q)
         constraints.append(Constraint(a, b, tuple(zip(
             (codes // d).tolist(), (codes % d).tolist()))))
-    return CspInstance(params.n, d, tuple(constraints))
+    return CspInstance(n, d, tuple(constraints)), hidden
+
+
+def generate(params: ModelRbParams, seed: int) -> CspInstance:
+    """Sample a Model RB instance. Deterministic in (params, seed)."""
+    return _sample(params, seed, forced=False)[0]
 
 
 def generate_forced(params: ModelRbParams, seed: int) -> tuple[CspInstance, Assignment]:
-    """Sample a forced-satisfiable instance plus its hidden solution.
-
-    A uniform hidden assignment is drawn first; any constraint whose
-    disallowed set hits the hidden solution's value pair is rejected and its
-    disallowed set fully redrawn (keeping the variable pair), so the hidden
-    assignment ends up conflict-free by construction.
-    """
-    rng = _rng(seed)
-    d, q = params.d, params.forbidden_per_constraint
-    hidden = rng.integers(0, d, size=params.n)
-    constraints = []
-    for _ in range(params.m_constraints):
-        a, b = _draw_pair(rng, params.n)
-        hidden_code = int(hidden[a]) * d + int(hidden[b])
-        while True:
-            codes = _draw_disallowed(rng, d, q)
-            if not (codes == hidden_code).any():
-                break
-        constraints.append(Constraint(a, b, tuple(zip(
-            (codes // d).tolist(), (codes % d).tolist()))))
-    instance = CspInstance(params.n, d, tuple(constraints))
+    """Sample a forced-satisfiable instance plus its hidden solution, which is
+    conflict-free by construction."""
+    instance, hidden = _sample(params, seed, forced=True)
     return instance, Assignment.from_values(hidden.tolist())

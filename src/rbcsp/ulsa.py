@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .core import Assignment, CspInstance, SearchState, conflict_count
+from .core import Assignment, CspInstance, SearchState
 from .target import TargetSpec, check_target, subset_conflicts
 
 _MASK = 1 << 30  # bigger than any conflict count; hides the current value
@@ -196,6 +196,12 @@ def _step(state: SearchState, draw: Callable[[], float],
             stats.worsening += 1
 
 
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """rng's uniforms drawn in blocks; the same sequence as repeated rng.random()."""
+    while True:
+        yield from rng.random(4096).tolist()
+
+
 def run(instance: CspInstance, config: UlsaConfig, seed: int,
         track_best: bool = False) -> RunRecord:
     """Run to a full solution, a met target, or budget exhaustion.
@@ -216,30 +222,15 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     start = time.perf_counter()
     stats = StepStats()
     state = init_state(instance, rng)
-
-    # block-buffered uniforms; same value sequence as repeated rng.random()
-    buf = rng.random(4096).tolist()
-    pos = 0
-
-    def draw() -> float:
-        nonlocal buf, pos
-        if pos == 4096:
-            buf = rng.random(4096).tolist()
-            pos = 0
-        value = buf[pos]
-        pos += 1
-        return value
+    # a restart's init_state shares rng and draws after the current block of
+    # uniforms (the golden restart runs pin this order)
+    draw = _uniforms(rng).__next__
 
     budget = config.max_iterations
     interval = config.restart_interval
-    iters = 0
-    since_restart = 0
     restarts = 0
-    best = state.num_conflicts
-    best_assignment = state.values_tuple() if track_best else None
-    best_violated = sorted(state.violated.ids) if track_best else None
-    success = False
-    subset: Optional[list[int]] = None
+    best = instance.num_constraints + 1  # above any count: the loop records the start
+    best_assignment = best_violated = subset = None
 
     cap = target.conflict_cap if target is not None else -1
     viol_ids = state.violated.ids
@@ -248,41 +239,33 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
         if conflicts < best:
             best = conflicts
             if track_best:
-                best_assignment = state.values_tuple()
+                best_assignment = state.x.tolist()
                 best_violated = sorted(viol_ids)
         if conflicts == 0:
-            success = True
             break
         if conflicts <= cap:
-            found = check_target(state, target)
-            if found is not None:
-                success = True
-                subset = found
+            subset = check_target(state, target)
+            if subset is not None:
                 break
-        if budget and iters >= budget:
+        if budget and stats.iterations >= budget:
             break
-        if interval is not None and since_restart >= interval:
+        if interval is not None and state.n_iter >= interval:
             state = init_state(instance, rng)
             viol_ids = state.violated.ids
-            since_restart = 0
             restarts += 1
             continue
         _step(state, draw, stats)
-        iters += 1
-        since_restart += 1
 
     wall = time.perf_counter() - start
-    assignment: Optional[list[int]] = None
-    if success:
-        assignment = [int(v) for v in state.x]
-        if subset is None:
-            if conflict_count(instance, state.as_assignment()) != 0:
-                raise AssertionError("success witness fails the full recount")
-        elif subset_conflicts(instance, assignment, subset) != 0:
-            raise AssertionError("target witness fails the subset recount")
+    success = not viol_ids or subset is not None
+    assignment = state.x.tolist() if success else None
+    if success:  # a recount over the constraints' pair sets, independent of SearchState
+        checked = range(instance.n) if subset is None else subset
+        if subset_conflicts(instance, assignment, checked) != 0:
+            raise AssertionError("success witness fails the independent recount")
     return RunRecord(
         seed=seed,
-        iterations=iters,
+        iterations=stats.iterations,
         wall_time=wall,
         success=success,
         best_conflicts=best,
@@ -290,6 +273,6 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
         assignment=assignment,
         subset=subset,
         restarts=restarts,
-        best_assignment=list(best_assignment) if best_assignment is not None else None,
+        best_assignment=best_assignment,
         best_violated=best_violated,
     )

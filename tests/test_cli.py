@@ -251,6 +251,24 @@ class TestHostileHeaders:
         assert code == 1 and err.count("\n") == 1 and "too large" in err
 
 
+class TestHostileGen:
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "1" + "0" * 399], "finite"),            # n^alpha overflows a float
+        (["--n", "20", "--alpha", "1e300"], "finite"),   # d overflows
+        (["--n", "20", "--r", "1e308"], "finite"),       # m is infinite
+        (["--n", "1000"], "too large"),                  # 2.4 GB of tables, 302M pairs
+        (["--n", "400"], "disallowed pairs"),            # passes check_size, 24.4M pairs
+    ])
+    def test_refused_before_any_draw(self, capsys, monkeypatch, flags, message):
+        def no_draw(rng, n):
+            raise AssertionError("the sampler drew before refusing")
+        monkeypatch.setattr("rbcsp.modelrb._draw_pair", no_draw)
+        # no --seed: a second stderr line would mean an entropy seed was drawn
+        code, out, err = run_cli(["gen", *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(

@@ -15,6 +15,7 @@ from rbcsp.core import (
     CspInstance,
     SearchState,
     ViolatedIndex,
+    check_size,
     conflict_count,
     dumps_csp,
     loads_csp,
@@ -308,6 +309,25 @@ class TestNativeFormat:
     def test_malformed_inputs_rejected(self, text):
         with pytest.raises(CspFormatError):
             loads_csp(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(-2, 300_000) | st.integers(0, 10**30),
+        d=st.integers(-2, 40_000) | st.integers(0, 10**12),
+        m=st.integers(-2, 10**7) | st.integers(0, 10**30),
+    )
+    def test_header_refused_as_too_large_exactly_when_check_size_refuses(self, n, d, m):
+        try:
+            check_size(n, d, m)
+            refused = False
+        except ValueError:
+            refused = True
+        try:
+            loads_csp(f"p bcsp {n} {d} {m}\n")
+            message = ""
+        except CspFormatError as exc:
+            message = str(exc)
+        assert ("too large" in message) == refused
 
     def test_error_messages_carry_line_numbers(self):
         with pytest.raises(CspFormatError, match="line 2"):

@@ -52,3 +52,16 @@ def test_restart_run():
         2687, 993, 606,
         "f5571898e6acdba551c84736c184e35a50d944a6fd40dafe05f9c98e91cf16dc",
     )
+
+
+def test_budget_run_tracking_best_across_restarts():
+    instance, _ = generate_forced(ModelRbParams(n=20), 4)
+    config = UlsaConfig(max_iterations=400, restart_interval=150)
+    rec = run(instance, config, 0, track_best=True)
+    assert not rec.success and rec.assignment is None
+    assert (rec.iterations, rec.restarts, rec.best_conflicts) == (400, 2, 3)
+    assert (rec.stats.expansions, rec.stats.worsening) == (147, 92)
+    text = ",".join(str(v) for v in rec.best_assignment)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4ff00c6c1a7b9aeecea0a374e637ae500db6a863c9c5d4ab8ee2ca0d35a36bad")
+    assert rec.best_violated == [12, 14, 115]
