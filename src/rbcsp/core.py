@@ -14,8 +14,10 @@ column sum instead of a per-value rescan.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -72,7 +74,10 @@ class Constraint:
         return frozenset(self.disallowed)
 
     def violates(self, value_a: int, value_b: int) -> bool:
-        return (value_a, value_b) in self.pair_set
+        # a binary search of the sorted pairs; caches nothing, unlike pair_set
+        pair = (value_a, value_b)
+        i = bisect_left(self.disallowed, pair)
+        return i < len(self.disallowed) and self.disallowed[i] == pair
 
     def matrix(self, d: int) -> np.ndarray:
         """uint8 (d, d) table, entry [value_a, value_b] == 1 iff disallowed."""
@@ -195,7 +200,7 @@ def conflict_count(instance: CspInstance, assignment: Assignment) -> int:
     total = 0
     for c in instance.constraints:
         if init[c.var_a] and init[c.var_b]:
-            if (int(vals[c.var_a]), int(vals[c.var_b])) in c.pair_set:
+            if c.violates(int(vals[c.var_a]), int(vals[c.var_b])):
                 total += 1
     return total
 
@@ -245,6 +250,48 @@ class ViolatedIndex:
         return set(self.ids)
 
 
+class _FlatTables:
+    """The one copy of the search tables, as flat contiguous arrays.
+
+    Incidence slots are grouped by variable in CSR form: the slots of v are
+    inc_start[v] .. inc_start[v+1]-1, in constraint id order.  Slot s holds
+    constraint slot_cid[s], whose other endpoint is slot_other[s], and the
+    oriented relation rows[s] of shape (d, d): rows[s, w, u] == 1 iff the
+    constraint is violated when the other endpoint holds w and v holds u.
+    con_a/con_b are the constraints' endpoints.  The compiled step kernel
+    reads these arrays whole; `_Tables` hands out per-variable views.
+    """
+
+    __slots__ = ("rows", "inc_start", "slot_other", "slot_cid", "con_a", "con_b")
+
+    def __init__(self, instance: CspInstance):
+        n, d, cons = instance.n, instance.d, instance.constraints
+        m = len(cons)
+        con_a = np.fromiter((c.var_a for c in cons), dtype=np.int32, count=m)
+        con_b = np.fromiter((c.var_b for c in cons), dtype=np.int32, count=m)
+        # both slots of constraint cid: var a's at entry cid, var b's at m + cid
+        var = np.concatenate([con_a, con_b])
+        cid = np.concatenate([np.arange(m, dtype=np.int32)] * 2)
+        order = np.lexsort((cid, var))
+        slot = np.empty(2 * m, dtype=np.int64)
+        slot[order] = np.arange(2 * m)
+        sizes = [len(c.disallowed) for c in cons]
+        flat_pairs = chain.from_iterable(chain.from_iterable(c.disallowed for c in cons))
+        pairs = np.fromiter(flat_pairs, dtype=np.int64, count=2 * sum(sizes)).reshape(-1, 2)
+        pair_cid = np.repeat(np.arange(m), sizes)
+        va, vb = pairs[:, 0], pairs[:, 1]
+        rows = np.zeros((2 * m, d, d), dtype=np.uint8)
+        rows[slot[pair_cid], vb, va] = 1  # var a's slot: other is b
+        rows[slot[m + pair_cid], va, vb] = 1  # var b's slot: other is a
+        self.rows = rows
+        self.inc_start = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(var, minlength=n), out=self.inc_start[1:])
+        self.slot_other = np.concatenate([con_b, con_a])[order]
+        self.slot_cid = cid[order]
+        self.con_a = con_a
+        self.con_b = con_b
+
+
 class _Tables:
     """Static per-instance lookup structures shared by all search states.
 
@@ -254,42 +301,28 @@ class _Tables:
     of shape (k_v * d, d): row (slot*d + w) holds, for each candidate value u
     of v, the violation flag when the other endpoint of that slot's
     constraint holds w.  base[v][slot] = slot * d is the slot's first row.
+    other_idx[v] and rows[v] are views into `flat`; base[v] is a prefix of
+    one shared array.
     """
 
-    __slots__ = ("n", "d", "con_a", "con_b", "inc_ids", "other_idx", "rows", "base")
+    __slots__ = ("n", "d", "con_a", "con_b", "inc_ids", "other_idx", "rows", "base",
+                 "flat")
 
     def __init__(self, instance: CspInstance):
         n, d = instance.n, instance.d
         self.n = n
         self.d = d
-        self.con_a = [c.var_a for c in instance.constraints]
-        self.con_b = [c.var_b for c in instance.constraints]
-        # (cid, other_var, var_is_a) per incidence
-        adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-        for cid, c in enumerate(instance.constraints):
-            adj[c.var_a].append((cid, c.var_b, True))
-            adj[c.var_b].append((cid, c.var_a, False))
-
-        self.inc_ids: list[list[int]] = []
-        self.other_idx: list[np.ndarray] = []
-        self.rows: list[np.ndarray] = []
-        self.base: list[np.ndarray] = []
-        mats = [c.matrix(d) for c in instance.constraints]
-        for entries in adj:
-            self.inc_ids.append([cid for cid, _, _ in entries])
-            self.other_idx.append(
-                np.fromiter((o for _, o, _ in entries), dtype=np.int64,
-                            count=len(entries))
-            )
-            if entries:
-                # oriented so axis meanings are [other value w, own value u]
-                blocks = [mats[cid].T if is_a else mats[cid]
-                          for cid, _, is_a in entries]
-                stacked = np.ascontiguousarray(np.stack(blocks))
-                self.rows.append(stacked.reshape(len(entries) * d, d))
-            else:
-                self.rows.append(np.zeros((0, d), dtype=np.uint8))
-            self.base.append(np.arange(len(entries), dtype=np.int64) * d)
+        flat = self.flat = _FlatTables(instance)
+        self.con_a = flat.con_a.tolist()
+        self.con_b = flat.con_b.tolist()
+        bounds = flat.inc_start.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        rows = flat.rows.reshape(-1, d)
+        steps = np.arange(max(e - s for s, e in spans), dtype=np.int64) * d
+        self.inc_ids = [flat.slot_cid[s:e].tolist() for s, e in spans]
+        self.other_idx = [flat.slot_other[s:e] for s, e in spans]
+        self.rows = [rows[s * d:e * d] for s, e in spans]
+        self.base = [steps[:e - s] for s, e in spans]
 
 
 class SearchState:
@@ -427,17 +460,18 @@ def dumps_csp(
     solution: Optional[Assignment] = None,
     comments: Iterable[str] = (),
 ) -> str:
-    lines = [f"c {text}" for text in comments]
-    lines.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}")
+    # one string per constraint block, not one per line: a list of every
+    # 'f' line would double the memory of the instance being written
+    parts = [f"c {text}\n" for text in comments]
+    parts.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}\n")
     for c in instance.constraints:
-        lines.append(f"k {c.var_a} {c.var_b} {len(c.disallowed)}")
-        for va, vb in c.disallowed:
-            lines.append(f"f {va} {vb}")
+        parts.append(f"k {c.var_a} {c.var_b} {len(c.disallowed)}\n"
+                     + "".join([f"f {va} {vb}\n" for va, vb in c.disallowed]))
     if solution is not None:
         if not solution.is_complete or len(solution) != instance.n:
             raise ValueError("recorded solution must assign every variable")
-        lines.append("s " + " ".join(str(int(v)) for v in solution.values))
-    return "\n".join(lines) + "\n"
+        parts.append("s " + " ".join(str(int(v)) for v in solution.values) + "\n")
+    return "".join(parts)
 
 
 def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:

@@ -78,7 +78,7 @@ def subset_conflicts(instance: CspInstance, values: Sequence[int],
     total = 0
     for c in instance.constraints:
         if c.var_a in inside and c.var_b in inside:
-            if (int(values[c.var_a]), int(values[c.var_b])) in c.pair_set:
+            if c.violates(int(values[c.var_a]), int(values[c.var_b])):
                 total += 1
     return total
 

@@ -10,15 +10,25 @@ weights or penalties are maintained; occasional forced worsening moves are
 what gets the search out of local optima.
 
 The per-iteration work is one or two stacked-table gathers from the core
-search state plus O(1) bookkeeping, so runs at benchmark scale stream through
-millions of iterations.
+search state plus O(1) bookkeeping.  `run` takes its steps in a compiled
+kernel (_ulsa_kernel.c) when one can be built, and in `_step`, the Python
+reference, otherwise; both follow the same trajectory.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from pathlib import Path
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -196,10 +206,180 @@ def _step(state: SearchState, draw: Callable[[], float],
             stats.worsening += 1
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """rng's uniforms drawn in blocks; the same sequence as repeated rng.random()."""
-    while True:
-        yield from rng.random(4096).tolist()
+_BLOCK = 4096
+
+
+class _Uniforms:
+    """rng's uniforms drawn in blocks of _BLOCK: the same sequence as repeated
+    rng.random().  Each call returns the next one; the compiled kernel reads
+    `block` from `pos` and moves `pos` past what it used."""
+
+    __slots__ = ("rng", "block", "pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block = np.empty(0)  # the first block is drawn at the first step
+        self.pos = 0
+
+    def __call__(self) -> float:
+        if self.pos == len(self.block):
+            self.block = self.rng.random(_BLOCK)
+            self.pos = 0
+        self.pos += 1
+        return self.block[self.pos - 1]
+
+
+# -- compiled step kernel ------------------------------------------------------
+#
+# _ulsa_kernel.c is built with the local C compiler on first use and cached
+# per user; when that fails, `run` steps in Python.  Both paths follow the
+# same trajectory.
+
+_KERNEL_SOURCE = Path(__file__).with_name("_ulsa_kernel.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+_kernel: Any = ...  # ulsa_advance once loaded, None if unavailable, ... until tried
+
+
+def _cache_dir() -> Path:
+    root = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    path = (root if root.is_absolute() else Path.home() / ".cache") / "rbcsp"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    info = path.stat()
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{path} is writable by other users")
+    return path
+
+
+def _compile() -> Path:
+    """Path of the kernel library, compiled unless cached.
+
+    The file name is keyed by the source, the compiler command and the
+    platform; a build is published by renaming a finished temporary file, so
+    concurrent first uses are safe.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    cmd = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cmd[0]) is None:  # Python was built with a compiler not here
+        cmd = ["cc"]
+    cmd += _CFLAGS
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(cmd).encode(), sysconfig.get_platform().encode()]))
+    lib = _cache_dir() / f"ulsa_kernel-{key.hexdigest()[:24]}.so"
+    if not lib.exists():
+        fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
+        os.close(fd)
+        try:
+            subprocess.run(cmd + ["-x", "c", "-o", tmp, "-"], input=source,
+                           capture_output=True, check=True, timeout=300)
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+def _load_kernel() -> Any:
+    """ulsa_advance from the kernel library, loaded once per process, or None."""
+    global _kernel
+    if _kernel is ...:
+        try:
+            fn = ctypes.CDLL(str(_compile())).ulsa_advance
+            fn.argtypes = [ctypes.POINTER(_RunStruct)]
+            fn.restype = None
+            _kernel = fn
+        # no compiler or cache directory, a failed build, a library that does
+        # not load: step in Python
+        except (OSError, subprocess.SubprocessError, AttributeError, ValueError):
+            _kernel = None
+    return _kernel
+
+
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+
+
+class _RunStruct(ctypes.Structure):
+    """`ulsa_run` in _ulsa_kernel.c, field for field."""
+
+    _fields_ = [
+        ("rows", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
+        ("con_a", _P), ("con_b", _P), ("d", _I),
+        ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
+        ("iterations", _I), ("expansions", _I), ("worsening", _I),
+        ("u", _P), ("nu", _I), ("upos", _I),
+        ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),
+        ("counts_i", _P), ("counts_j", _P), ("cands", _P),
+    ]
+
+
+class _KernelRun:
+    """The compiled kernel bound to one run, with buffers of its own.
+
+    While the kernel steps, it owns the state: `state.x` is updated in
+    place, and the violated ids, the clock and the counters are copied back
+    at each exit.  The timestamps, the violated positions and the `_xl`
+    mirror are copied back only before a Python step, and a state Python has
+    stepped or rebuilt is copied in before the next kernel call.
+    """
+
+    def __init__(self, fn: Any, instance: CspInstance, uniforms: _Uniforms,
+                 stats: StepStats, cap: int, budget: int, interval: Optional[int]):
+        flat = instance._tables.flat
+        n, d, m = instance.n, instance.d, instance.num_constraints
+        self.fn = fn
+        self.uniforms = uniforms
+        self.stats = stats
+        self.flat = flat  # kept alive with the struct pointing into it
+        self.t = np.zeros(n, dtype=np.int64)
+        self.ids = np.empty(m, dtype=np.int32)
+        self.pos = np.empty(m, dtype=np.int32)
+        self.scratch = np.empty(4 * d, dtype=np.int32)
+        addr = self.scratch.ctypes.data
+        self.c = _RunStruct(
+            flat.rows.ctypes.data, flat.inc_start.ctypes.data,
+            flat.slot_other.ctypes.data, flat.slot_cid.ctypes.data,
+            flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
+            None, self.t.ctypes.data, self.ids.ctypes.data, self.pos.ctypes.data,
+            cap=cap, budget=budget, interval=interval or 0,
+            counts_i=addr, counts_j=addr + 4 * d, cands=addr + 8 * d)
+        self.state: Optional[SearchState] = None  # the state the buffers hold
+        self.block: Optional[np.ndarray] = None
+
+    def advance(self, state: SearchState, best: int) -> bool:
+        """Step `state` until a run event; False, with `state` complete and
+        no step taken, when fewer than 3 uniforms are left in the block."""
+        c, u, stats = self.c, self.uniforms, self.stats
+        if len(u.block) - u.pos < 3:
+            if self.state is state:  # not when a restart replaced it
+                state.t = self.t.tolist()
+                state.violated.pos = self.pos.tolist()
+                state._xl = state.x.tolist()
+                self.state = None
+            return False
+        if self.state is not state:
+            self.state = state
+            ids = state.violated.ids
+            self.t[:] = state.t
+            self.ids[:len(ids)] = ids
+            self.pos[:] = state.violated.pos
+            c.x = state.x.ctypes.data
+            c.nviol = len(ids)
+            c.n_iter = state.n_iter
+            c.iterations, c.expansions, c.worsening = (
+                stats.iterations, stats.expansions, stats.worsening)
+        if u.block is not self.block:
+            self.block = u.block
+            c.u = u.block.ctypes.data
+            c.nu = len(u.block)
+        c.upos = u.pos
+        c.best = best
+        self.fn(c)
+        u.pos = c.upos
+        state.violated.ids[:] = self.ids[:c.nviol].tolist()
+        state.n_iter = c.n_iter
+        stats.iterations, stats.expansions, stats.worsening = (
+            c.iterations, c.expansions, c.worsening)
+        return True
 
 
 def run(instance: CspInstance, config: UlsaConfig, seed: int,
@@ -224,7 +404,7 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     state = init_state(instance, rng)
     # a restart's init_state shares rng and draws after the current block of
     # uniforms (the golden restart runs pin this order)
-    draw = _uniforms(rng).__next__
+    uniforms = _Uniforms(rng)
 
     budget = config.max_iterations
     interval = config.restart_interval
@@ -233,6 +413,9 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     best_assignment = best_violated = subset = None
 
     cap = target.conflict_cap if target is not None else -1
+    fn = _load_kernel()
+    kernel = None if fn is None else _KernelRun(fn, instance, uniforms, stats,
+                                                cap, budget, interval)
     viol_ids = state.violated.ids
     while True:
         conflicts = len(viol_ids)
@@ -254,7 +437,10 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
             viol_ids = state.violated.ids
             restarts += 1
             continue
-        _step(state, draw, stats)
+        # the kernel steps to the next event; Python takes the step that
+        # straddles two blocks of uniforms, and every step without the kernel
+        if kernel is None or not kernel.advance(state, best):
+            _step(state, uniforms, stats)
 
     wall = time.perf_counter() - start
     success = not viol_ids or subset is not None

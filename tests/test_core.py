@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from rbcsp.core import (
     dumps_csp,
     loads_csp,
 )
+from rbcsp.modelrb import ModelRbParams, generate_forced
 
 from conftest import (
     assignment_of,
@@ -50,6 +52,11 @@ class TestConstraint:
         c = Constraint(0, 1, ((1, 1), (0, 0)))
         assert c.disallowed == ((0, 0), (1, 1))
         assert c.violates(1, 1) and not c.violates(0, 1)
+
+    def test_violates_matches_pair_set(self, rng):
+        for c in random_instance(rng, n=5, d=4, m=10).constraints:
+            assert [c.violates(a, b) for a in range(4) for b in range(4)] == [
+                (a, b) in c.pair_set for a in range(4) for b in range(4)]
 
     def test_matrix_matches_pairs(self):
         c = Constraint(0, 1, ((0, 2), (1, 1)))
@@ -280,6 +287,13 @@ class TestNativeFormat:
         parsed, parsed_sol = loads_csp(dumps_csp(inst, solution=sol))
         assert parsed == inst
         assert parsed_sol is not None and parsed_sol.as_list() == sol.as_list()
+
+    def test_dumps_bytes_pinned(self):
+        # the exact text of a forced instance with comments and a solution
+        inst, sol = generate_forced(ModelRbParams(n=20), 1)
+        text = dumps_csp(inst, sol, comments=["forced n=20 seed 1", "second"])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4610c7b8de8ab20c4edc227673650123ed993fcbc2256340d4d5581428156989")
 
     def test_comments_and_blank_lines_ignored(self):
         text = (

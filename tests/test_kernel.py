@@ -1,0 +1,161 @@
+"""The compiled step kernel: same records as the Python step, and a silent
+fallback when it cannot be built.
+
+Each case runs `run` twice, once with the kernel and once with the module's
+kernel handle set to None, which makes `run` take every step in Python, and
+compares the two records field by field apart from the wall time.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+from rbcsp import ulsa
+from rbcsp.core import Constraint, CspInstance
+from rbcsp.modelrb import ModelRbParams, generate_forced
+from rbcsp.target import TargetSpec
+from rbcsp.ulsa import UlsaConfig, run
+
+from conftest import random_instance
+
+
+def fields(record) -> dict:
+    out = dataclasses.asdict(record)
+    del out["wall_time"]
+    return out
+
+
+def python_run(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(ulsa, "_kernel", None)
+        return run(*args, **kwargs)
+
+
+@pytest.fixture
+def kernel():
+    if ulsa._load_kernel() is None:
+        pytest.skip("the step kernel could not be built here")
+
+
+def forced(n: int, seed: int) -> CspInstance:
+    return generate_forced(ModelRbParams(n=n), seed)[0]
+
+
+def isolated_and_duplicates() -> CspInstance:
+    # variables 6-8 touch no constraint; constraints 0 and 3 are the same
+    inst = random_instance(random.Random(5), n=6, d=3, m=12)
+    cons = inst.constraints
+    return CspInstance(9, 3, (cons[0], *cons[1:3], cons[0], *cons[3:]))
+
+
+CASES = [
+    # (instance, config, seeds, track_best)
+    (lambda: forced(18, 3), UlsaConfig(), range(4), False),
+    (lambda: forced(25, 2), UlsaConfig(max_iterations=3000), range(3), True),
+    (lambda: forced(20, 4), UlsaConfig(target=TargetSpec(18, 4)), range(4), False),
+    (lambda: forced(25, 1), UlsaConfig(max_iterations=60_000,
+                                      target=TargetSpec(23, 3)), range(2), True),
+    # restart intervals that are not multiples of the 4096-uniform block
+    (lambda: forced(20, 4), UlsaConfig(restart_interval=150), range(3), False),
+    (lambda: forced(25, 2), UlsaConfig(max_iterations=20_000, restart_interval=1777),
+     range(3), True),
+    (lambda: forced(20, 4), UlsaConfig(max_iterations=400, restart_interval=150),
+     range(3), True),
+    (lambda: random_instance(random.Random(1), n=10, d=2, m=12),
+     UlsaConfig(max_iterations=5000), range(4), True),
+    (isolated_and_duplicates, UlsaConfig(max_iterations=5000), range(4), True),
+    (lambda: random_instance(random.Random(2), n=8, d=3, m=20),
+     UlsaConfig(max_iterations=5000, target=TargetSpec(6, 3), restart_interval=333),
+     range(4), True),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_kernel_record_equals_python_record(kernel, monkeypatch, case):
+    make, config, seeds, track_best = CASES[case]
+    instance = make()
+    for seed in seeds:
+        fast = run(instance, config, seed, track_best=track_best)
+        slow = python_run(monkeypatch, instance, config, seed, track_best=track_best)
+        assert fields(fast) == fields(slow), seed
+
+
+@pytest.mark.parametrize("block", [3, 5, 8])
+def test_tiny_uniform_blocks(kernel, monkeypatch, block):
+    # a block boundary every few steps: the kernel must stop before using a
+    # uniform it lacks, and Python straddles; frequent restarts give tied
+    # timestamps, so many steps draw all 3 uniforms
+    monkeypatch.setattr(ulsa, "_BLOCK", block)
+    instance = forced(20, 4)
+    for config in (UlsaConfig(max_iterations=1500, restart_interval=7),
+                   UlsaConfig(target=TargetSpec(18, 4))):
+        fast = run(instance, config, 0, track_best=True)
+        slow = python_run(monkeypatch, instance, config, 0, track_best=True)
+        assert fields(fast) == fields(slow)
+
+
+def test_solved_at_iteration_zero(kernel, monkeypatch):
+    # the greedy start avoids the only disallowed pair
+    instance = CspInstance(3, 2, (Constraint(0, 1, ((0, 0),)),))
+    fast = run(instance, UlsaConfig(), 7, track_best=True)
+    assert fast.success and fast.iterations == 0
+    assert fields(fast) == fields(python_run(monkeypatch, instance, UlsaConfig(), 7,
+                                             track_best=True))
+
+
+def test_compile_failure_falls_back_silently(monkeypatch, capfd):
+    instance = forced(18, 3)
+    expected = fields(python_run(monkeypatch, instance, UlsaConfig(), 1))
+
+    def broken():
+        raise subprocess.CalledProcessError(1, ["cc"])
+
+    monkeypatch.setattr(ulsa, "_kernel", ...)
+    monkeypatch.setattr(ulsa, "_compile", broken)
+    capfd.readouterr()
+    assert fields(run(instance, UlsaConfig(), 1)) == expected
+    assert ulsa._kernel is None
+    assert capfd.readouterr() == ("", "")
+
+
+def test_build_is_cached_privately(kernel, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(ulsa, "_kernel", ...)
+    assert ulsa._load_kernel() is not None
+    cache = tmp_path / "rbcsp"
+    assert os.stat(cache).st_mode & 0o777 == 0o700
+    assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+    # a second process-level load reuses the cached library
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(ulsa, "_kernel", ...)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert ulsa._load_kernel() is not None
+
+
+def test_shared_cache_dir_is_refused(monkeypatch, tmp_path):
+    cache = tmp_path / "rbcsp"
+    cache.mkdir()
+    cache.chmod(0o777)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(ulsa, "_kernel", ...)
+    assert ulsa._load_kernel() is None
+    assert list(cache.iterdir()) == []
+
+
+def test_concurrent_first_builds_publish_one_library(kernel, tmp_path):
+    # three processes race to build into one empty cache
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = "from rbcsp import ulsa; assert ulsa._load_kernel() is not None"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+    assert [p.suffix for p in (tmp_path / "rbcsp").iterdir()] == [".so"]
