@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
-from .core import Constraint, CspInstance, check_size
+import numpy as np
+
+from .core import CspInstance, check_size
 
 
 class DimacsFormatError(ValueError):
@@ -78,12 +81,14 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     deduplicated-constraint semantics.
     """
     n, d = instance.n, instance.d
-    edges = {(lo + a, lo + b) for lo in range(0, n * d, d)
-             for a in range(d) for b in range(a + 1, d)}
-    for c in instance.constraints:
-        base_a, base_b = c.var_a * d, c.var_b * d
-        edges.update((base_a + va, base_b + vb) for va, vb in c.disallowed)
-    return MisGraph(n * d, edges, block_size=d)
+    lo, hi = np.triu_indices(d, 1)
+    base = np.arange(n)[:, None] * d
+    cid = np.repeat(np.arange(instance.num_constraints), np.diff(instance.pair_start))
+    va, vb = np.divmod(instance.codes, d)
+    a, b = (x.astype(np.int64)[cid] * d for x in (instance.con_a, instance.con_b))
+    u = np.concatenate(((base + lo).ravel(), a + va))
+    w = np.concatenate(((base + hi).ravel(), b + vb))
+    return MisGraph(n * d, zip(u.tolist(), w.tolist()), block_size=d)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
@@ -109,22 +114,35 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     if graph.num_edges < n * clique:
         raise MisStructureError(f"{graph.num_edges} edges are too few for "
                                 f"{n} block cliques of {clique} edges")
-    inner = [0] * n
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, w in graph.edges:
-        bu, bw = u // d, w // d
-        if bu == bw:
-            inner[bu] += 1
-        else:
-            groups.setdefault((bu, bw), []).append((u - bu * d, w - bw * d))
-    for v, count in enumerate(inner):
-        if count != clique:
-            raise MisStructureError(f"block {v} (vertices {v * d}..{v * d + d - 1}) "
-                                    f"is not a clique: {count} of {clique} edges present")
-    constraints = [
-        Constraint(a, b, tuple(pairs)) for (a, b), pairs in sorted(groups.items())
-    ]
-    return CspInstance(n, d, tuple(constraints))
+    edges = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64,
+                        count=2 * graph.num_edges).reshape(-1, 2)
+    block, value = np.divmod(edges, d)  # u < w, so a cross edge's block pair is ordered
+    inner = block[:, 0] == block[:, 1]
+    counts = np.bincount(block[inner, 0], minlength=n)
+    short = np.flatnonzero(counts != clique)
+    if short.size:
+        v = int(short[0])
+        raise MisStructureError(f"block {v} (vertices {v * d}..{v * d + d - 1}) "
+                                f"is not a clique: {counts[v]} of {clique} edges present")
+    # one sort by (block pair, pair code): each block pair becomes one constraint
+    (bu, bw), (va, vb) = block[~inner].T, value[~inner].T
+    keys = ((bu * n + bw) * d + va) * d + vb
+    keys.sort()
+    pair, codes = np.divmod(keys, d * d)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    con_a, con_b = np.divmod(pair[starts], n)
+    return CspInstance._from_arrays(n, d, con_a, con_b, np.append(starts, len(keys)),
+                                    codes)
+
+
+def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
+    """The lines of text.splitlines(), split from one piece of about `chunk`
+    characters at a time; each piece ends at a '\n', which always ends a line."""
+    pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + chunk) + 1 or len(text)
+        yield from text[pos:cut].splitlines()
+        pos = cut
 
 
 def parse_dimacs(text: str) -> MisGraph:
@@ -140,7 +158,7 @@ def parse_dimacs(text: str) -> MisGraph:
     def fail(lineno: int, msg: str) -> DimacsFormatError:
         return DimacsFormatError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
             continue

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Assignment, Constraint, CspInstance, check_size
+from .core import Assignment, CspInstance, check_size
 
 PHASE_ALPHA = 0.8
 PHASE_R = 0.8 / (math.log(4) - math.log(3))
@@ -140,17 +140,18 @@ def _sample(params: ModelRbParams, seed: int,
     q = params.forbidden_per_constraint
     rng = np.random.Generator(np.random.PCG64(seed))
     hidden = rng.integers(0, d, size=n) if forced else None
-    constraints = []
-    for _ in range(m):
-        a, b = _draw_pair(rng, n)
-        codes = _draw_disallowed(rng, d, q)
+    ends = np.empty((m, 2), dtype=np.int64)
+    codes = np.empty((m, q), dtype=np.int64)
+    for i in range(m):
+        a, b = ends[i] = _draw_pair(rng, n)
+        codes[i] = _draw_disallowed(rng, d, q)
         if hidden is not None:
             hidden_code = int(hidden[a]) * d + int(hidden[b])
-            while (codes == hidden_code).any():
-                codes = _draw_disallowed(rng, d, q)
-        constraints.append(Constraint(a, b, tuple(zip(
-            (codes // d).tolist(), (codes % d).tolist()))))
-    return CspInstance(n, d, tuple(constraints)), hidden
+            while (codes[i] == hidden_code).any():
+                codes[i] = _draw_disallowed(rng, d, q)
+    codes.sort(axis=1)
+    return CspInstance._from_arrays(n, d, ends[:, 0], ends[:, 1],
+                                    np.arange(m + 1) * q, codes), hidden
 
 
 def generate(params: ModelRbParams, seed: int) -> CspInstance:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import CspInstance, SearchState
+import numpy as np
+
+from .core import CspInstance, SearchState, _count_violated
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,11 @@ def min_conflict_cover(conflicts: Sequence[tuple[int, int]],
 
 def subset_conflicts(instance: CspInstance, values: Sequence[int],
                      subset: Sequence[int]) -> int:
-    """Violated constraints with both endpoints inside `subset`."""
-    inside = set(subset)
-    total = 0
-    for c in instance.constraints:
-        if c.var_a in inside and c.var_b in inside:
-            if c.violates(int(values[c.var_a]), int(values[c.var_b])):
-                total += 1
-    return total
+    """Violated constraints with both endpoints inside `subset`; a recount
+    over the instance's pairs, independent of SearchState and its tables."""
+    inside = list(subset)
+    return _count_violated(instance, values, np.isin(instance.con_a, inside)
+                           & np.isin(instance.con_b, inside))
 
 
 def check_target(state: SearchState, spec: TargetSpec) -> Optional[list[int]]:

@@ -445,7 +445,7 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     wall = time.perf_counter() - start
     success = not viol_ids or subset is not None
     assignment = state.x.tolist() if success else None
-    if success:  # a recount over the constraints' pair sets, independent of SearchState
+    if success:  # a recount over the instance's sorted pairs, independent of SearchState
         checked = range(instance.n) if subset is None else subset
         if subset_conflicts(instance, assignment, checked) != 0:
             raise AssertionError("success witness fails the independent recount")

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbcsp import UlsaConfig, TargetSpec, core, csp_to_mis, run
 from rbcsp.core import (
+    _BREAKS,
+    _SPACES,
     Assignment,
     Constraint,
     CspFormatError,
@@ -21,7 +27,7 @@ from rbcsp.core import (
     dumps_csp,
     loads_csp,
 )
-from rbcsp.modelrb import ModelRbParams, generate_forced
+from rbcsp.modelrb import ModelRbParams, generate_forced, phase_transition_params
 
 from conftest import (
     assignment_of,
@@ -316,6 +322,7 @@ class TestNativeFormat:
             "p bcsp 2 2 1\nf 0 0\n",         # f outside block
             "p bcsp 2 2 1\nk 0 1 1\nf 0 0\ns 0\n",  # short s line
             "p bcsp 2 2 1\nk 0 1 1\nf 0 0\nz 1\n",  # unknown tag
+            "p bcsp 2 2 1\nk 0 1 2\nf 0 0\ns 0 0\nf 1 1\n",  # s line splits a block
             "p bcsp 2 50000 1\nk 0 1 1\nf 0 0\n",  # 5 GB of tables
             "p bcsp 1000000000 2 0\n",      # 10⁹ variables
         ],
@@ -388,3 +395,153 @@ class TestPickling:
         assert clone == inst
         state = SearchState(clone, assignment_of([0, 0, 0, 0]))
         assert state.violated.as_set() == recount_violated(clone, [0, 0, 0, 0])
+
+
+class TestArrayInstance:
+    def test_arrays_hold_the_constraints(self):
+        inst = CspInstance(3, 2, (Constraint(2, 0, ((1, 1), (0, 1))),
+                                  Constraint(0, 1, ((1, 0),))))
+        assert inst.con_a.tolist() == [2, 0] and inst.con_b.tolist() == [0, 1]
+        assert inst.pair_start.tolist() == [0, 2, 3]
+        assert inst.codes.tolist() == [1, 3, 2]  # a·d + b, ascending per constraint
+        assert not inst.codes.flags.writeable
+
+    def test_lazy_view_equals_the_given_constraints(self, rng):
+        inst = random_instance(rng, n=6, d=4, m=12)
+        rebuilt = CspInstance._from_arrays(inst.n, inst.d, inst.con_a, inst.con_b,
+                                           inst.pair_start, inst.codes)
+        assert "constraints" not in vars(rebuilt)
+        assert rebuilt == inst and hash(rebuilt) == hash(inst)
+        assert rebuilt.constraints == inst.constraints
+
+    def test_immutable(self):
+        inst = small_pair_instance()
+        with pytest.raises(AttributeError):
+            inst.n = 3
+
+    def test_pickle_holds_arrays_only(self, rng):
+        inst = random_instance(rng, n=5, d=3, m=8)
+        assert inst.constraints  # built, and still not pickled
+        blob = pickle.dumps(inst)
+        assert b"Constraint" not in blob
+        clone = pickle.loads(blob)
+        assert clone == inst and "constraints" not in vars(clone)
+        assert not clone.codes.flags.writeable
+
+    def test_pipeline_never_builds_constraint_objects(self):
+        # the path of `rbcsp solve` and `convert` reads the arrays only
+        params = phase_transition_params(30)
+        inst, hidden = generate_forced(params, 1)
+        text = dumps_csp(inst, hidden)
+        parsed, solution = loads_csp(text)
+        rec = run(parsed, UlsaConfig(max_iterations=3_000_000,
+                                     target=TargetSpec(size=28, conflict_cap=8)), 0)
+        assert rec.success and len(rec.subset) == 28
+        assert dumps_csp(parsed, solution) == text
+        assert csp_to_mis(parsed) == csp_to_mis(inst)
+        assert parsed == inst and solution == hidden
+        assert "constraints" not in vars(parsed) and "constraints" not in vars(inst)
+        blob = pickle.dumps(parsed)
+        assert b"Constraint" not in blob and pickle.loads(blob) == parsed
+
+
+class TestBulkParse:
+    def test_whitespace_tables_match_str_methods(self):
+        spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        breaks = [c for c in range(sys.maxunicode + 1)
+                  if len(f"a{chr(c)}b".splitlines()) == 2]
+        assert sorted(_SPACES) == spaces and sorted(_BREAKS) == breaks
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_layout_mutations_parse_to_the_same_instance(self, data):
+        # line ends, field separators, indentation, blank and comment lines
+        # anywhere: none of it changes what a document means
+        r = random.Random(data.draw(st.integers(0, 2**30)))
+        inst = random_instance(r, n=r.randint(2, 14), d=r.randint(2, 12), m=r.randint(0, 8),
+                               max_pairs=20)  # two-digit values and variables too
+        sol = assignment_of(random_values(r, inst.n, inst.d)) if r.random() < 0.5 else None
+        canonical = dumps_csp(inst, sol, comments=["made by the test"])
+        out = []
+        for line in canonical.splitlines():
+            sep = r.choice([" ", "\t", "  ", " \t", "\u3000", "\xa0"])
+            pad = [r.choice(["", " ", "\t", "\x1f"]) for _ in range(2)]
+            out.append(pad[0] + sep.join(line.split(" ")) + pad[1])
+            for _ in range(r.choice([0, 0, 1, 2])):
+                out.append(r.choice(["", "   ", "c inside", "c", "\tc x y z"]))
+        ends = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1e", "\u2028"]
+        text = "".join(line + r.choice(ends) for line in out)
+        # a small chunk puts many chunk ends into the text
+        with mock.patch.object(core, "_CHUNK", r.choice([1, 5, 40, core._CHUNK])):
+            parsed, parsed_sol = loads_csp(text)
+        assert parsed == inst
+        assert parsed_sol == sol
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @pytest.mark.parametrize("kind, message", [
+        ("word", "non-integer field"),
+        ("sign", "outside domain"),
+        ("two", "expected 'f <value_a> <value_b>'"),
+        ("four", "expected 'f <value_a> <value_b>'"),
+        ("outside", "outside a constraint block"),
+        ("range", "outside domain"),
+        ("repeat", "repeats in its constraint"),
+    ])
+    @settings(max_examples=15, deadline=None)
+    @given(where=st.floats(0.2, 0.8))
+    def test_buried_bad_f_line_reported_at_its_line(self, kind, message, where):
+        inst, sol = generate_forced(phase_transition_params(40), 3)
+        lines = dumps_csp(inst, sol).splitlines()
+        f_at = [i for i, line in enumerate(lines) if line.startswith("f ")]
+        # an 'f' line with an earlier 'f' line of its own block
+        at = next(i for i in f_at[int(where * len(f_at)):] if lines[i - 1][0] == "f")
+        if kind == "outside":
+            at = next(i for i in f_at[int(where * len(f_at)):] if lines[i + 1][0] == "k") + 1
+            lines.insert(at, "f 0 0")
+        else:
+            lines[at] = {"word": "f 1 x", "sign": "f -1 2", "two": "f 3",
+                         "four": "f 1 2 3", "range": f"f 0 {inst.d}",
+                         "repeat": lines[at - 1]}[kind]
+        with pytest.raises(CspFormatError, match=rf"^line {at + 1}: .*{message}"):
+            loads_csp("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        # an 'f' line out of place wins over its own malformed fields
+        ("p bcsp 2 2 1\nk 0 1 1\nf 0 0\nf 0\n", 4, "outside a constraint block"),
+        # a bad value before a short block is reported first
+        ("p bcsp 2 2 1\nk 0 1 2\nf 0 x\nk 0 1 1\nf 0 0\n", 3, "non-integer"),
+        ("p bcsp 2 2 1\nk 0 1 2\nf 0 0\nk 0 1 1\nf 0 0\n", 4, "expected 2 'f' lines"),
+        ("f 0 0\np bcsp 2 2 1\n", 1, "before 'p bcsp' header"),
+        ("p bcsp 2 2 1\r\n\r\nk 0 1 1\r\nf 0 0\r\ns 0 5\r\n", 5, "'s' value outside"),
+        ("p bcsp 2 2 1\x0bk 0 1 1\x0cf 0 0\rf 1 1\n", 4, "outside a constraint block"),
+    ])
+    def test_first_bad_line_wins(self, text, lineno, message):
+        with pytest.raises(CspFormatError, match=rf"^line {lineno}: .*{message}"):
+            loads_csp(text)
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="pbcskf 0123-\n\r\t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u0663_+",
+                   max_size=120))
+    def test_fuzzed_unicode_layout_never_raises_unexpected(self, text):
+        try:
+            loads_csp(text)
+        except CspFormatError:
+            pass
+
+    @pytest.mark.parametrize("text", [
+        "p bcsp -1 99999999999999999999 0\nk 0 1 1\nf 0 0\n",
+        "p bcsp 0 2 0\n",
+        "p bcsp 2 2 1\nk 0 99999999999999999999 1\nf 0 0\n",
+        "p bcsp 2 2 1\nk 0 1 99999999999999999999\nf 0 0\n",
+        "p bcsp 2 2 1\nk 0 1 1\nf 0 99999999999999999999999\n",
+        "p bcsp 2 2 1\nk 1 1 1\nf 0 0\n",
+    ])
+    def test_out_of_range_numbers_refused(self, text):
+        with pytest.raises(CspFormatError):
+            loads_csp(text)
+
+    def test_int_syntax_as_python_reads_it(self):
+        inst, _ = loads_csp("p bcsp 2 12 1\nk 0 1 2\nf +1 1_1\nf \u0663 007\n")
+        assert inst.constraints[0].disallowed == ((1, 11), (3, 7))

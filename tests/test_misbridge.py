@@ -11,6 +11,7 @@ from rbcsp.misbridge import (
     DimacsFormatError,
     MisGraph,
     MisStructureError,
+    _lines,
     csp_to_mis,
     emit_dimacs,
     mis_to_csp,
@@ -205,6 +206,18 @@ class TestDimacs:
     def test_malformed_rejected(self, text):
         with pytest.raises(DimacsFormatError):
             parse_dimacs(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab \n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029",
+                        max_size=60),
+           chunk=st.integers(0, 8))
+    def test_lines_split_like_splitlines(self, text, chunk):
+        assert list(_lines(text, chunk)) == text.splitlines()
+
+    def test_line_numbers_follow_splitlines(self):
+        # \x0b, \x0c and a lone \r end lines; \r\n ends one
+        with pytest.raises(DimacsFormatError, match="line 5: self-loop"):
+            parse_dimacs("p edge 3 2\x0be 1 2\x0c\re 1 3\r\ne 2 2\n")
 
     def test_graph_from_plain_set_with_reversed_pairs(self):
         graph = MisGraph(3, {(1, 0), (2, 1), (0, 2), (0, 1)})

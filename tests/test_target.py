@@ -154,3 +154,23 @@ class TestCheckTarget:
         state = SearchState(inst, assignment_of([0, 0, 0]))
         with pytest.raises(ValueError):
             check_target(state, TargetSpec(size=4, conflict_cap=3))
+
+
+class TestSubsetConflicts:
+    def test_matches_pair_set_oracle(self, rng):
+        for _ in range(30):
+            n, d = rng.randint(2, 7), rng.randint(2, 4)
+            inst = random_instance(rng, n=n, d=d, m=rng.randint(0, 3 * n))
+            values = random_values(rng, n, d)
+            subset = rng.sample(range(n), rng.randint(0, n))
+            expected = sum(
+                1 for c in inst.constraints
+                if c.var_a in subset and c.var_b in subset
+                and (values[c.var_a], values[c.var_b]) in c.pair_set)
+            assert subset_conflicts(inst, values, subset) == expected
+
+    def test_values_outside_the_domain_are_never_disallowed(self):
+        # (0, 2) would share the code 0·2 + 2 with the disallowed pair (1, 0)
+        inst = CspInstance(2, 2, (Constraint(0, 1, ((1, 0),)),))
+        assert subset_conflicts(inst, [0, 2], [0, 1]) == 0
+        assert subset_conflicts(inst, [1, 0], [0, 1, -1, 7]) == 1
