@@ -14,10 +14,12 @@ column sum instead of a per-value rescan.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -514,6 +516,9 @@ def dumps_csp(
     solution: Optional[Assignment] = None,
     comments: Iterable[str] = (),
 ) -> str:
+    """The native text of `instance`, with `solution` as its 's' line.  Each
+    line of a comment, as str.splitlines() splits it, becomes its own 'c'
+    line."""
     # one string per constraint block, joined from shared "f a b" lines, one
     # per distinct pair code: a string per 'f' line would double the memory
     # of the instance being written
@@ -522,7 +527,7 @@ def dumps_csp(
     distinct = [f"f {a} {b}\n" for a, b in zip(*(x.tolist() for x in np.divmod(codes, d)))]
     f_lines = np.array(distinct, dtype=object)[index].tolist()
     bounds = instance.pair_start.tolist()
-    parts = [f"c {text}\n" for text in comments]
+    parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p bcsp {instance.n} {d} {instance.num_constraints}\n")
     for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(),
                           bounds, bounds[1:]):
@@ -543,61 +548,112 @@ _SPACE, _BREAK = 1, 2
 _CLASS = np.zeros(0x3002, dtype=np.uint8)  # the last entry stands for all above
 _CLASS[list(_SPACES)] |= _SPACE
 _CLASS[list(_BREAKS)] |= _BREAK
+_ASCII_CLASS = _CLASS[:128].tobytes() + bytes(128)  # a bytes.translate table
+_PIECE_END = re.compile("\r\n?|[" + "".join(map(chr, _BREAKS)) + "]")  # '\r\n' whole
 _MAX_DIGITS = 18  # longer tokens, like non-ASCII-digit ones, go through int()
-_CHUNK = 1 << 20  # characters tokenized at a time
+_CHUNK = 1 << 15  # characters read at a time
 
 
-def _tokenize(text: str):
-    """Whitespace-separated tokens of `text`, by the rules of str.split()
-    within the lines of str.splitlines(), found with array operations.
-
-    Returns (units, line_start, line_end, tok_start, tok_end, first, lines):
-    the text's code points, each line's span, each token's span, and for
-    each line holding tokens its first token and its 0-based number.  Spans
-    index both `text` and `units`.
-    """
-    units = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else
-             np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32))
-    index = np.int32 if len(units) < 2**31 else np.int64
-    parts, pos = [], 0
+def _pieces(text: str, size: int) -> Iterator[tuple[int, str]]:
+    """(start, piece) for consecutive pieces of text of about `size`
+    characters; each piece but the last ends at the first line break after
+    `size` characters, which ends both a line and a token."""
+    pos = 0
     while True:
-        # a chunk at a time, to keep the arrays per character small; a chunk
-        # ends at a '\n', which ends both a line and a token
-        cut = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        u = units[pos:cut]
-        cls = _CLASS.take(u if u.itemsize == 1 else np.minimum(u, len(_CLASS) - 1))
-        brk = np.flatnonzero(cls & _BREAK)
-        crlf = (u[brk] == 13) & (u[np.minimum(brk + 1, len(u) - 1)] == 10)
-        keep = ~np.concatenate(([False], crlf))[:-1]  # '\r\n' is one break, at the '\r'
-        # a token starts at a solid unit after a space and ends before a space
-        solid = (cls & _SPACE) == 0
-        edge = solid.copy()
-        edge[1:] &= ~solid[:-1]
-        starts = (np.flatnonzero(edge) + pos).astype(index)
-        edge[:] = solid
-        edge[:-1] &= ~solid[1:]
-        parts.append((brk[keep] + pos, crlf[keep], starts,
-                      (np.flatnonzero(edge) + pos + 1).astype(index)))
+        brk = _PIECE_END.search(text, pos + size)
+        cut = brk.end() if brk else len(text)
+        yield pos, text[pos:cut]
         if cut == len(text):
-            break
+            return
         pos = cut
-    brk, crlf, tok_start, tok_end = (np.concatenate(x) for x in zip(*parts))
-    del parts
-    line_start = np.concatenate(([0], brk + 1 + crlf))
-    line_end = np.concatenate((brk, [len(units)]))
-    # the token after each break, and after the start as line 0's break
-    after = np.searchsorted(tok_start, np.concatenate(([-1], brk)))
-    has_tokens = np.diff(after, append=len(tok_start)) > 0
-    return (units, line_start, line_end, tok_start, tok_end,
-            after[has_tokens].astype(index), np.flatnonzero(has_tokens).astype(index))
+
+
+def _lines(text: str, chunk: int) -> Iterator[str]:
+    """The lines of text.splitlines(), split from one piece at a time."""
+    for _, piece in _pieces(text, chunk):
+        yield from piece.splitlines()
+
+
+def _read(text: str, tag: str, limit: int):
+    """Read a line-oriented text whose bulk lines are '<tag> <int> <int>',
+    with lines as str.splitlines() finds them and tokens as str.split() does.
+
+    Returns (bulk, values, others, spans).  bulk holds the 0-based numbers of
+    the lines whose first token is `tag`, and values, one row per bulk line,
+    the integers of its second and third tokens, clamped to [-1, limit] and
+    stored in the smallest of int16, int32 and int64 that holds `limit`; a
+    row is -1 where the line has not three tokens or int() refuses one.
+    others holds the numbers of the other lines with tokens, apart from 'c'
+    lines, and spans their (start, end) in `text`.  Line numbers and spans
+    are int32 for a text below 2³¹ characters.
+
+    The text is read a piece of about _CHUNK characters at a time (see
+    _pieces), and only the results above outlive a piece.  So the memory
+    taken beyond them is bounded by _CHUNK for any text whose lines are at
+    most _CHUNK characters long.
+    """
+    index = np.int32 if len(text) < 2**31 else np.int64
+    value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
+    found, lineno = [], 0
+    for pos, piece in _pieces(text, _CHUNK):
+        bulk, values, others, spans, breaks = _read_piece(piece, tag, limit)
+        found.append(((bulk + lineno).astype(index), values.astype(value),
+                      (others + lineno).astype(index), (spans + pos).astype(index)))
+        lineno += breaks
+    return [np.concatenate(column) for column in zip(*found)]
+
+
+def _read_piece(piece: str, tag: str, limit: int):
+    """_read's results for one piece, with line numbers and spans counted
+    from the piece's start, and the number of line breaks in the piece;
+    found with array operations over the piece's code points."""
+    if piece.isascii():
+        raw = piece.encode("ascii")
+        units = np.frombuffer(raw, np.uint8)
+        cls = np.frombuffer(raw.translate(_ASCII_CLASS), np.uint8)
+    else:
+        units = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), np.uint32)
+        cls = _CLASS.take(np.minimum(units, len(_CLASS) - 1))
+    brk = np.flatnonzero(cls & _BREAK)
+    crlf = (units[brk] == 13) & (units[np.minimum(brk + 1, len(units) - 1)] == 10)
+    keep = ~np.concatenate(([False], crlf))[:-1]  # '\r\n' is one break, at the '\r'
+    brk, crlf = brk[keep], crlf[keep]
+    # tokens are the runs of solid units, so their starts and ends alternate
+    # among the places where solid and space units meet
+    bounds = np.flatnonzero(np.diff((cls & _SPACE) == 0, prepend=False, append=False))
+    del cls
+    tok_start, tok_end = bounds[0::2], bounds[1::2]
+    # the lines holding tokens, each with its first token and token count;
+    # a line's first token is the first one after the break before it
+    first = np.searchsorted(tok_start, np.concatenate(([-1], brk)))
+    ntok = np.diff(first, append=len(tok_start))
+    lines = np.flatnonzero(ntok)
+    first, ntok = first[lines], ntok[lines]
+    one_char = tok_end[first] - tok_start[first] == 1
+    heads = units[tok_start[first]]
+    bulk = one_char & (heads == ord(tag))
+    other = ~(bulk | (one_char & (heads == ord("c"))))
+    # the value tokens of the bulk lines with three tokens; the per-token
+    # arrays are freed before the conversion adds its own
+    three = ntok[bulk] == 3
+    at = first[bulk][three]
+    value_spans = [(tok_start[at + j], tok_end[at + j]) for j in (1, 2)]
+    del bounds, tok_start, tok_end, first, ntok, one_char, heads, at
+    values = np.full((len(three), 2), -1, dtype=np.int64)
+    for j, (start, end) in enumerate(value_spans):
+        values[three, j] = _integers(piece, units, start, end, limit)
+    at = lines[other]
+    spans = np.stack((np.append(0, brk + 1 + crlf)[at], np.append(brk, len(units))[at]),
+                     axis=1)
+    return lines[bulk], values, at, spans, len(brk)
 
 
 def _integers(text: str, units: np.ndarray, start: np.ndarray, end: np.ndarray,
-              d: int) -> np.ndarray:
-    """The integers int(text[start:end]) of tokens, as int64, as far as
-    whether they lie in [0, d) goes: a token int() refuses reads -1, and a
-    value int() reads is clamped to [-1, d].  ASCII digit strings of up to
-    _MAX_DIGITS are converted with array operations, anything else by int()."""
+              limit: int) -> np.ndarray:
+    """The integers int(text[start:end]) of tokens as int64, clamped to
+    [-1, limit], with -1 for a token int() refuses.  ASCII digit strings of
+    up to _MAX_DIGITS are converted with array operations, anything else by
+    int()."""
     size = end - start
     plain = size <= _MAX_DIGITS  # until a non-digit shows up
     values = np.zeros(len(start), dtype=np.int64)
@@ -606,12 +662,18 @@ def _integers(text: str, units: np.ndarray, start: np.ndarray, end: np.ndarray,
         digit = units[np.where(live, start + k, 0)] - 48  # wraps below '0'
         plain &= ~live | (digit < 10)
         values = np.where(live, values * 10 + digit, values)
+    np.minimum(values, limit, out=values)
     for t in np.flatnonzero(~plain).tolist():
         try:
-            values[t] = min(max(int(text[start[t]:end[t]]), -1), d)
+            values[t] = min(max(int(text[start[t]:end[t]]), -1), limit)
         except ValueError:
             values[t] = -1
     return values
+
+
+def _line(text: str, lineno: int) -> str:
+    """Line `lineno` (0-based) of text.splitlines(), read again for a message."""
+    return next(islice(_lines(text, _CHUNK), lineno, None))
 
 
 def _f_problem(raw: str, d: int) -> str:
@@ -637,17 +699,13 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     input, and on a header beyond the size caps of `check_size` before
     anything proportional to the header is allocated.
 
-    The 'f' lines are read in bulk: one tokenization of the whole text, an
-    array integer conversion and one sort.  The few other lines are checked
-    one by one in a loop that knows how many 'f' lines lie between them.
+    The 'f' lines are read in bulk by `_read`, then checked and sorted as
+    arrays.  The few other lines are checked one by one in a loop that knows
+    how many 'f' lines lie between them.
     """
-    units, line_start, line_end, ts, te, first, lines = _tokenize(text)
-    ntok = np.diff(first, append=len(ts))
-    one_char = te[first] - ts[first] == 1
-    tags = units[ts[first]]
-    is_f = one_char & (tags == ord("f"))
-    other = ~(is_f | (one_char & (tags == ord("c"))))
-    f_lines = lines[is_f]
+    # values are clamped to a bound on d: an accepted header has n >= 1 and
+    # so d(d−1)/2 <= MAX_CLIQUE_EDGES
+    f_lines, pairs, at_lines, spans = _read(text, "f", isqrt(2 * MAX_CLIQUE_EDGES) + 1)
 
     def fail(lineno: Optional[int], msg: str) -> CspFormatError:
         exc = CspFormatError(msg if lineno is None else f"line {lineno}: {msg}")
@@ -658,13 +716,14 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     # 'f' lines precede it; the first misplaced line raises
     header: Optional[tuple[int, int, int]] = None
     blocks: list[tuple[int, int, int]] = []  # (var_a, var_b, npairs) per 'k' line
+    block_lines: list[int] = []  # and the number of each 'k' line
     solution: Optional[list[int]] = None
     want = got = done = 0  # 'f' lines the open block declares, has; all placed
-    at_lines = lines[other].tolist()
     f_before = np.searchsorted(f_lines, at_lines).tolist() + [len(f_lines)]
     misplaced: Optional[CspFormatError] = None
     try:
-        for at, f_seen in zip(at_lines + [None], f_before):
+        for at, span, f_seen in zip(at_lines.tolist() + [None], spans.tolist() + [None],
+                                    f_before):
             if f_seen > done:
                 if header is None:
                     raise fail(int(f_lines[done]) + 1, "'f' line before 'p bcsp' header")
@@ -674,7 +733,7 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
                 got, done = got + f_seen - done, f_seen
             if at is None:
                 break
-            lineno, raw = at + 1, text[line_start[at]:line_end[at]]
+            lineno, raw = at + 1, text[span[0]:span[1]]
             fields = raw.split()
             tag = fields[0]
             if tag == "p":
@@ -713,6 +772,7 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
                 if a == b:
                     raise fail(lineno, f"constraint endpoints must differ, got {a}")
                 blocks.append((a, b, npairs))
+                block_lines.append(at)
                 want, got = npairs, 0
             elif tag == "s":
                 if solution is not None:
@@ -738,17 +798,13 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     if header is None:
         raise misplaced
 
-    # the values of the 'f' lines with three tokens; -1 marks a bad one
-    tag_tok = first[is_f][ntok[is_f] == 3]
-    pairs = np.full((2, len(f_lines)), -1, dtype=np.int64)
-    for j in (1, 2):
-        pairs[j - 1, ntok[is_f] == 3] = _integers(text, units, ts[tag_tok + j],
-                                                  te[tag_tok + j], d)
-    del units, ts, te
-    va, vb = pairs
+    va, vb = pairs.T  # -1 marks a bad line
     ok = (va >= 0) & (va < d) & (vb >= 0) & (vb < d)
-    cid = np.cumsum(one_char & (tags == ord("k")))[is_f] - 1  # true up to a misplaced line
-    keys = (cid * d + va) * d + vb
+    # keys cid·d² + code, with cid true up to a misplaced line, built in place
+    keys = np.searchsorted(block_lines, f_lines) - 1
+    for column in (va, vb):
+        keys *= d
+        keys += column
     sorted_keys = np.sort(keys)  # the one sort: by block, then pair code
     if not ok.all() or (sorted_keys[1:] == sorted_keys[:-1]).any():
         # the first bad line: out of place, or a later copy of a pair in its block
@@ -757,12 +813,14 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
         ok[idx[1:][keys[idx[1:]] == keys[idx[:-1]]]] = False
         at = int(f_lines[np.argmin(ok)])
         if misplaced is None or misplaced.lineno is None or at + 1 < misplaced.lineno:
-            raise fail(at + 1, _f_problem(text[line_start[at]:line_end[at]], d))
+            raise fail(at + 1, _f_problem(_line(text, at), d))
     if misplaced is not None:
         raise misplaced
 
+    del f_lines, pairs, va, vb, ok, keys
     ends = np.array(blocks, dtype=np.int64).reshape(-1, 3)
+    np.remainder(sorted_keys, d * d, out=sorted_keys)
     instance = CspInstance._from_arrays(
         n, d, ends[:, 0], ends[:, 1], np.concatenate(([0], np.cumsum(ends[:, 2]))),
-        sorted_keys - np.repeat(np.arange(m) * d * d, ends[:, 2]))
+        sorted_keys)
     return instance, None if solution is None else Assignment.from_values(solution)

@@ -14,13 +14,19 @@ that is how such benchmarks are distributed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from collections.abc import Set
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import CspInstance, check_size
+from .core import CspInstance, _line, _read, check_size
+
+# A graph's vertices are int64 and 'e' values are read in int64, clamped to
+# MAX_VERTICES + 1; a header beyond this is refused (any real graph is
+# orders of magnitude below)
+MAX_VERTICES = 1 << 62
+_EMIT_SLICE = 1 << 16  # edges emit_dimacs writes at a time
 
 
 class DimacsFormatError(ValueError):
@@ -31,46 +37,131 @@ class MisStructureError(ValueError):
     """Graph does not have the block-clique shape of a converted CSP."""
 
 
-@dataclass(frozen=True)
-class MisGraph:
-    """Undirected simple graph; `edges` is a frozenset of (u < v) pairs.
+class EdgeView(Set):
+    """Read-only set view of a graph's edges: the rows of its `pairs` array
+    as (u, v) tuples, u < v, iterated in ascending order.  Set operators
+    return a frozenset."""
 
-    The sole canonicalizer: any iterable of pairs in either order is ordered,
-    frozen and range-checked here.  block_size is set for CSP block structure.
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: np.ndarray):
+        self._pairs = pairs
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self._pairs[:, 0].tolist(), self._pairs[:, 1].tolist())
+
+    def __contains__(self, edge) -> bool:
+        # binary searches: for u in the first column, then for v among u's rows
+        first, second = self._pairs[:, 0], self._pairs[:, 1]
+        try:
+            u, v = edge
+            lo = bisect_left(first, u)
+            hi = bisect_right(first, u, lo)
+            i = bisect_left(second, v, lo, hi)
+            return i < hi and bool(second[i] == v)
+        except (TypeError, ValueError):  # not a pair of numbers
+            return False
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeView):
+            return np.array_equal(self._pairs, other._pairs)
+        return super().__eq__(other)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"EdgeView({list(self)})"
+
+
+class MisGraph:
+    """Undirected simple graph on the vertices 0..num_vertices−1.
+
+    `pairs` holds the edges as a read-only (E, 2) int64 array of (u < v)
+    rows, ascending and distinct; `edges` is a read-only set view of the same
+    rows as (u, v) tuples.  The constructor is the canonicalizer: it takes
+    any iterable of pairs in either order, and orders, deduplicates and
+    range-checks them.  block_size is set for CSP block structure.
     """
 
-    num_vertices: int
-    edges: frozenset[tuple[int, int]]
-    block_size: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.num_vertices < 0:
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]],
+                 block_size: Optional[int] = None):
+        if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
-        edges = frozenset(_ordered(self.edges, self.num_vertices))
-        object.__setattr__(self, "edges", edges)
-        size = self.block_size
-        if size is not None and (size < 1 or self.num_vertices % size):
-            raise ValueError(f"{self.num_vertices} vertices do not split into blocks "
-                             f"of {size}")
+        try:
+            pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        except OverflowError:
+            raise ValueError("a vertex index overflows 64 bits") from None
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= num_vertices))
+        if bad.size:
+            u, v = int(lo[bad[0]]), int(hi[bad[0]])
+            raise ValueError(f"self-loop on vertex {u}" if u == v
+                             else f"edge ({u},{v}) outside [0,{num_vertices})")
+        if block_size is not None and (block_size < 1 or num_vertices % block_size):
+            raise ValueError(f"{num_vertices} vertices do not split into blocks "
+                             f"of {block_size}")
+        self._init(num_vertices, _canonical(np.stack((lo, hi), axis=1))[0], block_size)
+
+    @classmethod
+    def _from_pairs(cls, num_vertices: int, pairs: np.ndarray,
+                    block_size: Optional[int] = None) -> "MisGraph":
+        """A graph from an (E, 2) int64 array known to hold its edges as the
+        class doc says: (u < v) rows, ascending, distinct, below num_vertices."""
+        graph = cls.__new__(cls)
+        graph._init(num_vertices, pairs, block_size)
+        return graph
+
+    def _init(self, num_vertices, pairs, block_size) -> None:
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        pairs.flags.writeable = False
+        self.__dict__.update(num_vertices=int(num_vertices), pairs=pairs,
+                             edges=EdgeView(pairs), block_size=block_size)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self.edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MisGraph):
+            return NotImplemented
+        return ((self.num_vertices, self.block_size) == (other.num_vertices, other.block_size)
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __hash__(self) -> int:
+        return hash((self.num_vertices, self.block_size, self.pairs.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"MisGraph(num_vertices={self.num_vertices}, num_edges={self.num_edges}, "
+                f"block_size={self.block_size})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MisGraph is immutable; cannot set {name!r}")
+
+    def __getstate__(self):
+        # the array only: the view is rebuilt on load
+        return {k: self.__dict__[k] for k in ("num_vertices", "pairs", "block_size")}
+
+    def __setstate__(self, state):
+        self._init(**state)
 
 
-def _ordered(pairs: Iterable[tuple[int, int]], num_vertices: int):
-    """Yield (u < v) pairs, reusing ordered tuples, checked in the same pass."""
-    for e in pairs:
-        u, v = e
-        if u > v:
-            u, v = e = (v, u)
-        if u == v or u < 0 or v >= num_vertices:
-            raise ValueError(f"self-loop on vertex {u}" if u == v
-                             else f"edge ({u},{v}) outside [0,{num_vertices})")
-        yield e
+def _canonical(pairs: np.ndarray):
+    """Sort the rows of an (E, 2) int64 array of (u < v) rows in place, and
+    return its distinct rows and the ascending positions, from before the
+    sort, of the rows that repeat an earlier row."""
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # stable: a row's first copy leads
+    pairs[:] = pairs[order]
+    first = np.ones(len(pairs), dtype=bool)
+    np.any(pairs[1:] != pairs[:-1], axis=1, out=first[1:])
+    return pairs[first], np.sort(order[~first])
 
 
 def csp_to_mis(instance: CspInstance) -> MisGraph:
@@ -88,7 +179,9 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     a, b = (x.astype(np.int64)[cid] * d for x in (instance.con_a, instance.con_b))
     u = np.concatenate(((base + lo).ravel(), a + va))
     w = np.concatenate(((base + hi).ravel(), b + vb))
-    return MisGraph(n * d, zip(u.tolist(), w.tolist()), block_size=d)
+    pairs = np.stack((np.minimum(u, w), np.maximum(u, w)), axis=1)
+    del u, w
+    return MisGraph._from_pairs(n * d, _canonical(pairs)[0], block_size=d)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
@@ -114,19 +207,23 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     if graph.num_edges < n * clique:
         raise MisStructureError(f"{graph.num_edges} edges are too few for "
                                 f"{n} block cliques of {clique} edges")
-    edges = np.fromiter(chain.from_iterable(graph.edges), dtype=np.int64,
-                        count=2 * graph.num_edges).reshape(-1, 2)
-    block, value = np.divmod(edges, d)  # u < w, so a cross edge's block pair is ordered
-    inner = block[:, 0] == block[:, 1]
-    counts = np.bincount(block[inner, 0], minlength=n)
+    u, w = graph.pairs.T  # u < w, so a cross edge's block pair is ordered
+    inner = u // d == w // d
+    counts = np.bincount(u[inner] // d, minlength=n)
     short = np.flatnonzero(counts != clique)
     if short.size:
         v = int(short[0])
         raise MisStructureError(f"block {v} (vertices {v * d}..{v * d + d - 1}) "
                                 f"is not a clique: {counts[v]} of {clique} edges present")
     # one sort by (block pair, pair code): each block pair becomes one constraint
-    (bu, bw), (va, vb) = block[~inner].T, value[~inner].T
-    keys = ((bu * n + bw) * d + va) * d + vb
+    cross = graph.pairs[~inner]
+    del inner
+    keys, va = np.divmod(cross[:, 0], d)
+    bw, vb = np.divmod(cross[:, 1], d)
+    del cross
+    for column, scale in ((bw, n), (va, d), (vb, d)):  # in place: ((bu·n + bw)·d + va)·d + vb
+        keys *= scale
+        keys += column
     keys.sort()
     pair, codes = np.divmod(keys, d * d)
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
@@ -135,14 +232,37 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
                                     codes)
 
 
-def _lines(text: str, chunk: int = 1 << 16) -> Iterator[str]:
-    """The lines of text.splitlines(), split from one piece of about `chunk`
-    characters at a time; each piece ends at a '\n', which always ends a line."""
-    pos = 0
-    while pos < len(text):
-        cut = text.find("\n", pos + chunk) + 1 or len(text)
-        yield from text[pos:cut].splitlines()
-        pos = cut
+def _read_header(raw: str) -> tuple[int, int]:
+    """The vertex and edge counts of the 'p' line `raw`; a ValueError names
+    what is wrong with it."""
+    fields = raw.split()
+    if len(fields) != 4 or fields[1] != "edge":
+        raise ValueError(f"expected 'p edge <V> <E>', got {raw!r}")
+    try:
+        num_vertices, num_edges = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ValueError(f"non-integer header field in {raw!r}") from None
+    if num_vertices < 0 or num_edges < 0:
+        raise ValueError("negative count in header")
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"graph too large: {num_vertices} vertices exceed the cap "
+                         f"of {MAX_VERTICES}")
+    return num_vertices, num_edges
+
+
+def _e_problem(raw: str, num_vertices: int) -> str:
+    """What is wrong with the 'e' line `raw` after the header, checked in
+    order: its fields, its integers, its range, else a self-loop."""
+    fields = raw.split()
+    if len(fields) != 3:
+        return f"expected 'e <u> <v>', got {raw!r}"
+    try:
+        u, v = int(fields[1]), int(fields[2])
+    except ValueError:
+        return f"non-integer field in {raw!r}"
+    if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
+        return f"vertex in ({u},{v}) outside 1..{num_vertices}"
+    return f"self-loop on vertex {u}"
 
 
 def parse_dimacs(text: str) -> MisGraph:
@@ -150,63 +270,71 @@ def parse_dimacs(text: str) -> MisGraph:
 
     Self-loops are rejected; duplicate edges are dropped with a warning; an
     edge count differing from the header is warned about but tolerated.
+    Lines, fields and numbers are read as by `loads_csp`, and a malformed
+    text is refused with the number of its first bad line.
+
+    The 'e' lines are read in bulk by `core._read`, as `loads_csp` reads
+    'f' lines, and one lexsort orders them and finds the duplicates.  The
+    few other lines are checked one by one.
     """
-    num_vertices: Optional[int] = None
-    declared_edges = 0
-    edges: set[tuple[int, int]] = set()
+    e_lines, ends, at_lines, spans = _read(text, "e", MAX_VERTICES + 1)
 
-    def fail(lineno: int, msg: str) -> DimacsFormatError:
-        return DimacsFormatError(f"line {lineno}: {msg}")
-
-    for lineno, raw in enumerate(_lines(text), start=1):
-        fields = raw.split()
-        if not fields or fields[0] == "c":
-            continue
-        tag = fields[0]
-        if tag == "p":
-            if num_vertices is not None:
-                raise fail(lineno, "duplicate header")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise fail(lineno, f"expected 'p edge <V> <E>', got {raw!r}")
-            try:
-                num_vertices, declared_edges = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise fail(lineno, f"non-integer header field in {raw!r}") from None
-            if num_vertices < 0 or declared_edges < 0:
-                raise fail(lineno, "negative count in header")
-        elif tag == "e":
-            if num_vertices is None:
-                raise fail(lineno, "'e' line before 'p edge' header")
-            if len(fields) != 3:
-                raise fail(lineno, f"expected 'e <u> <v>', got {raw!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise fail(lineno, f"non-integer field in {raw!r}") from None
-            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise fail(lineno, f"vertex in ({u},{v}) outside 1..{num_vertices}")
-            if u == v:
-                raise fail(lineno, f"self-loop on vertex {u}")
-            edge = (u - 1, v - 1)
-            if edge in edges or (v - 1, u - 1) in edges:
-                warnings.warn(f"line {lineno}: duplicate edge ({u},{v}) dropped",
-                              stacklevel=2)
-            else:
-                edges.add(edge)
-        else:
-            raise fail(lineno, f"unknown line tag {tag!r}")
-
-    if num_vertices is None:
+    # the first bad line of each kind as (lineno, message); the earliest is reported
+    problems: list[tuple[int, str]] = []
+    header: Optional[tuple[int, int]] = None
+    for at, (start, end) in zip(at_lines.tolist(), spans.tolist()):
+        raw = text[start:end]
+        tag = raw.split()[0]
+        try:
+            if tag != "p":
+                raise ValueError(f"unknown line tag {tag!r}")
+            if header is not None:
+                raise ValueError("duplicate header")
+            header, header_at = _read_header(raw), at
+        except ValueError as exc:
+            problems.append((at + 1, str(exc)))
+            break
+    if len(e_lines) and (header is None or e_lines[0] < header_at):
+        problems.append((int(e_lines[0]) + 1, "'e' line before 'p edge' header"))
+    elif header is not None:
+        num_vertices, declared_edges = header
+        u, v = ends.T  # -1 marks a bad line
+        ok = (u >= 1) & (u <= num_vertices) & (v >= 1) & (v <= num_vertices) & (u != v)
+        if not ok.all():
+            at = int(e_lines[np.argmin(ok)])
+            problems.append((at + 1, _e_problem(_line(text, at), num_vertices)))
+    if problems:
+        raise DimacsFormatError("line {}: {}".format(*min(problems)))
+    if header is None:
         raise DimacsFormatError("missing 'p edge' header")
-    if len(edges) != declared_edges:
-        warnings.warn(f"header declares {declared_edges} edges, found {len(edges)}",
+    pairs = np.sort(ends, axis=1)
+    pairs -= 1
+    pairs, repeats = _canonical(pairs)
+    for i in repeats.tolist():
+        warnings.warn(f"line {e_lines[i] + 1}: duplicate edge ({u[i]},{v[i]}) dropped",
                       stacklevel=2)
-    return MisGraph(num_vertices, edges)
+    if len(pairs) != declared_edges:
+        warnings.warn(f"header declares {declared_edges} edges, found {len(pairs)}",
+                      stacklevel=2)
+    return MisGraph._from_pairs(num_vertices, pairs)
 
 
 def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
-    """Serialize to DIMACS ascii: 1-indexed, edges sorted."""
-    lines = [f"c {text}" for text in comments]
-    lines.append(f"p edge {graph.num_vertices} {graph.num_edges}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.sorted_edges())
-    return "\n".join(lines) + "\n"
+    """Serialize to DIMACS ascii: 1-indexed, edges sorted.  Each line of a
+    comment, as `str.splitlines()` splits it, becomes its own 'c' line."""
+    parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
+    parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
+    # one string per slice of edges, joined from a head and a tail name per
+    # vertex of the slice: a string per edge of the whole graph would take
+    # several times the text's size, and names for every vertex would grow
+    # with num_vertices instead of the edges
+    for start in range(0, graph.num_edges, _EMIT_SLICE):
+        vertices, index = np.unique(graph.pairs[start:start + _EMIT_SLICE],
+                                    return_inverse=True)
+        names = (vertices + 1).tolist()
+        heads = [f"e {i}" for i in names]
+        tails = [f" {i}\n" for i in names]
+        index = index.reshape(-1, 2)
+        parts.append("".join([heads[u] + tails[v] for u, v in zip(index[:, 0].tolist(),
+                                                                   index[:, 1].tolist())]))
+    return "".join(parts)

@@ -11,7 +11,7 @@ import pytest
 
 from rbcsp.cli import main
 from rbcsp.core import loads_csp
-from rbcsp.misbridge import parse_dimacs
+from rbcsp.misbridge import csp_to_mis, mis_to_csp, parse_dimacs
 
 
 def run_cli(args, capsys):
@@ -213,6 +213,19 @@ class TestConvertRecover:
         recovered, _ = loads_csp(out)
         assert recovered.n == inst.n
 
+    def test_paths_with_line_breaks_round_trip(self, tmp_path, capsys):
+        # a path lands in a comment; each of its lines must stay a comment line
+        csp_path, mis_path = tmp_path / "x\ny.csp", tmp_path / "g\rz.mis"
+        run_cli(["gen", "--n", "10", "--forced", "--seed", "1", "--out", str(csp_path)],
+                capsys)
+        inst, _ = loads_csp(csp_path.read_text())
+        code, _, _ = run_cli(["convert", "--to-mis", "--in", str(csp_path),
+                              "--out", str(mis_path)], capsys)
+        assert code == 0
+        code, out, err = run_cli(["recover", str(mis_path), "--d", str(inst.d)], capsys)
+        assert code == 0 and err == ""
+        assert loads_csp(out)[0] == mis_to_csp(csp_to_mis(inst), inst.d)
+
     def test_to_csp_requires_block_size(self, tmp_path, capsys):
         mis_path = tmp_path / "a.mis"
         mis_path.write_text("p edge 2 1\ne 1 2\n")
@@ -249,6 +262,16 @@ class TestHostileHeaders:
         path.write_text("p edge 10000000000 0\n")
         code, _, err = run_cli(["recover", str(path), "--d", "1"], capsys)
         assert code == 1 and err.count("\n") == 1 and "too large" in err
+
+    @pytest.mark.parametrize("text, message", [
+        (f"p edge {10**30} 0\n", "line 1: graph too large"),
+        ("p edge 4 1\ne 1 99999999999999999999999999\n", "line 2: vertex in"),
+    ])
+    def test_recover_refuses_vertices_beyond_int64(self, tmp_path, capsys, text, message):
+        path = tmp_path / "hostile.mis"
+        path.write_text(text)
+        code, _, err = run_cli(["recover", str(path), "--d", "1"], capsys)
+        assert code == 1 and err.count("\n") == 1 and message in err
 
 
 class TestHostileGen:

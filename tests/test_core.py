@@ -301,6 +301,11 @@ class TestNativeFormat:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "4610c7b8de8ab20c4edc227673650123ed993fcbc2256340d4d5581428156989")
 
+    def test_comment_lines_split_and_round_trip(self):
+        text = dumps_csp(small_pair_instance(), comments=["a\nb\rc", "d"])
+        assert text.splitlines()[:5] == ["c a", "c b", "c c", "c d", "p bcsp 2 2 1"]
+        assert loads_csp(text) == (small_pair_instance(), None)
+
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "c hello\n\np bcsp 2 2 1\nc mid\nk 0 1 1\nf 0 0\nc end\n"
@@ -537,6 +542,7 @@ class TestBulkParse:
         "p bcsp 2 2 1\nk 0 1 99999999999999999999\nf 0 0\n",
         "p bcsp 2 2 1\nk 0 1 1\nf 0 99999999999999999999999\n",
         "p bcsp 2 2 1\nk 1 1 1\nf 0 0\n",
+        "p bcsp 2 2 1\nk 0 1 1\nf 0 65536\n",  # 0 if stored in int16 unclamped
     ])
     def test_out_of_range_numbers_refused(self, text):
         with pytest.raises(CspFormatError):

@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import collections.abc
+import hashlib
+import pickle
+import random
+import warnings
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcsp.core import Constraint, CspInstance, SearchState
+from rbcsp import core, misbridge
+from rbcsp.core import Constraint, CspInstance, SearchState, _lines, dumps_csp, loads_csp
 from rbcsp.misbridge import (
+    MAX_VERTICES,
     DimacsFormatError,
+    EdgeView,
     MisGraph,
     MisStructureError,
-    _lines,
     csp_to_mis,
     emit_dimacs,
     mis_to_csp,
     parse_dimacs,
 )
+from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.target import TargetSpec, check_target
 
 from conftest import assignment_of, random_instance, random_values
@@ -222,7 +232,8 @@ class TestDimacs:
     def test_graph_from_plain_set_with_reversed_pairs(self):
         graph = MisGraph(3, {(1, 0), (2, 1), (0, 2), (0, 1)})
         assert graph == MisGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-        assert isinstance(graph.edges, frozenset)
+        assert isinstance(graph.edges, collections.abc.Set)
+        assert frozenset(graph.edges) == {(0, 1), (1, 2), (0, 2)}
         assert graph.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
 
     def test_graph_validation(self):
@@ -270,3 +281,172 @@ class TestDimacs:
                 parse_dimacs("".join(chars))
         except DimacsFormatError:
             pass
+
+
+# Outcomes pinned from the line-by-line parser that the bulk parser replaced:
+# the message of a refused text, or the edges and the warnings, in order, of
+# an accepted one.  Whether duplicate warnings precede an error is not pinned.
+PINNED_OUTCOMES = [
+    ("p edge 3 1\ne 0 1\nq\n", "line 2: vertex in (0,1) outside 1..3"),
+    ("p edge 3 2\ne 9 1\np edge 3 1\n", "line 2: vertex in (9,1) outside 1..3"),
+    ("e 1 2\np edge 2 1\n", "line 1: 'e' line before 'p edge' header"),
+    ("p edge 3 1\ne 1 2\np edge 3 1\n", "line 3: duplicate header"),
+    ("p edge 3 1\ne 1 -2\n", "line 2: vertex in (1,-2) outside 1..3"),
+    ("p edge 3 1\ne 1 x\n", "line 2: non-integer field in 'e 1 x'"),
+    ("p edge 3 1\ne 1 2 3\n", "line 2: expected 'e <u> <v>', got 'e 1 2 3'"),
+    ("p edge 3 1\ne 1 99999999999999999999999999\n",
+     "line 2: vertex in (1,99999999999999999999999999) outside 1..3"),
+    ("p edge 3 1\ne 1 \u0663\n", ([(0, 2)], [])),  # an Arabic-Indic digit 3
+    ("c only\n", "missing 'p edge' header"),
+    ("", "missing 'p edge' header"),
+    ("p edge 3 3\ne 1 2\ne 2 1\ne 1 2\ne 2 3\n",
+     ([(0, 1), (1, 2)], ["line 3: duplicate edge (2,1) dropped",
+                         "line 4: duplicate edge (1,2) dropped",
+                         "header declares 3 edges, found 2"])),
+    ("p edge 3 1\ne 2 2\n", "line 2: self-loop on vertex 2"),
+    ("p edge 3 1\ne\n", "line 2: expected 'e <u> <v>', got 'e'"),
+    ("p edge 3 1\ne 1\n", "line 2: expected 'e <u> <v>', got 'e 1'"),
+    ("p edge 3 1\ne 1 2\ne 2 1\ne 3 3\n", "line 4: self-loop on vertex 3"),
+    ("p edge 3 1\ne 1 2\ne 2 1\nx\n", "line 4: unknown line tag 'x'"),
+    ("p edge 3 1\nee 1 2\n", "line 2: unknown line tag 'ee'"),
+    ("p edge 3 x\n", "line 1: non-integer header field in 'p edge 3 x'"),
+    ("p edge -1 0\n", "line 1: negative count in header"),
+    ("p edge 3\n", "line 1: expected 'p edge <V> <E>', got 'p edge 3'"),
+    ("p edge 3 1\ne +1 2\n", ([(0, 1)], [])),
+    ("p edge 3 1\ne 1_1 2\n", "line 2: vertex in (11,2) outside 1..3"),
+    ("p edge 3 1\ne 4 1\ne 1 x\n", "line 2: vertex in (4,1) outside 1..3"),
+    ("p edge 3 1\ne 1 x\ne 4 1\n", "line 2: non-integer field in 'e 1 x'"),
+    ("p edge 3 0\n", ([], [])),
+    ("p edge 0 0\ne 1 1\n", "line 2: vertex in (1,1) outside 1..0"),
+    ("p edge 3 1\nc\ne 2 3\r\n", ([(1, 2)], [])),
+    ("p edge 3 2\ne 1 2\ne 1 2\ne 0 2\n", "line 4: vertex in (0,2) outside 1..3"),
+]
+
+
+class TestBulkDimacs:
+    @pytest.mark.parametrize("text, outcome", PINNED_OUTCOMES)
+    def test_outcomes_pinned(self, text, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(DimacsFormatError) as info:
+                parse_dimacs(text)
+            assert str(info.value) == outcome
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            graph = parse_dimacs(text)
+        edges, messages = outcome
+        assert graph.num_vertices == 3 and graph.sorted_edges() == edges
+        assert [str(w.message) for w in caught] == messages
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_layout_mutations_parse_to_the_same_graph(self, data):
+        # line ends, separators, padding, comment lines between 'e' lines and
+        # 'e v u' for 'e u v': none of it changes what a document means
+        r = random.Random(data.draw(st.integers(0, 2**30)))
+        graph = csp_to_mis(generate_forced(phase_transition_params(10), r.randrange(8))[0])
+        canonical = emit_dimacs(graph, comments=["made by the test"])
+        out = []
+        for line in canonical.splitlines():
+            fields = line.split(" ")
+            if fields[0] == "e" and r.random() < 0.3:
+                fields[1:] = fields[:0:-1]
+            sep = r.choice([" ", "\t", "  ", " \t"])
+            pad = [r.choice(["", " ", "\t"]) for _ in range(2)]
+            out.append(pad[0] + sep.join(fields) + pad[1])
+            for _ in range(r.choice([0, 0, 0, 1, 2])):
+                out.append(r.choice(["c between", "c", "\tc x y", ""]))
+        text = "".join(line + r.choice(["\n", "\r\n", "\r", "\x0b", "\x0c"])
+                       for line in out)
+        # a small chunk puts many piece ends into the text
+        with warnings.catch_warnings(), \
+                mock.patch.object(core, "_CHUNK", r.choice([1, 5, 40, core._CHUNK])):
+            warnings.simplefilter("error")  # no duplicate, no count mismatch
+            parsed = parse_dimacs(text)
+        assert parsed == parse_dimacs(canonical) == MisGraph(graph.num_vertices, graph.edges)
+
+    def test_comment_lines_split_and_round_trip(self):
+        graph = MisGraph(3, {(0, 1), (1, 2)})
+        text = emit_dimacs(graph, comments=["a\nb\rc", "d"])
+        assert text.splitlines() == ["c a", "c b", "c c", "c d", "p edge 3 2", "e 1 2", "e 2 3"]
+        assert parse_dimacs(text) == graph
+
+    def test_header_beyond_int64_vertices_refused(self):
+        with pytest.raises(DimacsFormatError, match=r"^line 2: graph too large"):
+            parse_dimacs(f"c\np edge {MAX_VERTICES + 1} 0\n")
+        text = f"p edge {MAX_VERTICES} 1\ne 1 {MAX_VERTICES}\n"
+        graph = parse_dimacs(text)
+        assert graph.sorted_edges() == [(0, MAX_VERTICES - 1)]
+        assert emit_dimacs(graph) == text  # names only the vertices that have edges
+
+
+class TestArrayGraph:
+    def test_edges_is_a_read_only_set_view(self):
+        graph = MisGraph(5, [(1, 0), (3, 2), (0, 4), (0, 1)])
+        edges = graph.edges
+        assert isinstance(edges, collections.abc.Set)
+        assert not isinstance(edges, collections.abc.MutableSet)
+        assert list(edges) == [(0, 1), (0, 4), (2, 3)] and len(edges) == 3
+        assert graph.pairs.tolist() == [[0, 1], [0, 4], [2, 3]]
+        assert edges == {(0, 1), (2, 3), (0, 4)} == edges
+        assert edges == MisGraph(5, edges).edges and edges != MisGraph(5, [(0, 1)]).edges
+        for result in (edges & {(0, 1)}, edges | {(1, 2)}, edges - {(0, 1)},
+                       edges ^ {(0, 1)}):
+            assert type(result) is frozenset
+        assert edges - {(0, 1)} == {(0, 4), (2, 3)}
+        with pytest.raises(ValueError):
+            graph.pairs[0, 0] = 2
+        with pytest.raises(AttributeError):
+            graph.num_vertices = 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda p: p[0] != p[1]), max_size=30))
+    def test_membership_matches_a_set(self, pairs):
+        graph = MisGraph(8, pairs)
+        oracle = {(min(p), max(p)) for p in pairs}
+        assert graph.sorted_edges() == sorted(oracle)
+        for u in range(-1, 9):
+            for v in range(-1, 9):
+                assert ((u, v) in graph.edges) == ((u, v) in oracle)
+        assert "ab" not in graph.edges and 3 not in graph.edges
+        assert (0, 10**30) not in graph.edges and (0.5, 1) not in graph.edges
+
+    def test_emit_bytes_pinned(self):
+        inst, _ = generate_forced(phase_transition_params(20), 1)
+        text = emit_dimacs(csp_to_mis(inst), comments=["x"])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "90f3a2aa7874f0fb3e6b51c094ac5516c7f5a334d5fa28aad9bd62b6f2f69372")
+
+    def test_emit_slices_join_to_one_text(self):
+        # frb scale writes several slices; a slice of 7 edges puts many
+        # slice ends into a small graph
+        graph = csp_to_mis(generate_forced(phase_transition_params(10), 1)[0])
+        with mock.patch.object(misbridge, "_EMIT_SLICE", 7):
+            sliced = emit_dimacs(graph, comments=["x"])
+        assert sliced == emit_dimacs(graph, comments=["x"])
+        assert sliced.splitlines()[2:] == [f"e {u + 1} {v + 1}" for u, v in graph.pairs.tolist()]
+
+    def test_pipeline_never_builds_edge_tuples(self):
+        # the path of `convert` and `recover` reads the arrays only
+        inst, hidden = generate_forced(phase_transition_params(20), 1)
+
+        def refuse(*args):
+            raise AssertionError("edge tuples built")
+
+        with mock.patch.object(EdgeView, "__iter__", refuse), \
+                mock.patch.object(MisGraph, "sorted_edges", refuse):
+            parsed, _ = loads_csp(dumps_csp(inst, hidden))
+            graph = csp_to_mis(parsed)
+            reparsed = parse_dimacs(emit_dimacs(graph))
+            recovered = mis_to_csp(reparsed, inst.d)
+            assert reparsed.edges == graph.edges and csp_to_mis(recovered) == graph
+
+    def test_pickle_holds_the_array_only(self):
+        graph = csp_to_mis(generate_forced(phase_transition_params(20), 1)[0])
+        blob = pickle.dumps(graph)
+        clone = pickle.loads(blob)
+        assert clone == graph and hash(clone) == hash(graph)
+        assert clone.edges == graph.edges and not clone.pairs.flags.writeable
+        # the array's bytes and a few fields; a tuple per edge adds >= 5 bytes each
+        assert graph.pairs.nbytes < len(blob) < graph.pairs.nbytes + 500
