@@ -3,26 +3,40 @@
  * `ulsa_advance` applies whole iterations of `rbcsp.ulsa._step` to one run's
  * state in place and returns at a step boundary on the same events as the
  * loop of `rbcsp.ulsa.run`: no conflicts left, conflicts at or below the
- * target cap, conflicts below the best so far, the step budget reached, a
- * restart due, or fewer than 3 uniforms left in the current block.  Every
- * step draws from the block exactly as `_step` does, so a run follows the
- * same trajectory with or without the kernel.
+ * target cap, conflicts below the best so far, the step budget reached (the
+ * run's, or the end of the caller's slice), or a restart due.  Every step draws from the block of uniforms exactly as
+ * `_step` does through `rbcsp.ulsa._Uniforms`, and a used-up block is
+ * refilled in place from the run's numpy bit generator, as `_Uniforms` does
+ * with `rng.random(out=block)`; so a run follows the same trajectory with or
+ * without the kernel.
  *
  * The tables are `rbcsp.core._FlatTables`: the incidence slots of
  * variable v are inc_start[v] .. inc_start[v+1]-1, in constraint id order;
  * slot s holds constraint slot_cid[s] with other endpoint slot_other[s] and
  * the d x d relation rows[s*d*d + w*d + u], the violation flag when the
- * other endpoint holds w and v holds u.  The field order of `ulsa_run`
- * matches `rbcsp.ulsa._RunStruct`.
+ * other endpoint holds w and v holds u.  For d <= 64 the same flags are
+ * packed in bits[s*d + w], bit u, and the counts are kept in bit planes;
+ * for d > 64 bits is NULL and the byte rows are summed.  The field order of
+ * `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>
 
 #define MASK (1 << 30) /* bigger than any conflict count; hides the current value */
 
+/* numpy's bitgen_t, as in numpy/random/bitgen.h */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 typedef struct {
     /* tables, read only */
     const uint8_t *rows;
+    const uint64_t *bits;
     const int32_t *inc_start, *slot_other, *slot_cid, *con_a, *con_b;
     int64_t d;
     /* search state, updated in place */
@@ -31,48 +45,135 @@ typedef struct {
     int64_t nviol, n_iter;
     /* step counters, updated in place */
     int64_t iterations, expansions, worsening;
-    /* the block of uniforms and the cursor into it */
-    const double *u;
+    /* the block of uniforms, the cursor into it and the generator refilling it */
+    double *u;
     int64_t nu, upos;
+    bitgen_t *gen;
     /* exit thresholds; cap -1, budget 0 and interval 0 mean none */
     int64_t best, cap, budget, interval;
-    /* scratch: two count vectors of d and a candidate list of 2d */
-    int32_t *counts_i, *counts_j, *cands;
+    /* scratch for d > 64: a count vector of d and a candidate list of 2d */
+    int32_t *counts, *cands;
 } ulsa_run;
 
-/* counts[u] = violated incident constraints of v if x[v] were u, with the
- * current value masked; returns the count at the current value */
-static int32_t gather(const ulsa_run *r, int64_t v, int32_t *counts)
+/* the moves of one endpoint v: its conflicts now, the fewest at another
+ * value, and the n values other than x[v] that reach the fewest, ascending:
+ * the set bits of mask when d <= 64, list[0..n-1] otherwise */
+typedef struct {
+    int32_t cur, min;
+    int64_t n;
+    uint64_t mask;
+    const int32_t *list;
+} moves;
+
+static double uniform(ulsa_run *r)
+{
+    if (r->upos == r->nu) {
+        for (int64_t k = 0; k < r->nu; k++)
+            r->u[k] = r->gen->next_double(r->gen->state);
+        r->upos = 0;
+    }
+    return r->u[r->upos++];
+}
+
+/* row index s*d + w of slot s under the current value w of its other endpoint */
+static int64_t row_of(const ulsa_run *r, int32_t s)
+{
+    return (int64_t)s * r->d + r->x[r->slot_other[s]];
+}
+
+/* the packed rows of slots s0 .. s1-1 summed into `depth` bit planes, one
+ * carry chain per row: plane k holds bit k of every value's count */
+static inline __attribute__((always_inline)) void
+accumulate(const ulsa_run *r, int32_t s0, int32_t s1, uint64_t *plane, int depth)
+{
+    for (int k = 0; k < depth; k++)
+        plane[k] = 0;
+    for (int32_t s = s0; s < s1; s++) {
+        uint64_t carry = r->bits[row_of(r, s)];
+        for (int k = 0; k < depth; k++) {
+            uint64_t next = plane[k] & carry;
+            plane[k] ^= carry;
+            carry = next;
+        }
+    }
+}
+
+/* d <= 64: v's incident rows are counted in bitlen(deg v) bit planes, a
+ * carry-save count (Warren, Hacker's Delight, ch. 5); the planes, scanned
+ * from the top with x[v] masked out, give the least count and the values
+ * that reach it */
+static void gather_bits(const ulsa_run *r, int64_t v, moves *mv)
+{
+    const int32_t s0 = r->inc_start[v], s1 = r->inc_start[v + 1];
+    const int depth = s1 > s0 ? 64 - __builtin_clzll((uint64_t)(s1 - s0)) : 0;
+    uint64_t plane[32];
+    switch (depth) { /* a constant depth unrolls, with the planes in registers */
+#define DEPTH(k) case k: accumulate(r, s0, s1, plane, k); break;
+    DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
+#undef DEPTH
+    default: accumulate(r, s0, s1, plane, depth);
+    }
+    const int64_t xv = r->x[v];
+    uint64_t mask = (r->d == 64 ? ~0ULL : (1ULL << r->d) - 1) & ~(1ULL << xv);
+    int32_t cur = 0, min = 0;
+    for (int k = depth - 1; k >= 0; k--) {
+        cur |= (int32_t)(plane[k] >> xv & 1) << k;
+        uint64_t zero = mask & ~plane[k];
+        if (zero)
+            mask = zero;
+        else
+            min |= (int32_t)1 << k;
+    }
+    mv->cur = cur;
+    mv->min = min;
+    mv->mask = mask;
+    mv->n = __builtin_popcountll(mask);
+}
+
+/* d > 64: the byte rows summed into counts, then the values at the least
+ * count listed into out */
+static void gather_bytes(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
 {
     const int64_t d = r->d;
+    int32_t *counts = r->counts;
     memset(counts, 0, (size_t)d * sizeof *counts);
     for (int32_t s = r->inc_start[v]; s < r->inc_start[v + 1]; s++) {
-        const uint8_t *row = r->rows + ((int64_t)s * d + r->x[r->slot_other[s]]) * d;
+        const uint8_t *row = r->rows + row_of(r, s) * d;
         for (int64_t u = 0; u < d; u++)
             counts[u] += row[u];
     }
-    int32_t cur = counts[r->x[v]];
+    mv->cur = counts[r->x[v]];
     counts[r->x[v]] = MASK;
-    return cur;
-}
-
-static int32_t min_of(const int32_t *counts, int64_t d)
-{
-    int32_t m = counts[0];
+    int32_t min = counts[0];
     for (int64_t u = 1; u < d; u++)
-        if (counts[u] < m)
-            m = counts[u];
-    return m;
+        if (counts[u] < min)
+            min = counts[u];
+    int64_t n = 0;
+    for (int64_t u = 0; u < d; u++)
+        if (counts[u] == min)
+            out[n++] = (int32_t)u;
+    mv->min = min;
+    mv->n = n;
+    mv->list = out;
 }
 
-/* the values with counts[u] == m, ascending, written to out; returns how many */
-static int64_t cands_of(const int32_t *counts, int64_t d, int32_t m, int32_t *out)
+static void gather(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
 {
-    int64_t k = 0;
-    for (int64_t u = 0; u < d; u++)
-        if (counts[u] == m)
-            out[k++] = (int32_t)u;
-    return k;
+    if (r->bits)
+        gather_bits(r, v, mv);
+    else
+        gather_bytes(r, v, mv, out);
+}
+
+/* the k-th of mv's values, k < mv->n */
+static int64_t value_at(const ulsa_run *r, const moves *mv, int64_t k)
+{
+    if (!r->bits)
+        return mv->list[k];
+    uint64_t mask = mv->mask;
+    for (; k > 0; k--)
+        mask &= mask - 1;
+    return __builtin_ctzll(mask);
 }
 
 static void add(ulsa_run *r, int32_t cid)
@@ -99,11 +200,19 @@ static void discard(ulsa_run *r, int32_t cid)
  * the new value enter or leave the violated set, in slot order */
 static void apply(ulsa_run *r, int64_t var, int64_t value)
 {
-    const int64_t d = r->d, old = r->x[var];
+    const int64_t old = r->x[var];
     for (int32_t s = r->inc_start[var]; s < r->inc_start[var + 1]; s++) {
-        const uint8_t *row = r->rows + ((int64_t)s * d + r->x[r->slot_other[s]]) * d;
-        if (row[value] != row[old]) {
-            if (row[value])
+        const int64_t w = row_of(r, s);
+        int now, was;
+        if (r->bits) {
+            now = (int)(r->bits[w] >> value & 1);
+            was = (int)(r->bits[w] >> old & 1);
+        } else {
+            now = r->rows[w * r->d + value];
+            was = r->rows[w * r->d + old];
+        }
+        if (now != was) {
+            if (now)
                 add(r, r->slot_cid[s]);
             else
                 discard(r, r->slot_cid[s]);
@@ -115,38 +224,32 @@ static void apply(ulsa_run *r, int64_t var, int64_t value)
 
 void ulsa_advance(ulsa_run *r)
 {
-    const int64_t d = r->d;
-    while (r->nu - r->upos >= 3) {
-        const double *u = r->u + r->upos;
-        int k = 0;
-        int32_t cid = r->ids[(int64_t)(u[k++] * (double)r->nviol)];
+    for (;;) {
+        int32_t cid = r->ids[(int64_t)(uniform(r) * (double)r->nviol)];
         int64_t a = r->con_a[cid], b = r->con_b[cid], i, j;
-        if (r->t[a] < r->t[b] || (r->t[a] == r->t[b] && u[k++] < 0.5))
+        if (r->t[a] < r->t[b] || (r->t[a] == r->t[b] && uniform(r) < 0.5))
             i = a, j = b;
         else
             i = b, j = a;
 
-        int32_t cur_i = gather(r, i, r->counts_i);
-        int32_t min_i = min_of(r->counts_i, d);
-        int expanded = min_i > cur_i && r->t[j] != r->n_iter;
+        moves mi, mj;
+        gather(r, i, &mi, r->cands);
+        int expanded = mi.min > mi.cur && r->t[j] != r->n_iter;
         int64_t var, value, delta;
         if (!expanded) {
-            int64_t nc = cands_of(r->counts_i, d, min_i, r->cands);
             var = i;
-            value = r->cands[(int64_t)(u[k++] * (double)nc)];
-            delta = min_i - cur_i;
+            value = value_at(r, &mi, (int64_t)(uniform(r) * (double)mi.n));
+            delta = mi.min - mi.cur;
         } else {
-            int32_t cur_j = gather(r, j, r->counts_j);
-            int32_t min_j = min_of(r->counts_j, d);
-            int64_t delta_i = min_i - cur_i, delta_j = min_j - cur_j;
+            gather(r, j, &mj, r->cands + r->d);
+            int64_t delta_i = mi.min - mi.cur, delta_j = mj.min - mj.cur;
             delta = delta_i < delta_j ? delta_i : delta_j;
-            int64_t ni = delta_i == delta ? cands_of(r->counts_i, d, min_i, r->cands) : 0;
-            int64_t nj = delta_j == delta ? cands_of(r->counts_j, d, min_j, r->cands + ni) : 0;
-            int64_t pick = (int64_t)(u[k++] * (double)(ni + nj));
+            int64_t ni = delta_i == delta ? mi.n : 0;
+            int64_t nj = delta_j == delta ? mj.n : 0;
+            int64_t pick = (int64_t)(uniform(r) * (double)(ni + nj));
             var = pick < ni ? i : j;
-            value = r->cands[pick];
+            value = pick < ni ? value_at(r, &mi, pick) : value_at(r, &mj, pick - ni);
         }
-        r->upos += k;
 
         apply(r, var, value);
         r->iterations++;

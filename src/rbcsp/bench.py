@@ -2,6 +2,8 @@
 
 Runs are seeded base_seed+0 .. base_seed+num_runs-1 and are fully independent,
 so serial and parallel execution produce identical reports (wall time aside).
+Parallel runs take threads when the compiled step kernel is loaded, and
+processes otherwise.
 The runtime distribution (RTD) is the empirical CDF of successful-run
 iteration counts; for stationary local search it is expected to track
 1 − e^(−x/m), whose maximum-likelihood m is simply the sample mean.
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import CspInstance
-from .ulsa import RunRecord, StepStats, UlsaConfig, run
+from .ulsa import RunRecord, StepStats, UlsaConfig, _load_kernel, run
 
 
 class FitError(ValueError):
@@ -41,6 +43,15 @@ def run_many(
     seeds = range(base_seed, base_seed + num_runs)
     if workers <= 1:
         return list(map(one, seeds))
+    if _load_kernel() is not None:
+        # kernel calls release the GIL, so threads run in parallel and share
+        # the instance's tables, built once here.  Imported here: at module
+        # level it moved the peak RSS of processes that never use it
+        from concurrent.futures import ThreadPoolExecutor
+
+        instance._tables
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, seeds))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, seeds, chunksize=max(1, num_runs // (4 * workers))))
 

@@ -211,19 +211,20 @@ _BLOCK = 4096
 
 class _Uniforms:
     """rng's uniforms drawn in blocks of _BLOCK: the same sequence as repeated
-    rng.random().  Each call returns the next one; the compiled kernel reads
-    `block` from `pos` and moves `pos` past what it used."""
+    rng.random().  Each call returns the next one, refilling `block` in place
+    when it is used up; the compiled kernel refills the same buffer the same
+    way, from the same generator."""
 
     __slots__ = ("rng", "block", "pos")
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.block = np.empty(0)  # the first block is drawn at the first step
-        self.pos = 0
+        self.block = np.empty(_BLOCK)
+        self.pos = _BLOCK  # the first block is drawn at the first step
 
     def __call__(self) -> float:
         if self.pos == len(self.block):
-            self.block = self.rng.random(_BLOCK)
+            self.rng.random(out=self.block)
             self.pos = 0
         self.pos += 1
         return self.block[self.pos - 1]
@@ -238,6 +239,8 @@ class _Uniforms:
 _KERNEL_SOURCE = Path(__file__).with_name("_ulsa_kernel.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
 _kernel: Any = ...  # ulsa_advance once loaded, None if unavailable, ... until tried
+# the most steps one kernel call takes, so that Ctrl-C is seen within a second or so
+_SLICE = 1 << 20
 
 
 def _cache_dir() -> Path:
@@ -302,24 +305,24 @@ class _RunStruct(ctypes.Structure):
     """`ulsa_run` in _ulsa_kernel.c, field for field."""
 
     _fields_ = [
-        ("rows", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
-        ("con_a", _P), ("con_b", _P), ("d", _I),
+        ("rows", _P), ("bits", _P), ("inc_start", _P), ("slot_other", _P),
+        ("slot_cid", _P), ("con_a", _P), ("con_b", _P), ("d", _I),
         ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
         ("iterations", _I), ("expansions", _I), ("worsening", _I),
-        ("u", _P), ("nu", _I), ("upos", _I),
+        ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
         ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),
-        ("counts_i", _P), ("counts_j", _P), ("cands", _P),
+        ("counts", _P), ("cands", _P),
     ]
 
 
 class _KernelRun:
     """The compiled kernel bound to one run, with buffers of its own.
 
-    While the kernel steps, it owns the state: `state.x` is updated in
-    place, and the violated ids, the clock and the counters are copied back
-    at each exit.  The timestamps, the violated positions and the `_xl`
-    mirror are copied back only before a Python step, and a state Python has
-    stepped or rebuilt is copied in before the next kernel call.
+    The kernel takes every step of the run.  It updates `state.x` in place,
+    and the violated ids, the clock and the counters are copied back at each
+    exit; a state `init_state` has built is copied in before its first call.
+    From the first call on, the kernel owns the block of uniforms and its
+    cursor, and refills the block from the run's generator.
     """
 
     def __init__(self, fn: Any, instance: CspInstance, uniforms: _Uniforms,
@@ -327,35 +330,28 @@ class _KernelRun:
         flat = instance._tables.flat
         n, d, m = instance.n, instance.d, instance.num_constraints
         self.fn = fn
-        self.uniforms = uniforms
         self.stats = stats
-        self.flat = flat  # kept alive with the struct pointing into it
+        self.budget = budget
+        # kept alive with the struct pointing into them
+        self.flat, self.uniforms = flat, uniforms
         self.t = np.zeros(n, dtype=np.int64)
         self.ids = np.empty(m, dtype=np.int32)
         self.pos = np.empty(m, dtype=np.int32)
-        self.scratch = np.empty(4 * d, dtype=np.int32)
+        self.scratch = np.empty(3 * d, dtype=np.int32)
         addr = self.scratch.ctypes.data
         self.c = _RunStruct(
-            flat.rows.ctypes.data, flat.inc_start.ctypes.data,
-            flat.slot_other.ctypes.data, flat.slot_cid.ctypes.data,
-            flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
+            flat.rows.ctypes.data, None if flat.bits is None else flat.bits.ctypes.data,
+            flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
+            flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
             None, self.t.ctypes.data, self.ids.ctypes.data, self.pos.ctypes.data,
-            cap=cap, budget=budget, interval=interval or 0,
-            counts_i=addr, counts_j=addr + 4 * d, cands=addr + 8 * d)
+            u=uniforms.block.ctypes.data, nu=len(uniforms.block), upos=uniforms.pos,
+            gen=uniforms.rng.bit_generator.ctypes.bit_generator,
+            cap=cap, interval=interval or 0, counts=addr, cands=addr + 4 * d)
         self.state: Optional[SearchState] = None  # the state the buffers hold
-        self.block: Optional[np.ndarray] = None
 
-    def advance(self, state: SearchState, best: int) -> bool:
-        """Step `state` until a run event; False, with `state` complete and
-        no step taken, when fewer than 3 uniforms are left in the block."""
-        c, u, stats = self.c, self.uniforms, self.stats
-        if len(u.block) - u.pos < 3:
-            if self.state is state:  # not when a restart replaced it
-                state.t = self.t.tolist()
-                state.violated.pos = self.pos.tolist()
-                state._xl = state.x.tolist()
-                self.state = None
-            return False
+    def advance(self, state: SearchState, best: int) -> None:
+        """Step `state` until a run event, or for _SLICE steps."""
+        c, stats = self.c, self.stats
         if self.state is not state:
             self.state = state
             ids = state.violated.ids
@@ -367,19 +363,15 @@ class _KernelRun:
             c.n_iter = state.n_iter
             c.iterations, c.expansions, c.worsening = (
                 stats.iterations, stats.expansions, stats.worsening)
-        if u.block is not self.block:
-            self.block = u.block
-            c.u = u.block.ctypes.data
-            c.nu = len(u.block)
-        c.upos = u.pos
         c.best = best
+        c.budget = stats.iterations + _SLICE
+        if self.budget:
+            c.budget = min(c.budget, self.budget)
         self.fn(c)
-        u.pos = c.upos
         state.violated.ids[:] = self.ids[:c.nviol].tolist()
         state.n_iter = c.n_iter
         stats.iterations, stats.expansions, stats.worsening = (
             c.iterations, c.expansions, c.worsening)
-        return True
 
 
 def run(instance: CspInstance, config: UlsaConfig, seed: int,
@@ -437,10 +429,10 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
             viol_ids = state.violated.ids
             restarts += 1
             continue
-        # the kernel steps to the next event; Python takes the step that
-        # straddles two blocks of uniforms, and every step without the kernel
-        if kernel is None or not kernel.advance(state, best):
+        if kernel is None:
             _step(state, uniforms, stats)
+        else:
+            kernel.advance(state, best)
 
     wall = time.perf_counter() - start
     success = not viol_ids or subset is not None

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from rbcsp import bench, ulsa
 from rbcsp.bench import (
     FitError,
     Rtd,
@@ -22,6 +25,12 @@ from rbcsp.bench import (
 from rbcsp.core import CspInstance
 from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.ulsa import UlsaConfig
+
+
+def fields(record) -> dict:
+    out = dataclasses.asdict(record)
+    del out["wall_time"]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +67,36 @@ class TestRunMany:
         parallel = run_many(small_instance, cfg, num_runs=8, base_seed=60, workers=2)
         assert [r.iterations for r in serial] == [r.iterations for r in parallel]
         assert [r.success for r in serial] == [r.success for r in parallel]
+
+    def test_threads_processes_and_serial_give_identical_records(self, monkeypatch):
+        # threads when the kernel is loaded, processes with Python steps
+        # otherwise; the threads start on an instance whose tables are not
+        # built yet
+        if ulsa._load_kernel() is None:
+            pytest.skip("the step kernel could not be built here")
+        instance, _ = generate_forced(phase_transition_params(15), seed=3)
+        cfg = UlsaConfig(max_iterations=500, restart_interval=150)
+
+        def records(workers):
+            return [fields(r) for r in run_many(instance, cfg, num_runs=6, base_seed=80,
+                                                workers=workers, track_best=True)]
+
+        with monkeypatch.context() as m:
+            m.setattr(bench, "ProcessPoolExecutor", None)  # no processes
+            assert "_tables" not in vars(instance)
+            # four threads for six runs, switching as often as they can
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = records(4)
+            finally:
+                sys.setswitchinterval(interval)
+        serial = records(1)
+        with monkeypatch.context() as m:
+            m.setattr(ulsa, "_kernel", None)
+            pooled = records(2)
+        assert threaded == serial == pooled
+        assert any(r["success"] for r in serial) and not all(r["success"] for r in serial)
 
     def test_summary_fields(self, small_instance):
         cfg = UlsaConfig(max_iterations=50_000)

@@ -8,6 +8,7 @@ import random
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -418,6 +419,38 @@ class TestArrayInstance:
         assert "constraints" not in vars(rebuilt)
         assert rebuilt == inst and hash(rebuilt) == hash(inst)
         assert rebuilt.constraints == inst.constraints
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(random.Random(1), n=6, d=4, m=12),
+        lambda: random_instance(random.Random(2), n=9, d=70, m=15),
+        lambda: generate_forced(phase_transition_params(30), 2)[0],
+        lambda: loads_csp(dumps_csp(generate_forced(phase_transition_params(20), 5)[0]))[0],
+    ])
+    def test_view_equals_the_checked_constructor(self, make):
+        # the view skips Constraint's re-sort and checks; the public
+        # constructor, which does them, must build the same constraints
+        cons = make().constraints
+        checked = tuple(Constraint(c.var_a, c.var_b, c.disallowed) for c in cons)
+        assert cons == checked
+        for c in cons:
+            assert type(c.var_a) is int and type(c.var_b) is int
+            assert type(c.disallowed) is tuple
+            assert all(type(p) is tuple and list(map(type, p)) == [int, int]
+                       for p in c.disallowed)
+            assert c.pair_set == frozenset(c.disallowed)
+            with pytest.raises(AttributeError):
+                c.var_a = 0
+
+    @pytest.mark.parametrize("d", [2, 8, 63, 64, 65])
+    def test_packed_rows_hold_the_byte_rows(self, d):
+        flat = random_instance(random.Random(d), n=5, d=d, m=8)._tables.flat
+        if d > 64:
+            assert flat.bits is None
+            return
+        rows = flat.rows.reshape(-1, d)
+        assert flat.bits.dtype == np.uint64 and flat.bits.shape == (len(rows),)
+        unpacked = flat.bits[:, None] >> np.arange(d, dtype=np.uint64) & np.uint64(1)
+        assert np.array_equal(unpacked, rows)
 
     def test_immutable(self):
         inst = small_pair_instance()

@@ -88,9 +88,9 @@ def test_kernel_record_equals_python_record(kernel, monkeypatch, case):
 
 @pytest.mark.parametrize("block", [3, 5, 8])
 def test_tiny_uniform_blocks(kernel, monkeypatch, block):
-    # a block boundary every few steps: the kernel must stop before using a
-    # uniform it lacks, and Python straddles; frequent restarts give tied
-    # timestamps, so many steps draw all 3 uniforms
+    # a block boundary every few steps, often inside a step: the kernel
+    # refills the block in place where Python would; frequent restarts give
+    # tied timestamps, so many steps draw all 3 uniforms
     monkeypatch.setattr(ulsa, "_BLOCK", block)
     instance = forced(20, 4)
     for config in (UlsaConfig(max_iterations=1500, restart_interval=7),
@@ -159,3 +159,79 @@ def test_concurrent_first_builds_publish_one_library(kernel, tmp_path):
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
     assert [p.suffix for p in (tmp_path / "rbcsp").iterdir()] == [".so"]
+
+
+# -- bit planes, the byte branch and kernel slices -----------------------------
+
+
+def hub(degree: int, d: int, k: int) -> CspInstance:
+    # variable 0 joins every other variable, so its counts need many planes;
+    # a few edges among the leaves keep conflicts moving elsewhere too; each
+    # constraint disallows k pairs
+    rng = random.Random(degree)
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    cons = [Constraint(0, v, tuple(rng.sample(pairs, k))) for v in range(1, degree + 1)]
+    cons += [Constraint(*rng.sample(range(1, degree + 1), 2), tuple(rng.sample(pairs, k)))
+             for _ in range(degree // 4)]
+    return CspInstance(degree + 1, d, cons)
+
+
+BOUNDARY_CASES = [
+    # d = 64: the top bit of the mask; d = 65: the byte rows
+    pytest.param(lambda: random_instance(random.Random(3), n=8, d=64, m=30),
+                 UlsaConfig(max_iterations=3000), id="d64"),
+    pytest.param(lambda: random_instance(random.Random(4), n=8, d=65, m=30),
+                 UlsaConfig(max_iterations=3000), id="d65"),
+    pytest.param(lambda: random_instance(random.Random(5), n=8, d=64, m=60),
+                 UlsaConfig(max_iterations=3000, restart_interval=211), id="d64-restarts"),
+    pytest.param(lambda: random_instance(random.Random(6), n=8, d=65, m=40),
+                 UlsaConfig(max_iterations=3000, restart_interval=211,
+                            target=TargetSpec(6, 4)), id="d65-restarts-target"),
+    # the isolated variables 6-8 have no slots, so no planes, and are never
+    # stepped; variables of degree 1 have one plane
+    pytest.param(isolated_and_duplicates, UlsaConfig(max_iterations=3000,
+                                                     restart_interval=97),
+                 id="isolated"),
+    # degree 200 is the deepest unrolled carry chain (8 planes), degree 600
+    # takes the loop over any depth (10 planes)
+    pytest.param(lambda: hub(200, 5, 12), UlsaConfig(max_iterations=3000), id="hub200"),
+    pytest.param(lambda: hub(600, 4, 8), UlsaConfig(max_iterations=3000,
+                                                restart_interval=500), id="hub600"),
+]
+
+
+@pytest.mark.parametrize("make, config", BOUNDARY_CASES)
+def test_boundary_record_equals_python_record(kernel, monkeypatch, make, config):
+    instance = make()
+    bits = instance._tables.flat.bits
+    assert (bits is None) == (instance.d > 64)
+    for seed in range(3):
+        fast = run(instance, config, seed, track_best=True)
+        slow = python_run(monkeypatch, instance, config, seed, track_best=True)
+        assert fields(fast) == fields(slow), seed
+
+
+@pytest.mark.parametrize("d", [64, 65])
+def test_only_solution_is_the_top_value(kernel, monkeypatch, d):
+    # every pair but (d-1, d-1) is disallowed, so the search must move to the
+    # top value: bit 63 of a packed row and of the candidate mask at d = 64
+    top = d - 1
+    pairs = tuple((a, b) for a in range(d) for b in range(d) if (a, b) != (top, top))
+    instance = CspInstance(3, d, (Constraint(0, 1, pairs), Constraint(1, 2, pairs)))
+    for seed in range(3):
+        fast = run(instance, UlsaConfig(), seed, track_best=True)
+        assert fast.success and fast.iterations > 0 and fast.assignment == [top] * 3
+        slow = python_run(monkeypatch, instance, UlsaConfig(), seed, track_best=True)
+        assert fields(fast) == fields(slow), seed
+
+
+@pytest.mark.parametrize("slice_", [1, 7])
+def test_short_kernel_slices(kernel, monkeypatch, slice_):
+    # a kernel call that ends after a few steps changes nothing in the record
+    monkeypatch.setattr(ulsa, "_SLICE", slice_)
+    instance = forced(20, 4)
+    for config in (UlsaConfig(max_iterations=900, restart_interval=150),
+                   UlsaConfig(target=TargetSpec(18, 4))):
+        fast = run(instance, config, 0, track_best=True)
+        slow = python_run(monkeypatch, instance, config, 0, track_best=True)
+        assert fields(fast) == fields(slow)
