@@ -1,4 +1,6 @@
-/* ULSA's step loop, compiled.
+/* The package's compiled kernel: ULSA's step loop and the text reader.
+ *
+ * -- the step loop ------------------------------------------------------------
  *
  * `ulsa_advance` applies whole iterations of `rbcsp.ulsa._step` to one run's
  * state in place and returns at a step boundary on the same events as the
@@ -261,4 +263,137 @@ void ulsa_advance(ulsa_run *r)
             || (r->interval && r->n_iter >= r->interval))
             return;
     }
+}
+
+
+/* -- the text reader ----------------------------------------------------------
+ *
+ * `read_piece` finds the lines and tokens of one ASCII piece of text by the
+ * rules of `rbcsp.core._read_piece`, and yields the same results: lines end
+ * at each byte of class BREAK, "\r\n" being one break; tokens are the runs of
+ * bytes not of class SPACE; a line whose first token is the one byte `tag` is
+ * a bulk line, one whose first token is "c" a comment, and any other line
+ * with tokens is one of the others.  The classes come from the caller, the
+ * 256-byte table `rbcsp.core._ASCII_CLASS`.
+ *
+ * A bulk line of three tokens has its second and third read as integers,
+ * clamped to limit; any other bulk line reads (-1, -1).  Only plain tokens of
+ * at most MAX_DIGITS ASCII digits are read here: when a bulk line of three
+ * tokens has any other value token, read_piece returns -1 and the caller reads
+ * the piece with int()'s rules instead.
+ *
+ * The caller counts first, with out NULL: sizes receives the numbers of bulk
+ * and other lines.  It then calls again with out holding 3 * (bulk + other)
+ * int64s, which receive, in order: the bulk line numbers, their values as
+ * (first, second) rows, the other line numbers, and their spans as
+ * (start, end) rows, the line without its break.  Both calls return the
+ * number of breaks in the piece; the second returns -1 as above, and also
+ * if it finds more lines than counted, which the two passes rule out.
+ */
+
+#define SPACE 1
+#define BREAK 2
+#define MAX_DIGITS 18 /* core._MAX_DIGITS: any 18 digits fit in int64 */
+
+/* the plain digit token s[0..len-1] clamped to limit, or -1 if it is not one */
+static int64_t plain_value(const uint8_t *s, int64_t len, int64_t limit)
+{
+    if (len > MAX_DIGITS)
+        return -1;
+    int64_t v = 0;
+    for (int64_t i = 0; i < len; i++) {
+        unsigned digit = (unsigned)s[i] - '0';
+        if (digit > 9)
+            return -1;
+        v = v * 10 + digit;
+    }
+    return v < limit ? v : limit;
+}
+
+/* the first pass: the bulk and other lines, told apart by their first token */
+static int64_t count_lines(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t tag,
+                           int64_t *sizes)
+{
+    int64_t nbulk = 0, nother = 0, line = 0, i = 0;
+    for (;;) {
+        while (i < len && (cls[s[i]] & (SPACE | BREAK)) == SPACE)
+            i++;
+        if (i < len && !(cls[s[i]] & BREAK)) {
+            const int one = i + 1 == len || cls[s[i + 1]] & (SPACE | BREAK);
+            if (one && s[i] == tag)
+                nbulk++;
+            else if (!(one && s[i] == 'c'))
+                nother++;
+        }
+        while (i < len && !(cls[s[i]] & BREAK))
+            i++;
+        if (i == len)
+            break;
+        i += s[i] == '\r' && i + 1 < len && s[i + 1] == '\n' ? 2 : 1;
+        line++;
+    }
+    sizes[0] = nbulk;
+    sizes[1] = nother;
+    return line;
+}
+
+int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t tag,
+                   int64_t limit, int64_t *sizes, int64_t *out)
+{
+    if (!out)
+        return count_lines(s, len, cls, tag, sizes);
+    int64_t nbulk = 0, nother = 0, line = 0, i = 0;
+    int64_t *bulk = out, *values = bulk + sizes[0];
+    int64_t *others = values + 2 * sizes[0], *spans = others + sizes[1];
+    for (;;) {
+        int64_t end = i;
+        while (end < len && !(cls[s[end]] & BREAK))
+            end++;
+        /* the line s[i..end): its token count and first three tokens */
+        int64_t ntok = 0, tok[3][2];
+        for (int64_t j = i;;) {
+            while (j < end && cls[s[j]] & SPACE)
+                j++;
+            if (j == end)
+                break;
+            const int64_t t = j;
+            while (j < end && !(cls[s[j]] & SPACE))
+                j++;
+            if (ntok < 3) {
+                tok[ntok][0] = t;
+                tok[ntok][1] = j;
+            }
+            ntok++;
+        }
+        if (ntok) {
+            const int one = tok[0][1] - tok[0][0] == 1;
+            if (one && s[tok[0][0]] == tag) {
+                int64_t a = -1, b = -1;
+                if (ntok == 3) {
+                    a = plain_value(s + tok[1][0], tok[1][1] - tok[1][0], limit);
+                    b = plain_value(s + tok[2][0], tok[2][1] - tok[2][0], limit);
+                    if (a < 0 || b < 0)
+                        return -1;
+                }
+                if (nbulk == sizes[0]) /* never, if the passes agree */
+                    return -1;
+                bulk[nbulk] = line;
+                values[2 * nbulk] = a;
+                values[2 * nbulk + 1] = b;
+                nbulk++;
+            } else if (!(one && s[tok[0][0]] == 'c')) {
+                if (nother == sizes[1])
+                    return -1;
+                others[nother] = line;
+                spans[2 * nother] = i;
+                spans[2 * nother + 1] = end;
+                nother++;
+            }
+        }
+        if (end == len)
+            break;
+        i = end + (s[end] == '\r' && end + 1 < len && s[end + 1] == '\n' ? 2 : 1);
+        line++;
+    }
+    return line;
 }

@@ -14,15 +14,18 @@ column sum instead of a per-value rescan.
 
 from __future__ import annotations
 
+import ctypes
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from math import isqrt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+
+from . import _native
 
 
 class CspFormatError(ValueError):
@@ -614,17 +617,55 @@ def _read(text: str, tag: str, limit: int):
     The text is read a piece of about _CHUNK characters at a time (see
     _pieces), and only the results above outlive a piece.  So the memory
     taken beyond them is bounded by _CHUNK for any text whose lines are at
-    most _CHUNK characters long.
+    most _CHUNK characters long.  ASCII pieces are read by the compiled
+    reader when it is available, any other piece by `_read_piece`.
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
+    reader = _load_reader()
     found, lineno = [], 0
     for pos, piece in _pieces(text, _CHUNK):
-        bulk, values, others, spans, breaks = _read_piece(piece, tag, limit)
+        got = None
+        if reader is not None and piece.isascii():
+            got = _read_ascii(reader, piece, tag, limit)
+        bulk, values, others, spans, breaks = got or _read_piece(piece, tag, limit)
         found.append(((bulk + lineno).astype(index), values.astype(value),
                       (others + lineno).astype(index), (spans + pos).astype(index)))
         lineno += breaks
     return [np.concatenate(column) for column in zip(*found)]
+
+
+# `read_piece` in _kernel.c, built and opened by _native
+_reader: Any = ...  # read_piece once loaded, None if unavailable, ... until tried
+_I64 = ctypes.c_int64
+
+
+def _load_reader() -> Any:
+    """read_piece from the kernel library, loaded once per process, or None."""
+    global _reader
+    if _reader is ...:
+        _reader = _native.bind("read_piece", [ctypes.c_char_p, _I64, ctypes.c_char_p, _I64,
+                                              _I64, ctypes.POINTER(_I64), ctypes.c_void_p],
+                               _I64)
+    return _reader
+
+
+def _read_ascii(reader: Any, piece: str, tag: str, limit: int):
+    """_read_piece's results for an ASCII piece, from the compiled reader in
+    two passes: one counts the lines, one fills arrays of that size.  None
+    when a value token is not plain digits and needs int()'s rules."""
+    raw = piece.encode("ascii")
+    sizes = (_I64 * 2)()
+    args = (raw, len(raw), _ASCII_CLASS, ord(tag), limit, sizes)
+    reader(*args, None)
+    nbulk, nother = sizes
+    out = np.empty(3 * (nbulk + nother), dtype=np.int64)
+    breaks = reader(*args, out.ctypes.data)
+    if breaks < 0:
+        return None
+    others = 3 * nbulk
+    return (out[:nbulk], out[nbulk:others].reshape(nbulk, 2),
+            out[others:others + nother], out[others + nother:].reshape(nother, 2), breaks)
 
 
 def _read_piece(piece: str, tag: str, limit: int):

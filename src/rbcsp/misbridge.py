@@ -156,8 +156,12 @@ class MisGraph:
 def _canonical(pairs: np.ndarray):
     """Sort the rows of an (E, 2) int64 array of (u < v) rows in place, and
     return its distinct rows and the ascending positions, from before the
-    sort, of the rows that repeat an earlier row."""
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # stable: a row's first copy leads
+    sort, of the rows that repeat an earlier row.  Rows already strictly
+    ascending, as in an emitted file, come back as they are."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        return pairs, np.empty(0, dtype=np.intp)
+    order = np.lexsort((v, u))  # stable: a row's first copy leads
     pairs[:] = pairs[order]
     first = np.ones(len(pairs), dtype=bool)
     np.any(pairs[1:] != pairs[:-1], axis=1, out=first[1:])
@@ -169,9 +173,12 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
 
     Cross edges coming from duplicate constraints collapse (a graph has no
     parallel edges), so conflict counts on the graph side follow the
-    deduplicated-constraint semantics.
+    deduplicated-constraint semantics.  Sizes beyond `check_size`'s caps are
+    refused before any edge is built.
     """
     n, d = instance.n, instance.d
+    check_size(n, d, 0)
+    num_vertices = n * d  # V² < 2⁶³ under the caps, so the keys below fit in int64
     lo, hi = np.triu_indices(d, 1)
     base = np.arange(n)[:, None] * d
     cid = np.repeat(np.arange(instance.num_constraints), np.diff(instance.pair_start))
@@ -179,9 +186,18 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     a, b = (x.astype(np.int64)[cid] * d for x in (instance.con_a, instance.con_b))
     u = np.concatenate(((base + lo).ravel(), a + va))
     w = np.concatenate(((base + hi).ravel(), b + vb))
-    pairs = np.stack((np.minimum(u, w), np.maximum(u, w)), axis=1)
+    del a, b, va, vb, cid
+    # one key per edge, (min·V + max), sorted; repeats are neighbours
+    keys = np.minimum(u, w)
+    keys *= num_vertices
+    keys += np.maximum(u, w)
     del u, w
-    return MisGraph._from_pairs(n * d, _canonical(pairs)[0], block_size=d)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    pairs = np.stack(np.divmod(keys, num_vertices), axis=1)
+    return MisGraph._from_pairs(num_vertices, pairs, block_size=d)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
@@ -274,8 +290,8 @@ def parse_dimacs(text: str) -> MisGraph:
     text is refused with the number of its first bad line.
 
     The 'e' lines are read in bulk by `core._read`, as `loads_csp` reads
-    'f' lines, and one lexsort orders them and finds the duplicates.  The
-    few other lines are checked one by one.
+    'f' lines, and one lexsort orders them and finds the duplicates, unless
+    they are already in order.  The few other lines are checked one by one.
     """
     e_lines, ends, at_lines, spans = _read(text, "e", MAX_VERTICES + 1)
 

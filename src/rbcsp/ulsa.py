@@ -11,27 +11,20 @@ what gets the search out of local optima.
 
 The per-iteration work is one or two stacked-table gathers from the core
 search state plus O(1) bookkeeping.  `run` takes its steps in a compiled
-kernel (_ulsa_kernel.c) when one can be built, and in `_step`, the Python
+kernel (_kernel.c) when one can be built, and in `_step`, the Python
 reference, otherwise; both follow the same trajectory.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from . import _native
 from .core import Assignment, CspInstance, SearchState
 from .target import TargetSpec, check_target, subset_conflicts
 
@@ -232,68 +225,19 @@ class _Uniforms:
 
 # -- compiled step kernel ------------------------------------------------------
 #
-# _ulsa_kernel.c is built with the local C compiler on first use and cached
-# per user; when that fails, `run` steps in Python.  Both paths follow the
-# same trajectory.
+# `ulsa_advance` in _kernel.c, built and opened by _native; when that fails,
+# `run` steps in Python.  Both paths follow the same trajectory.
 
-_KERNEL_SOURCE = Path(__file__).with_name("_ulsa_kernel.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")
 _kernel: Any = ...  # ulsa_advance once loaded, None if unavailable, ... until tried
 # the most steps one kernel call takes, so that Ctrl-C is seen within a second or so
 _SLICE = 1 << 20
-
-
-def _cache_dir() -> Path:
-    root = Path(os.environ.get("XDG_CACHE_HOME", ""))
-    path = (root if root.is_absolute() else Path.home() / ".cache") / "rbcsp"
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    info = path.stat()
-    if info.st_uid != os.getuid() or info.st_mode & 0o022:
-        raise PermissionError(f"{path} is writable by other users")
-    return path
-
-
-def _compile() -> Path:
-    """Path of the kernel library, compiled unless cached.
-
-    The file name is keyed by the source, the compiler command and the
-    platform; a build is published by renaming a finished temporary file, so
-    concurrent first uses are safe.
-    """
-    source = _KERNEL_SOURCE.read_bytes()
-    cmd = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cmd[0]) is None:  # Python was built with a compiler not here
-        cmd = ["cc"]
-    cmd += _CFLAGS
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(cmd).encode(), sysconfig.get_platform().encode()]))
-    lib = _cache_dir() / f"ulsa_kernel-{key.hexdigest()[:24]}.so"
-    if not lib.exists():
-        fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
-        os.close(fd)
-        try:
-            subprocess.run(cmd + ["-x", "c", "-o", tmp, "-"], input=source,
-                           capture_output=True, check=True, timeout=300)
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return lib
 
 
 def _load_kernel() -> Any:
     """ulsa_advance from the kernel library, loaded once per process, or None."""
     global _kernel
     if _kernel is ...:
-        try:
-            fn = ctypes.CDLL(str(_compile())).ulsa_advance
-            fn.argtypes = [ctypes.POINTER(_RunStruct)]
-            fn.restype = None
-            _kernel = fn
-        # no compiler or cache directory, a failed build, a library that does
-        # not load: step in Python
-        except (OSError, subprocess.SubprocessError, AttributeError, ValueError):
-            _kernel = None
+        _kernel = _native.bind("ulsa_advance", [ctypes.POINTER(_RunStruct)], None)
     return _kernel
 
 
@@ -302,7 +246,7 @@ _I = ctypes.c_int64
 
 
 class _RunStruct(ctypes.Structure):
-    """`ulsa_run` in _ulsa_kernel.c, field for field."""
+    """`ulsa_run` in _kernel.c, field for field."""
 
     _fields_ = [
         ("rows", _P), ("bits", _P), ("inc_start", _P), ("slot_other", _P),

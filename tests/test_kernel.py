@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from rbcsp import ulsa
+from rbcsp import _native, ulsa
 from rbcsp.core import Constraint, CspInstance
 from rbcsp.modelrb import ModelRbParams, generate_forced
 from rbcsp.target import TargetSpec
@@ -117,7 +117,7 @@ def test_compile_failure_falls_back_silently(monkeypatch, capfd):
         raise subprocess.CalledProcessError(1, ["cc"])
 
     monkeypatch.setattr(ulsa, "_kernel", ...)
-    monkeypatch.setattr(ulsa, "_compile", broken)
+    monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
     assert fields(run(instance, UlsaConfig(), 1)) == expected
     assert ulsa._kernel is None

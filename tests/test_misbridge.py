@@ -9,6 +9,7 @@ import random
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,64 @@ class TestCspToMis:
         once = csp_to_mis(CspInstance(2, 2, (c,)))
         twice = csp_to_mis(CspInstance(2, 2, (c, c)))
         assert once.edges == twice.edges
+
+    def test_graph_equals_edge_by_edge_construction(self, rng):
+        # duplicate constraints, some reversed, over a few variable pairs
+        for _ in range(20):
+            n, d = rng.randint(2, 6), rng.randint(1, 5)
+            base = random_instance(rng, n=n, d=d, m=rng.randint(0, 6)).constraints
+            cons = list(base)
+            for c in base:
+                if rng.random() < 0.5:
+                    cons.append(c)
+                if rng.random() < 0.5:
+                    cons.append(Constraint(c.var_b, c.var_a,
+                                           tuple((vb, va) for va, vb in c.disallowed)))
+            rng.shuffle(cons)
+            inst = CspInstance(n, d, cons)
+            edges = {(v * d + a, v * d + b) for v in range(n)
+                     for a in range(d) for b in range(a + 1, d)}
+            for c in cons:
+                for va, vb in c.disallowed:
+                    u, w = c.var_a * d + va, c.var_b * d + vb
+                    edges.add((min(u, w), max(u, w)))
+            graph = csp_to_mis(inst)
+            assert graph.sorted_edges() == sorted(edges)
+            assert graph.num_vertices == n * d and graph.block_size == d
+
+    def test_oversized_instance_refused_before_building_edges(self):
+        # 2 variables of 4000 values: 16M clique edges, above MAX_CLIQUE_EDGES
+        with pytest.raises(ValueError, match="too large"):
+            csp_to_mis(CspInstance(2, 4000, ()))
+
+
+class TestCanonical:
+    def test_ascending_rows_come_back_unchanged(self):
+        pairs = np.array([[0, 1], [0, 5], [1, 2], [1, 3], [4, 9]], dtype=np.int64)
+        rows, repeats = misbridge._canonical(pairs.copy())
+        assert np.array_equal(rows, pairs) and repeats.tolist() == []
+        for few in (pairs[:0], pairs[:1]):
+            rows, repeats = misbridge._canonical(few.copy())
+            assert np.array_equal(rows, few) and repeats.tolist() == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unsorted_rows_keep_their_first_copies(self, seed):
+        # the rows once shuffled with repeats, and sorted but with adjacent
+        # repeats: the distinct rows ascending, and the positions of every
+        # later copy of a row
+        r = random.Random(seed)
+        distinct = sorted({tuple(sorted(r.sample(range(30), 2))) for _ in range(60)})
+        rows = distinct + r.choices(distinct, k=25)
+        r.shuffle(rows)
+        for case in (rows, sorted(rows)):
+            seen, later = set(), []
+            for i, row in enumerate(case):
+                if row in seen:
+                    later.append(i)
+                seen.add(row)
+            got, repeats = misbridge._canonical(np.array(case, dtype=np.int64))
+            assert [tuple(row) for row in got.tolist()] == distinct
+            assert repeats.tolist() == later
 
 
 class TestMisToCsp:
