@@ -1,4 +1,5 @@
-/* The package's compiled kernel: ULSA's step loop and the text reader.
+/* The package's compiled kernel: ULSA's step loop, the text reader and the
+ * text writers.
  *
  * -- the step loop ------------------------------------------------------------
  *
@@ -396,4 +397,116 @@ int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t ta
         line++;
     }
     return line;
+}
+
+
+/* -- the text writers ---------------------------------------------------------
+ *
+ * `write_blocks` writes the body of `rbcsp.core.dumps_csp`, its 'k' and 'f'
+ * lines, from the instance arrays of `rbcsp.core.CspInstance`: constraint i
+ * joins con_a[i] and con_b[i] and disallows the pairs whose codes a * d + b
+ * are codes[pair_start[i] .. pair_start[i+1]-1], int32 codes, or int64 ones
+ * when wide is nonzero.  `write_edges` writes the 'e' lines of
+ * `rbcsp.misbridge.emit_dimacs` from the (u, v) rows of `pairs`, 1-based.
+ * All numbers are nonnegative.
+ *
+ * Each is called twice: with out NULL it returns the exact length of the
+ * text, and then with out holding that many bytes it writes the text there
+ * and returns the length again.
+ */
+
+/* the number of decimal digits of v */
+static int64_t count_digits(uint64_t v)
+{
+    int64_t k = 1;
+    while (v >= 10) {
+        v /= 10;
+        k++;
+    }
+    return k;
+}
+
+/* the decimal digits of v written at out, or only counted if out is NULL;
+ * inlined with a constant out == NULL or not, the test folds away */
+static inline __attribute__((always_inline)) int64_t put_uint(char *out, uint64_t v)
+{
+    const int64_t k = count_digits(v);
+    if (out)
+        for (char *p = out + k; p > out; v /= 10)
+            *--p = (char)('0' + v % 10);
+    return k;
+}
+
+/* the line "<tag> <v[0]> ... <v[nv-1]>\n" at out, or its length if out is NULL */
+static inline __attribute__((always_inline)) int64_t put_line(char *out, char tag, int nv,
+                                                              const uint64_t *v)
+{
+    int64_t len = 1;
+    if (out)
+        out[0] = tag;
+    for (int i = 0; i < nv; i++) {
+        if (out)
+            out[len] = ' ';
+        len++;
+        len += put_uint(out ? out + len : NULL, v[i]);
+    }
+    if (out)
+        out[len] = '\n';
+    return len + 1;
+}
+
+/* write_blocks' text at out, or its length if out is NULL */
+static inline __attribute__((always_inline)) int64_t
+blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start, int64_t m,
+       const void *codes, int64_t wide, int64_t d, char *out)
+{
+    const int32_t *narrow_codes = codes;
+    const int64_t *wide_codes = codes;
+    int64_t len = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const uint64_t k[3] = {(uint64_t)con_a[i], (uint64_t)con_b[i],
+                               (uint64_t)(pair_start[i + 1] - pair_start[i])};
+        len += put_line(out ? out + len : NULL, 'k', 3, k);
+        /* a = code / d, divided out only when the code leaves [base, base + d):
+         * at most d times per block, as a block's codes ascend */
+        int64_t a = 0, base = 0;
+        for (int64_t j = pair_start[i]; j < pair_start[i + 1]; j++) {
+            const int64_t code = wide ? wide_codes[j] : narrow_codes[j];
+            if (code < base || code - base >= d) {
+                a = code / d;
+                base = a * d;
+            }
+            const uint64_t f[2] = {(uint64_t)a, (uint64_t)(code - base)};
+            len += put_line(out ? out + len : NULL, 'f', 2, f);
+        }
+    }
+    return len;
+}
+
+/* two inlined copies of the loop: one only counts, one only writes */
+int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
+                     int64_t m, const void *codes, int64_t wide, int64_t d, char *out)
+{
+    if (!out)
+        return blocks(con_a, con_b, pair_start, m, codes, wide, d, NULL);
+    return blocks(con_a, con_b, pair_start, m, codes, wide, d, out);
+}
+
+/* write_edges' text at out, or its length if out is NULL */
+static inline __attribute__((always_inline)) int64_t edges(const int64_t *pairs,
+                                                           int64_t num_edges, char *out)
+{
+    int64_t len = 0;
+    for (int64_t i = 0; i < num_edges; i++) {
+        const uint64_t e[2] = {(uint64_t)pairs[2 * i] + 1, (uint64_t)pairs[2 * i + 1] + 1};
+        len += put_line(out ? out + len : NULL, 'e', 2, e);
+    }
+    return len;
+}
+
+int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *out)
+{
+    if (!out)
+        return edges(pairs, num_edges, NULL);
+    return edges(pairs, num_edges, out);
 }

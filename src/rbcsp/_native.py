@@ -1,10 +1,11 @@
-"""The compiled kernel, _kernel.c: ULSA's step loop and the text reader.
+"""The compiled kernel, _kernel.c: ULSA's step loop, the text reader and
+the text writers.
 
 The source is built with the local C compiler on first use and cached per
 user; `bind` opens the library and returns one of its functions, or None
 when it cannot be built or opened, and then the caller runs its Python
 reference instead.  This module imports nothing from the package, so that
-`core` and `ulsa` each bind what they call.
+`core`, `misbridge` and `ulsa` each bind what they call.
 """
 
 from __future__ import annotations

@@ -545,25 +545,62 @@ def dumps_csp(
 ) -> str:
     """The native text of `instance`, with `solution` as its 's' line.  Each
     line of a comment, as str.splitlines() splits it, becomes its own 'c'
-    line."""
-    # one string per constraint block, joined from shared "f a b" lines, one
-    # per distinct pair code: a string per 'f' line would double the memory
-    # of the instance being written
-    d = instance.d
-    codes, index = np.unique(instance.codes, return_inverse=True)
-    distinct = [f"f {a} {b}\n" for a, b in zip(*(x.tolist() for x in np.divmod(codes, d)))]
-    f_lines = np.array(distinct, dtype=object)[index].tolist()
-    bounds = instance.pair_start.tolist()
+    line.  The 'k' and 'f' lines are written by the compiled writer when it
+    is available, else by `_blocks`."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
-    parts.append(f"p bcsp {instance.n} {d} {instance.num_constraints}\n")
-    for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(),
-                          bounds, bounds[1:]):
-        parts.append(f"k {a} {b} {e - s}\n" + "".join(f_lines[s:e]))
+    parts.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}\n")
+    writer = _load_blocks_writer()
+    if writer is None:
+        parts += _blocks(instance)
+    else:
+        parts.append(_write(writer, instance.con_a.ctypes.data, instance.con_b.ctypes.data,
+                            instance.pair_start.ctypes.data, instance.num_constraints,
+                            instance.codes.ctypes.data, instance.codes.itemsize == 8,
+                            instance.d))
     if solution is not None:
         if not solution.is_complete or len(solution) != instance.n:
             raise ValueError("recorded solution must assign every variable")
         parts.append("s " + " ".join(str(int(v)) for v in solution.values) + "\n")
     return "".join(parts)
+
+
+def _blocks(instance: CspInstance) -> list[str]:
+    """The 'k' and 'f' lines of `dumps_csp`, one string per constraint block,
+    with array operations and str formatting."""
+    # each block is joined from shared "f a b" lines, one per distinct pair
+    # code: a string per 'f' line would double the memory of the instance
+    # being written
+    codes, index = np.unique(instance.codes, return_inverse=True)
+    distinct = [f"f {a} {b}\n" for a, b in zip(*(x.tolist()
+                                                 for x in np.divmod(codes, instance.d)))]
+    f_lines = np.array(distinct, dtype=object)[index].tolist()
+    bounds = instance.pair_start.tolist()
+    return [f"k {a} {b} {e - s}\n" + "".join(f_lines[s:e])
+            for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(),
+                                  bounds, bounds[1:])]
+
+
+# `write_blocks` in _kernel.c, built and opened by _native
+_blocks_writer: Any = ...  # write_blocks once loaded, None if unavailable, ... until tried
+
+
+def _load_blocks_writer() -> Any:
+    """write_blocks from the kernel library, loaded once per process, or None."""
+    global _blocks_writer
+    if _blocks_writer is ...:
+        _blocks_writer = _native.bind("write_blocks", [ctypes.c_void_p] * 3 + [
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p], ctypes.c_int64)
+    return _blocks_writer
+
+
+def _write(writer: Any, *args) -> str:
+    """The ASCII text a compiled writer writes for `args`, in two passes: one
+    measures it, one fills a buffer of that size, which is decoded once."""
+    size = writer(*args, None)
+    buf = bytearray(size)
+    writer(*args, (ctypes.c_char * size).from_buffer(buf))
+    return buf.decode("ascii")
 
 
 # The whitespace of str.split() and the line breaks of str.splitlines(); all
@@ -870,8 +907,11 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     for column in (va, vb):
         keys *= d
         keys += column
-    sorted_keys = np.sort(keys)  # the one sort: by block, then pair code
-    if not ok.all() or (sorted_keys[1:] == sorted_keys[:-1]).any():
+    # the one sort: by block, then pair code, unless the keys ascend already,
+    # as in a written file, and so also hold no repeats
+    ascending = bool((keys[1:] > keys[:-1]).all())
+    sorted_keys = keys if ascending else np.sort(keys)
+    if not ok.all() or not ascending and (sorted_keys[1:] == sorted_keys[:-1]).any():
         # the first bad line: out of place, or a later copy of a pair in its block
         idx = np.flatnonzero(ok)
         idx = idx[np.argsort(keys[idx], kind="stable")]

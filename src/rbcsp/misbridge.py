@@ -13,14 +13,16 @@ that is how such benchmarks are distributed.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from typing import Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import CspInstance, _line, _read, check_size
+from . import _native
+from .core import CspInstance, _line, _read, _write, check_size
 
 # A graph's vertices are int64 and 'e' values are read in int64, clamped to
 # MAX_VERTICES + 1; a header beyond this is refused (any real graph is
@@ -323,7 +325,9 @@ def parse_dimacs(text: str) -> MisGraph:
         raise DimacsFormatError("line {}: {}".format(*min(problems)))
     if header is None:
         raise DimacsFormatError("missing 'p edge' header")
-    pairs = np.sort(ends, axis=1)
+    pairs = np.empty_like(ends)
+    np.minimum(u, v, out=pairs[:, 0])
+    np.maximum(u, v, out=pairs[:, 1])
     pairs -= 1
     pairs, repeats = _canonical(pairs)
     for i in repeats.tolist():
@@ -337,20 +341,44 @@ def parse_dimacs(text: str) -> MisGraph:
 
 def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
     """Serialize to DIMACS ascii: 1-indexed, edges sorted.  Each line of a
-    comment, as `str.splitlines()` splits it, becomes its own 'c' line."""
+    comment, as `str.splitlines()` splits it, becomes its own 'c' line.  The
+    'e' lines are written by the compiled writer when it is available, else
+    by `_edge_slices`."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
-    # one string per slice of edges, joined from a head and a tail name per
-    # vertex of the slice: a string per edge of the whole graph would take
-    # several times the text's size, and names for every vertex would grow
-    # with num_vertices instead of the edges
-    for start in range(0, graph.num_edges, _EMIT_SLICE):
-        vertices, index = np.unique(graph.pairs[start:start + _EMIT_SLICE],
-                                    return_inverse=True)
+    writer = _load_edges_writer()
+    if writer is None:
+        parts += _edge_slices(graph.pairs)
+    else:
+        parts.append(_write(writer, graph.pairs.ctypes.data, graph.num_edges))
+    return "".join(parts)
+
+
+def _edge_slices(pairs: np.ndarray) -> Iterator[str]:
+    """The 'e' lines of `emit_dimacs`, one string per _EMIT_SLICE edges,
+    with array operations and str formatting."""
+    # each slice is joined from a head and a tail name per vertex of the
+    # slice: a string per edge of the whole graph would take several times
+    # the text's size, and names for every vertex would grow with
+    # num_vertices instead of the edges
+    for start in range(0, len(pairs), _EMIT_SLICE):
+        vertices, index = np.unique(pairs[start:start + _EMIT_SLICE], return_inverse=True)
         names = (vertices + 1).tolist()
         heads = [f"e {i}" for i in names]
         tails = [f" {i}\n" for i in names]
         index = index.reshape(-1, 2)
-        parts.append("".join([heads[u] + tails[v] for u, v in zip(index[:, 0].tolist(),
-                                                                   index[:, 1].tolist())]))
-    return "".join(parts)
+        yield "".join([heads[u] + tails[v] for u, v in zip(index[:, 0].tolist(),
+                                                           index[:, 1].tolist())])
+
+
+# `write_edges` in _kernel.c, built and opened by _native
+_edges_writer: Any = ...  # write_edges once loaded, None if unavailable, ... until tried
+
+
+def _load_edges_writer() -> Any:
+    """write_edges from the kernel library, loaded once per process, or None."""
+    global _edges_writer
+    if _edges_writer is ...:
+        _edges_writer = _native.bind("write_edges", [ctypes.c_void_p, ctypes.c_int64,
+                                                     ctypes.c_void_p], ctypes.c_int64)
+    return _edges_writer

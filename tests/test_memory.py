@@ -66,8 +66,19 @@ def test_parse_dimacs_peak_n100(n100):
     assert traced_peak_mb(parse_dimacs, dimacs) <= 50
 
 
+def test_dumps_csp_peak_n100(n100):
+    # the compiled writer takes the 3.9 MB text twice, as bytes and as str:
+    # 7.7 MB; the numpy writer's strings per block took 16.9 MB
+    if core._load_blocks_writer() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    instance, hidden = loads_csp(n100[0])
+    assert traced_peak_mb(dumps_csp, instance, hidden) <= 10
+
+
 def test_emit_dimacs_peak_n100(n100):
-    graph = parse_dimacs(n100[1])  # a string per edge took 52 MB
+    # 13.1 MB with the compiled writer, 15.2 MB with 64k-edge numpy slices;
+    # a string per edge took 52 MB
+    graph = parse_dimacs(n100[1])
     assert traced_peak_mb(emit_dimacs, graph) <= 25
 
 
