@@ -1,5 +1,5 @@
-/* The package's compiled kernel: ULSA's step loop, the text reader and the
- * text writers.
+/* The package's compiled kernel: ULSA's start and step loop, the build of
+ * the packed search tables, the text reader and the text writers.
  *
  * -- the step loop ------------------------------------------------------------
  *
@@ -7,20 +7,21 @@
  * state in place and returns at a step boundary on the same events as the
  * loop of `rbcsp.ulsa.run`: no conflicts left, conflicts at or below the
  * target cap, conflicts below the best so far, the step budget reached (the
- * run's, or the end of the caller's slice), or a restart due.  Every step draws from the block of uniforms exactly as
- * `_step` does through `rbcsp.ulsa._Uniforms`, and a used-up block is
- * refilled in place from the run's numpy bit generator, as `_Uniforms` does
- * with `rng.random(out=block)`; so a run follows the same trajectory with or
+ * run's, or the end of the caller's slice), or a restart due.  Every step
+ * draws from the block of uniforms exactly as `_step` does through
+ * `rbcsp.ulsa._Uniforms`, and a used-up block is refilled in place from the
+ * run's numpy bit generator, as `_Uniforms` does with
+ * `rng.random(out=block)`; so a run follows the same trajectory with or
  * without the kernel.
  *
  * The tables are `rbcsp.core._FlatTables`: the incidence slots of
  * variable v are inc_start[v] .. inc_start[v+1]-1, in constraint id order;
- * slot s holds constraint slot_cid[s] with other endpoint slot_other[s] and
- * the d x d relation rows[s*d*d + w*d + u], the violation flag when the
- * other endpoint holds w and v holds u.  For d <= 64 the same flags are
- * packed in bits[s*d + w], bit u, and the counts are kept in bit planes;
- * for d > 64 bits is NULL and the byte rows are summed.  The field order of
- * `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
+ * slot s holds constraint slot_cid[s] with other endpoint slot_other[s].
+ * For d <= 64 its relation is packed in bits[s*d + w], whose bit u is the
+ * violation flag when the other endpoint holds w and v holds u, and the
+ * counts are kept in bit planes; rows is then NULL.  For d > 64 bits is
+ * NULL, the same flags are the bytes rows[s*d*d + w*d + u], and they are
+ * summed.  The field order of `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>
@@ -85,13 +86,16 @@ static int64_t row_of(const ulsa_run *r, int32_t s)
 }
 
 /* the packed rows of slots s0 .. s1-1 summed into `depth` bit planes, one
- * carry chain per row: plane k holds bit k of every value's count */
+ * carry chain per row: plane k holds bit k of every value's count; with
+ * live set, only the slots whose other endpoint has a value (x >= 0) count */
 static inline __attribute__((always_inline)) void
-accumulate(const ulsa_run *r, int32_t s0, int32_t s1, uint64_t *plane, int depth)
+accumulate(const ulsa_run *r, int32_t s0, int32_t s1, uint64_t *plane, int depth, int live)
 {
     for (int k = 0; k < depth; k++)
         plane[k] = 0;
     for (int32_t s = s0; s < s1; s++) {
+        if (live && r->x[r->slot_other[s]] < 0)
+            continue;
         uint64_t carry = r->bits[row_of(r, s)];
         for (int k = 0; k < depth; k++) {
             uint64_t next = plane[k] & carry;
@@ -101,52 +105,79 @@ accumulate(const ulsa_run *r, int32_t s0, int32_t s1, uint64_t *plane, int depth
     }
 }
 
-/* d <= 64: v's incident rows are counted in bitlen(deg v) bit planes, a
- * carry-save count (Warren, Hacker's Delight, ch. 5); the planes, scanned
- * from the top with x[v] masked out, give the least count and the values
- * that reach it */
-static void gather_bits(const ulsa_run *r, int64_t v, moves *mv)
+/* bitlen(deg v): the number of bit planes that hold any count of v's slots */
+static int depth_of(const ulsa_run *r, int64_t v)
 {
-    const int32_t s0 = r->inc_start[v], s1 = r->inc_start[v + 1];
-    const int depth = s1 > s0 ? 64 - __builtin_clzll((uint64_t)(s1 - s0)) : 0;
-    uint64_t plane[32];
-    switch (depth) { /* a constant depth unrolls, with the planes in registers */
-#define DEPTH(k) case k: accumulate(r, s0, s1, plane, k); break;
-    DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
-#undef DEPTH
-    default: accumulate(r, s0, s1, plane, depth);
-    }
-    const int64_t xv = r->x[v];
-    uint64_t mask = (r->d == 64 ? ~0ULL : (1ULL << r->d) - 1) & ~(1ULL << xv);
-    int32_t cur = 0, min = 0;
+    const int32_t deg = r->inc_start[v + 1] - r->inc_start[v];
+    return deg ? 64 - __builtin_clzll((uint64_t)deg) : 0;
+}
+
+/* the mask of all d values */
+static uint64_t all_values(const ulsa_run *r)
+{
+    return r->d == 64 ? ~0ULL : (1ULL << r->d) - 1;
+}
+
+/* the planes, scanned from the top, give the least count among the values
+ * of mask and the values of mask that reach it */
+static void least_bits(const uint64_t *plane, int depth, uint64_t mask, moves *mv)
+{
+    int32_t min = 0;
     for (int k = depth - 1; k >= 0; k--) {
-        cur |= (int32_t)(plane[k] >> xv & 1) << k;
         uint64_t zero = mask & ~plane[k];
         if (zero)
             mask = zero;
         else
             min |= (int32_t)1 << k;
     }
-    mv->cur = cur;
     mv->min = min;
     mv->mask = mask;
     mv->n = __builtin_popcountll(mask);
 }
 
-/* d > 64: the byte rows summed into counts, then the values at the least
- * count listed into out */
-static void gather_bytes(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
+/* d <= 64: v's incident rows are counted in bitlen(deg v) bit planes, a
+ * carry-save count (Warren, Hacker's Delight, ch. 5); the least count and
+ * the values that reach it are read from the planes with x[v] masked out */
+static void gather_bits(const ulsa_run *r, int64_t v, moves *mv)
+{
+    const int32_t s0 = r->inc_start[v], s1 = r->inc_start[v + 1];
+    const int depth = depth_of(r, v);
+    uint64_t plane[32];
+    switch (depth) { /* a constant depth unrolls, with the planes in registers */
+#define DEPTH(k) case k: accumulate(r, s0, s1, plane, k, 0); break;
+    DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
+#undef DEPTH
+    default: accumulate(r, s0, s1, plane, depth, 0);
+    }
+    const int64_t xv = r->x[v];
+    int32_t cur = 0;
+    for (int k = 0; k < depth; k++)
+        cur |= (int32_t)(plane[k] >> xv & 1) << k;
+    mv->cur = cur;
+    least_bits(plane, depth, all_values(r) & ~(1ULL << xv), mv);
+}
+
+/* d > 64: the byte rows of v's slots summed into r->counts; with live set,
+ * only the slots whose other endpoint has a value (x >= 0) count */
+static void sum_bytes(const ulsa_run *r, int64_t v, int live)
 {
     const int64_t d = r->d;
     int32_t *counts = r->counts;
     memset(counts, 0, (size_t)d * sizeof *counts);
     for (int32_t s = r->inc_start[v]; s < r->inc_start[v + 1]; s++) {
+        if (live && r->x[r->slot_other[s]] < 0)
+            continue;
         const uint8_t *row = r->rows + row_of(r, s) * d;
         for (int64_t u = 0; u < d; u++)
             counts[u] += row[u];
     }
-    mv->cur = counts[r->x[v]];
-    counts[r->x[v]] = MASK;
+}
+
+/* the least of r->counts and the values that reach it, listed into out */
+static void least_bytes(const ulsa_run *r, moves *mv, int32_t *out)
+{
+    const int64_t d = r->d;
+    const int32_t *counts = r->counts;
     int32_t min = counts[0];
     for (int64_t u = 1; u < d; u++)
         if (counts[u] < min)
@@ -158,6 +189,16 @@ static void gather_bytes(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
     mv->min = min;
     mv->n = n;
     mv->list = out;
+}
+
+/* d > 64: the byte rows summed into counts, then the values other than x[v]
+ * at the least count listed into out */
+static void gather_bytes(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
+{
+    sum_bytes(r, v, 0);
+    mv->cur = r->counts[r->x[v]];
+    r->counts[r->x[v]] = MASK;
+    least_bytes(r, mv, out);
 }
 
 static void gather(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
@@ -263,6 +304,71 @@ void ulsa_advance(ulsa_run *r)
             || (r->budget && r->iterations >= r->budget)
             || (r->interval && r->n_iter >= r->interval))
             return;
+    }
+}
+
+/* `ulsa_init` runs the greedy loop of `rbcsp.ulsa.init_state` on the tables
+ * above: it visits the variables in the order perm[0..n-1], and counts, for
+ * each value of the variable visited, its conflicts with the variables that
+ * hold a value already.  It then draws u, the next double of gen, as
+ * rng.random() does once per variable, and sets the variable to the k-th
+ * value, ascending, of those with the least count, k = (int)(u * their
+ * number).  x receives the n values; scratch holds 2d int32s, used when
+ * d > 64, and rows may be NULL when bits is not.
+ */
+void ulsa_init(const uint64_t *bits, const uint8_t *rows, const int32_t *inc_start,
+               const int32_t *slot_other, int64_t d, const int64_t *perm, int64_t n,
+               bitgen_t *gen, int64_t *x, int32_t *scratch)
+{
+    ulsa_run r = {.rows = rows, .bits = bits, .inc_start = inc_start,
+                  .slot_other = slot_other, .d = d, .x = x, .counts = scratch};
+    for (int64_t v = 0; v < n; v++)
+        x[v] = -1; /* no value yet */
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t v = perm[k];
+        moves mv;
+        if (bits) {
+            uint64_t plane[32];
+            const int depth = depth_of(&r, v);
+            accumulate(&r, inc_start[v], inc_start[v + 1], plane, depth, 1);
+            least_bits(plane, depth, all_values(&r), &mv);
+        } else {
+            sum_bytes(&r, v, 1);
+            least_bytes(&r, &mv, scratch + d);
+        }
+        const double u = gen->next_double(gen->state);
+        x[v] = value_at(&r, &mv, (int64_t)(u * (double)mv.n));
+    }
+}
+
+
+/* -- the packed tables --------------------------------------------------------
+ *
+ * `build_bits` fills the packed rows `bits` of `rbcsp.core._FlatTables` for
+ * d <= 64 from the instance arrays of `rbcsp.core.CspInstance`: constraint
+ * i disallows the pairs (a, b) whose codes a * d + b are
+ * codes[pair_start[i] .. pair_start[i+1]-1], ascending.  Its var_a has the
+ * incidence slot slot[i] and its var_b the slot slot[m + i].  A pair (a, b)
+ * sets bit a of bits[slot[i] * d + b], var_a's row when var_b holds b, and
+ * bit b of bits[slot[m + i] * d + a]; bits must hold 2m * d zeros.
+ */
+void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int64_t d,
+                const int64_t *slot, uint64_t *bits)
+{
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t *row_a = bits + slot[i] * d, *row_b = bits + slot[m + i] * d;
+        /* a = code / d, divided out only when the code leaves [base, base + d) */
+        int64_t a = 0, base = 0;
+        for (int64_t j = pair_start[i]; j < pair_start[i + 1]; j++) {
+            const int64_t code = codes[j];
+            if (code < base || code - base >= d) {
+                a = code / d;
+                base = a * d;
+            }
+            const int64_t b = code - base;
+            row_a[b] |= 1ULL << a;
+            row_b[a] |= 1ULL << b;
+        }
     }
 }
 

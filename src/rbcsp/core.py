@@ -6,10 +6,11 @@ set of value pairs it disallows.  Duplicate constraints over the same variable
 pair are kept and counted separately.
 
 The search state keeps the violated-constraint set exactly up to date across
-single-variable changes.  Per variable, the disallowed relations of all
-incident constraints are stacked into one contiguous uint8 table so that the
-conflict deltas for every candidate value come out of a single row gather and
-column sum instead of a per-value rescan.
+single-variable changes.  The disallowed relations of each variable's
+incident constraints lie in consecutive rows of one flat table, packed into
+bits for the compiled kernel, so that the conflict deltas for every candidate
+value come out of a single row gather and column sum instead of a per-value
+rescan.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ class CspInstance:
         return len(self.con_a)
 
     @cached_property
-    def _tables(self) -> "_Tables":
-        return _Tables(self)
+    def _tables(self) -> "_FlatTables":
+        return _FlatTables(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CspInstance):
@@ -289,9 +290,12 @@ class ViolatedIndex:
 
     __slots__ = ("ids", "pos")
 
-    def __init__(self, num_constraints: int):
-        self.ids: list[int] = []
+    def __init__(self, num_constraints: int, ids: Iterable[int] = ()):
+        """An index holding `ids`, which must be distinct, in the order given."""
+        self.ids: list[int] = list(ids)
         self.pos: list[int] = [-1] * num_constraints
+        for p, cid in enumerate(self.ids):
+            self.pos[cid] = p
 
     def add(self, cid: int) -> None:
         if self.pos[cid] < 0:
@@ -330,17 +334,21 @@ class _FlatTables:
 
     Incidence slots are grouped by variable in CSR form: the slots of v are
     inc_start[v] .. inc_start[v+1]-1, in constraint id order.  Slot s holds
-    constraint slot_cid[s], whose other endpoint is slot_other[s], and the
-    oriented relation rows[s] of shape (d, d): rows[s, w, u] == 1 iff the
-    constraint is violated when the other endpoint holds w and v holds u.
-    con_a/con_b are the constraints' endpoints.  For d <= 64, bits packs
-    the same flags one uint64 per (slot, w): bit u of bits[s * d + w] is
-    rows[s, w, u]; for larger d it is None.  The compiled step kernel reads
-    these arrays whole; `_Tables` hands out per-variable views of `rows`.
+    constraint slot_cid[s], whose other endpoint is slot_other[s], and its
+    relation oriented toward v: rows[s * d + w, u] == 1 iff the constraint
+    is violated when the other endpoint holds w and v holds u.  con_a/con_b
+    are the constraints' endpoints.
+
+    For d <= 64, bits packs the flags one uint64 per (slot, w): bit u of
+    bits[s * d + w] is rows[s * d + w, u].  It is the only table of flags
+    built eagerly, by the compiled `build_bits` when it is available; `rows`
+    is unpacked from it when first asked for, which only the Python
+    reference paths do.  For larger d, bits is None and `rows` is built
+    eagerly.
     """
 
-    __slots__ = ("rows", "bits", "inc_start", "slot_other", "slot_cid", "con_a",
-                 "con_b")
+    __slots__ = ("d", "bits", "base", "inc_start", "slot_other", "slot_cid", "con_a",
+                 "con_b", "_rows")
 
     def __init__(self, instance: CspInstance):
         n, d, m = instance.n, instance.d, instance.num_constraints
@@ -351,61 +359,76 @@ class _FlatTables:
         order = np.lexsort((cid, var))
         slot = np.empty(2 * m, dtype=np.int64)
         slot[order] = np.arange(2 * m)
-        pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
-        va, vb = np.divmod(instance.codes, d)
-        rows = np.zeros((2 * m, d, d), dtype=np.uint8)
-        rows[slot[pair_cid], vb, va] = 1  # var a's slot: other is b
-        rows[slot[m + pair_cid], va, vb] = 1  # var b's slot: other is a
-        self.rows = rows
-        self.bits = None
+        self.d = d
+        self.bits = self._rows = None
         if d <= 64:
-            # one flat packbits over rows padded to whole bytes is 2-3x faster
-            # than packing each row of d bytes on its own
-            nb = (d + 7) // 8
-            wide = np.zeros((2 * m * d, 8 * nb), dtype=np.uint8)
-            wide[:, :d] = rows.reshape(-1, d)
-            packed = np.zeros((2 * m * d, 8), dtype=np.uint8)
-            packed[:, :nb] = np.packbits(wide, bitorder="little").reshape(-1, nb)
-            self.bits = packed.view("<u8").astype(np.uint64, copy=False).ravel()
+            self.bits = _build_bits(instance, slot)
+        else:
+            self._rows = _byte_rows(instance, slot)
         self.inc_start = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(var, minlength=n), out=self.inc_start[1:])
         self.slot_other = np.concatenate([con_b, con_a])[order]
         self.slot_cid = cid[order]
+        self.base = np.arange(2 * m, dtype=np.int64) * d  # slot s's first row in rows
         self.con_a = con_a
         self.con_b = con_b
 
+    @property
+    def rows(self) -> np.ndarray:
+        """uint8 flags of shape (2m·d, d), as the class doc says; for d <= 64
+        unpacked from bits on first use."""
+        if self._rows is None:
+            self._rows = np.unpackbits(
+                self.bits.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                axis=1, count=self.d, bitorder="little")
+        return self._rows
 
-class _Tables:
-    """Static per-instance lookup structures shared by all search states.
 
-    Per variable v, in incidence order (constraint id ascending):
-    inc_ids[v] lists the incident constraint ids, other_idx[v] the other
-    endpoint of each, and rows[v] packs their relations into one uint8 array
-    of shape (k_v * d, d): row (slot*d + w) holds, for each candidate value u
-    of v, the violation flag when the other endpoint of that slot's
-    constraint holds w.  base[v][slot] = slot * d is the slot's first row.
-    other_idx[v] and rows[v] are views into `flat`; base[v] is a prefix of
-    one shared array.
-    """
+def _byte_rows(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
+    """`_FlatTables.rows` scattered from the instance's pairs through one
+    flat index per side; slot[cid] and slot[m + cid] are the slots of
+    constraint cid's var a and var b."""
+    d, m = instance.d, instance.num_constraints
+    pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
+    va, vb = np.divmod(instance.codes, d)
+    rows = np.zeros(2 * m * d * d, dtype=np.uint8)
+    rows[(slot[pair_cid] * d + vb) * d + va] = 1  # var a's slot: other is b
+    rows[(slot[m + pair_cid] * d + va) * d + vb] = 1  # var b's slot: other is a
+    return rows.reshape(-1, d)
 
-    __slots__ = ("n", "d", "con_a", "con_b", "inc_ids", "other_idx", "rows", "base",
-                 "flat")
 
-    def __init__(self, instance: CspInstance):
-        n, d = instance.n, instance.d
-        self.n = n
-        self.d = d
-        flat = self.flat = _FlatTables(instance)
-        self.con_a = flat.con_a.tolist()
-        self.con_b = flat.con_b.tolist()
-        bounds = flat.inc_start.tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        rows = flat.rows.reshape(-1, d)
-        steps = np.arange(max(e - s for s, e in spans), dtype=np.int64) * d
-        self.inc_ids = [flat.slot_cid[s:e].tolist() for s, e in spans]
-        self.other_idx = [flat.slot_other[s:e] for s, e in spans]
-        self.rows = [rows[s * d:e * d] for s, e in spans]
-        self.base = [steps[:e - s] for s, e in spans]
+def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
+    """`_FlatTables.bits` for d <= 64, filled by the compiled builder when it
+    is available, else packed from `_byte_rows`."""
+    d, m = instance.d, instance.num_constraints
+    builder = _load_bits_builder()
+    if builder is not None:
+        bits = np.zeros(2 * m * d, dtype=np.uint64)
+        builder(instance.codes.ctypes.data, instance.pair_start.ctypes.data, m, d,
+                slot.ctypes.data, bits.ctypes.data)
+        return bits
+    # one flat packbits over rows padded to whole bytes is 2-3x faster than
+    # packing each row of d bytes on its own
+    nb = (d + 7) // 8
+    wide = np.zeros((2 * m * d, 8 * nb), dtype=np.uint8)
+    wide[:, :d] = _byte_rows(instance, slot)
+    packed = np.zeros((2 * m * d, 8), dtype=np.uint8)
+    packed[:, :nb] = np.packbits(wide, bitorder="little").reshape(-1, nb)
+    return packed.view("<u8").astype(np.uint64, copy=False).ravel()
+
+
+# `build_bits` in _kernel.c, built and opened by _native
+_bits_builder: Any = ...  # build_bits once loaded, None if unavailable, ... until tried
+
+
+def _load_bits_builder() -> Any:
+    """build_bits from the kernel library, loaded once per process, or None."""
+    global _bits_builder
+    if _bits_builder is ...:
+        _bits_builder = _native.bind("build_bits", [ctypes.c_void_p, ctypes.c_void_p,
+                                                    ctypes.c_int64, ctypes.c_int64,
+                                                    ctypes.c_void_p, ctypes.c_void_p], None)
+    return _bits_builder
 
 
 class SearchState:
@@ -415,7 +438,7 @@ class SearchState:
     iteration counter, and the exact set of violated constraint ids.
     """
 
-    __slots__ = ("instance", "x", "t", "n_iter", "violated", "_tb", "_xl")
+    __slots__ = ("instance", "x", "t", "n_iter", "violated", "_tb", "_xl", "_inc")
 
     def __init__(self, instance: CspInstance, assignment: Assignment):
         if not assignment.is_complete:
@@ -424,18 +447,24 @@ class SearchState:
         if vals.min() < 0 or vals.max() >= instance.d:
             raise ValueError(f"assignment value outside domain [0,{instance.d})")
         self.instance = instance
-        self._tb = instance._tables
+        tb = self._tb = instance._tables
+        self._inc = tb.inc_start.tolist()  # slot bounds as ints, for the Python gathers
         self.x = vals.copy()
         self._xl = self.x.tolist()  # plain-int mirror for scalar reads
         self.t = [0] * instance.n
         self.n_iter = 0
-        self.violated = ViolatedIndex(instance.num_constraints)
-        # both slots of a constraint hold its current flag; ids enter ascending
-        flags = np.zeros(instance.num_constraints, dtype=np.uint8)
-        for v, ids in enumerate(self._tb.inc_ids):
-            flags[ids] = self._counts_cols(v)[2][:, self._xl[v]]
-        for cid in np.flatnonzero(flags).tolist():
-            self.violated.add(cid)
+        # each slot's flag under x; both slots of a constraint hold the same
+        # one, so the ids of the flagged slots are the violated ids
+        u = np.repeat(self.x, np.diff(tb.inc_start))
+        row = np.arange(len(u), dtype=np.int64) * tb.d + self.x.take(tb.slot_other)
+        if tb.bits is not None:
+            flag = tb.bits.take(row) >> u.astype(np.uint64) & np.uint64(1)
+        else:
+            flag = tb.rows[row, u]
+        flags = np.zeros(instance.num_constraints, dtype=bool)
+        flags[tb.slot_cid[flag != 0]] = True
+        self.violated = ViolatedIndex(instance.num_constraints,
+                                      np.flatnonzero(flags).tolist())  # ascending
 
     # -- queries ------------------------------------------------------------
 
@@ -473,11 +502,12 @@ class SearchState:
         """(counts, current, cols) for var.
 
         counts[u] = violated incident constraints if x[var] were u;
-        cols[slot, u] = that slot's violation flag under value u.
+        cols[k, u] = the violation flag of var's k-th slot under value u.
         """
         tb = self._tb
-        rows = tb.base[var] + self.x.take(tb.other_idx[var])
-        cols = tb.rows[var].take(rows, axis=0)
+        s0, s1 = self._inc[var], self._inc[var + 1]
+        rows = tb.base[s0:s1] + self.x.take(tb.slot_other[s0:s1])
+        cols = tb.rows.take(rows, axis=0)
         counts = np.add.reduce(cols, axis=0, dtype=np.int32)
         return counts, int(counts[self._xl[var]]), cols
 
@@ -508,13 +538,14 @@ class SearchState:
         new_col = cols[:, value]
         changed = (new_col != cols[:, old]).nonzero()[0]
         if changed.size:
-            ids = self._tb.inc_ids[var]
+            ids, s0 = self._tb.slot_cid, self._inc[var]
+            now = new_col.tolist()
             violated = self.violated
             for li in changed.tolist():
-                if new_col[li]:
-                    violated.add(ids[li])
+                if now[li]:
+                    violated.add(ids.item(s0 + li))
                 else:
-                    violated.discard(ids[li])
+                    violated.discard(ids.item(s0 + li))
         self.x[var] = value
         self._xl[var] = value
         self.n_iter += 1
@@ -902,8 +933,12 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
 
     va, vb = pairs.T  # -1 marks a bad line
     ok = (va >= 0) & (va < d) & (vb >= 0) & (vb < d)
-    # keys cid·d² + code, with cid true up to a misplaced line, built in place
-    keys = np.searchsorted(block_lines, f_lines) - 1
+    # keys cid·d² + code, with cid true up to a misplaced line, built in place;
+    # the 'f' lines from one 'k' line to the next are its block's, and those
+    # before the first 'k' line get block -1
+    starts = np.searchsorted(f_lines, np.asarray(block_lines, dtype=f_lines.dtype))
+    keys = np.repeat(np.arange(-1, len(block_lines)),
+                     np.diff(starts, prepend=0, append=len(f_lines)))
     for column in (va, vb):
         keys *= d
         keys += column

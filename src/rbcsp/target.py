@@ -96,8 +96,8 @@ def check_target(state: SearchState, spec: TargetSpec) -> Optional[list[int]]:
     budget = spec.removal_budget(n)
     if state.num_conflicts > spec.conflict_cap:
         return None
-    tb = state._tb
-    pairs = [(tb.con_a[cid], tb.con_b[cid]) for cid in state.violated.ids]
+    ids = state.violated.ids
+    pairs = list(zip(state.instance.con_a[ids].tolist(), state.instance.con_b[ids].tolist()))
     cover = min_conflict_cover(pairs, budget)
     if cover is None:
         return None

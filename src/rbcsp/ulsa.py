@@ -20,7 +20,7 @@ from __future__ import annotations
 import ctypes
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -110,18 +110,33 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
     Variables are visited in a uniformly random permutation; each is set to a
     value minimizing conflicts against the already-initialized variables
     only, ties broken uniformly at random.  Timestamps start at 0 with the
-    iteration counter, so nothing counts as "changed" yet.
+    iteration counter, so nothing counts as "changed" yet.  The visits run
+    in the compiled kernel when it is loaded, and in Python otherwise, with
+    the same draws.
     """
     tb = instance._tables
-    values = np.zeros(instance.n, dtype=np.int64)
-    initialized = np.zeros(instance.n, dtype=bool)
-    for v in rng.permutation(instance.n).tolist():
-        oi = tb.other_idx[v]
+    n, d = instance.n, instance.d
+    perm = rng.permutation(n)
+    kernel = _load_kernel()
+    values = np.zeros(n, dtype=np.int64)
+    if kernel is not None:
+        # held in a local so that it outlives the call, which releases the GIL
+        scratch = None if tb.bits is not None else np.empty(2 * d, dtype=np.int32)
+        kernel.init(tb.bits.ctypes.data if tb.bits is not None else None,
+                    tb.rows.ctypes.data if tb.bits is None else None,
+                    tb.inc_start.ctypes.data, tb.slot_other.ctypes.data, d,
+                    perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
+                    values.ctypes.data, None if scratch is None else scratch.ctypes.data)
+        return SearchState(instance, Assignment(values, np.ones(n, dtype=bool)))
+    initialized = np.zeros(n, dtype=bool)
+    bounds = tb.inc_start.tolist()
+    for v in perm.tolist():
+        s0, s1 = bounds[v], bounds[v + 1]
+        oi = tb.slot_other[s0:s1]
         live = initialized[oi]
-        rows = tb.base[v][live] + values[oi[live]]
-        counts = np.add.reduce(tb.rows[v].take(rows, axis=0), axis=0, dtype=np.int32)
-        best = counts.min()
-        cands = np.flatnonzero(counts == best)
+        rows = tb.base[s0:s1][live] + values[oi[live]]
+        counts = np.add.reduce(tb.rows.take(rows, axis=0), axis=0, dtype=np.int32)
+        cands = np.flatnonzero(counts == counts.min())
         values[v] = int(cands[int(rng.random() * len(cands))])
         initialized[v] = True
     return SearchState(instance, Assignment(values, initialized))
@@ -150,7 +165,7 @@ def _step(state: SearchState, draw: Callable[[], float],
     tb = state._tb
     ids = state.violated.ids
     cid = ids[int(draw() * len(ids))]
-    a, b = tb.con_a[cid], tb.con_b[cid]
+    a, b = tb.con_a.item(cid), tb.con_b.item(cid)
     t = state.t
     if t[a] < t[b]:
         i, j = a, b
@@ -225,19 +240,29 @@ class _Uniforms:
 
 # -- compiled step kernel ------------------------------------------------------
 #
-# `ulsa_advance` in _kernel.c, built and opened by _native; when that fails,
-# `run` steps in Python.  Both paths follow the same trajectory.
+# `ulsa_advance` and `ulsa_init` in _kernel.c, built and opened by _native;
+# when that fails, `run` and `init_state` step in Python.  Both paths follow
+# the same trajectory.
 
-_kernel: Any = ...  # ulsa_advance once loaded, None if unavailable, ... until tried
+
+class _Kernel(NamedTuple):
+    advance: Any  # ulsa_advance
+    init: Any  # ulsa_init
+
+
+_kernel: Any = ...  # a _Kernel once loaded, None if unavailable, ... until tried
 # the most steps one kernel call takes, so that Ctrl-C is seen within a second or so
 _SLICE = 1 << 20
 
 
 def _load_kernel() -> Any:
-    """ulsa_advance from the kernel library, loaded once per process, or None."""
+    """The kernel's run functions, loaded once per process, or None."""
     global _kernel
     if _kernel is ...:
-        _kernel = _native.bind("ulsa_advance", [ctypes.POINTER(_RunStruct)], None)
+        advance = _native.bind("ulsa_advance", [ctypes.POINTER(_RunStruct)], None)
+        init = None if advance is None else _native.bind(
+            "ulsa_init", [_P] * 4 + [_I, _P, _I] + [_P] * 3, None)
+        _kernel = None if init is None else _Kernel(advance, init)
     return _kernel
 
 
@@ -271,7 +296,7 @@ class _KernelRun:
 
     def __init__(self, fn: Any, instance: CspInstance, uniforms: _Uniforms,
                  stats: StepStats, cap: int, budget: int, interval: Optional[int]):
-        flat = instance._tables.flat
+        flat = instance._tables
         n, d, m = instance.n, instance.d, instance.num_constraints
         self.fn = fn
         self.stats = stats
@@ -284,7 +309,8 @@ class _KernelRun:
         self.scratch = np.empty(3 * d, dtype=np.int32)
         addr = self.scratch.ctypes.data
         self.c = _RunStruct(
-            flat.rows.ctypes.data, None if flat.bits is None else flat.bits.ctypes.data,
+            None if flat.bits is not None else flat.rows.ctypes.data,
+            None if flat.bits is None else flat.bits.ctypes.data,
             flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
             flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
             None, self.t.ctypes.data, self.ids.ctypes.data, self.pos.ctypes.data,
@@ -350,7 +376,7 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
 
     cap = target.conflict_cap if target is not None else -1
     fn = _load_kernel()
-    kernel = None if fn is None else _KernelRun(fn, instance, uniforms, stats,
+    kernel = None if fn is None else _KernelRun(fn.advance, instance, uniforms, stats,
                                                 cap, budget, interval)
     viol_ids = state.violated.ids
     while True:

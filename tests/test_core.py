@@ -443,7 +443,7 @@ class TestArrayInstance:
 
     @pytest.mark.parametrize("d", [2, 8, 63, 64, 65])
     def test_packed_rows_hold_the_byte_rows(self, d):
-        flat = random_instance(random.Random(d), n=5, d=d, m=8)._tables.flat
+        flat = random_instance(random.Random(d), n=5, d=d, m=8)._tables
         if d > 64:
             assert flat.bits is None
             return

@@ -203,7 +203,7 @@ BOUNDARY_CASES = [
 @pytest.mark.parametrize("make, config", BOUNDARY_CASES)
 def test_boundary_record_equals_python_record(kernel, monkeypatch, make, config):
     instance = make()
-    bits = instance._tables.flat.bits
+    bits = instance._tables.bits
     assert (bits is None) == (instance.d > 64)
     for seed in range(3):
         fast = run(instance, config, seed, track_best=True)

@@ -89,3 +89,12 @@ def test_reader_transient_does_not_grow_with_the_text(n100):
         results = core._read(text, "f", 4473)
         kept = sum(a.nbytes for a in results) / 1e6
         assert traced_peak_mb(core._read, text, "f", 4473) <= 2 * kept + 1.0
+
+
+def test_tables_peak_n100(n100):
+    # the packed table alone, 0.83 MB for m = 1.3k constraints at d = 40; the
+    # uint8 rows and their scatter indices, built beside it before, took 20.6 MB
+    if core._load_bits_builder() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    instance, _ = loads_csp(n100[0])
+    assert traced_peak_mb(core._FlatTables, instance) <= 3
