@@ -17,16 +17,14 @@
  * The tables are `rbcsp.core._FlatTables`: the incidence slots of
  * variable v are inc_start[v] .. inc_start[v+1]-1, in constraint id order;
  * slot s holds constraint slot_cid[s] with other endpoint slot_other[s].
- * For d <= 64 its relation is packed in bits[s*d + w], whose bit u is the
- * violation flag when the other endpoint holds w and v holds u, and the
- * counts are kept in bit planes; rows is then NULL.  For d > 64 bits is
- * NULL, the same flags are the bytes rows[s*d*d + w*d + u], and they are
- * summed.  The field order of `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
+ * Its relation is packed in rows of W = ceil(d / 64) words: bit u & 63 of
+ * bits[(s*d + w) * W + (u >> 6)] is the violation flag when the other
+ * endpoint holds w and v holds u, so word k of a row holds the values
+ * 64k .. 64k+63.  Counts are kept in bit planes, one word at a time.  The
+ * field order of `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>
-
-#define MASK (1 << 30) /* bigger than any conflict count; hides the current value */
 
 /* numpy's bitgen_t, as in numpy/random/bitgen.h */
 typedef struct {
@@ -39,7 +37,6 @@ typedef struct {
 
 typedef struct {
     /* tables, read only */
-    const uint8_t *rows;
     const uint64_t *bits;
     const int32_t *inc_start, *slot_other, *slot_cid, *con_a, *con_b;
     int64_t d;
@@ -55,18 +52,15 @@ typedef struct {
     bitgen_t *gen;
     /* exit thresholds; cap -1, budget 0 and interval 0 mean none */
     int64_t best, cap, budget, interval;
-    /* scratch for d > 64: a count vector of d and a candidate list of 2d */
-    int32_t *counts, *cands;
 } ulsa_run;
 
 /* the moves of one endpoint v: its conflicts now, the fewest at another
- * value, and the n values other than x[v] that reach the fewest, ascending:
- * the set bits of mask when d <= 64, list[0..n-1] otherwise */
+ * value, and the n values that reach the fewest, the set bits of the W words
+ * of mask, value 64k + b at bit b of word k */
 typedef struct {
     int32_t cur, min;
     int64_t n;
-    uint64_t mask;
-    const int32_t *list;
+    uint64_t *mask;
 } moves;
 
 static double uniform(ulsa_run *r)
@@ -79,145 +73,113 @@ static double uniform(ulsa_run *r)
     return r->u[r->upos++];
 }
 
-/* row index s*d + w of slot s under the current value w of its other endpoint */
-static int64_t row_of(const ulsa_run *r, int32_t s)
+/* the words of slot s's row under the current value of its other endpoint */
+static inline __attribute__((always_inline)) const uint64_t *
+row_of(const ulsa_run *r, int64_t W, int32_t s)
 {
-    return (int64_t)s * r->d + r->x[r->slot_other[s]];
+    return r->bits + ((int64_t)s * r->d + r->x[r->slot_other[s]]) * W;
 }
 
-/* the packed rows of slots s0 .. s1-1 summed into `depth` bit planes, one
- * carry chain per row: plane k holds bit k of every value's count; with
+/* the flag of value u in a row; with W = 1 the word is row[0] */
+static inline __attribute__((always_inline)) int flag(const uint64_t *row, int64_t W,
+                                                      int64_t u)
+{
+    return (int)(row[W == 1 ? 0 : u >> 6] >> (u & 63) & 1);
+}
+
+/* word k of the rows of slots s0 .. s1-1 summed into `depth` bit planes, one
+ * carry chain per row: plane j holds bit j of every value's count; with
  * live set, only the slots whose other endpoint has a value (x >= 0) count */
 static inline __attribute__((always_inline)) void
-accumulate(const ulsa_run *r, int32_t s0, int32_t s1, uint64_t *plane, int depth, int live)
+accumulate(const ulsa_run *r, int64_t W, int64_t k, int32_t s0, int32_t s1, uint64_t *plane,
+           int depth, int live)
 {
-    for (int k = 0; k < depth; k++)
-        plane[k] = 0;
+    for (int j = 0; j < depth; j++)
+        plane[j] = 0;
     for (int32_t s = s0; s < s1; s++) {
         if (live && r->x[r->slot_other[s]] < 0)
             continue;
-        uint64_t carry = r->bits[row_of(r, s)];
-        for (int k = 0; k < depth; k++) {
-            uint64_t next = plane[k] & carry;
-            plane[k] ^= carry;
+        uint64_t carry = row_of(r, W, s)[k];
+        for (int j = 0; j < depth; j++) {
+            uint64_t next = plane[j] & carry;
+            plane[j] ^= carry;
             carry = next;
         }
     }
 }
 
-/* bitlen(deg v): the number of bit planes that hold any count of v's slots */
-static int depth_of(const ulsa_run *r, int64_t v)
-{
-    const int32_t deg = r->inc_start[v + 1] - r->inc_start[v];
-    return deg ? 64 - __builtin_clzll((uint64_t)deg) : 0;
-}
-
-/* the mask of all d values */
-static uint64_t all_values(const ulsa_run *r)
-{
-    return r->d == 64 ? ~0ULL : (1ULL << r->d) - 1;
-}
-
-/* the planes, scanned from the top, give the least count among the values
- * of mask and the values of mask that reach it */
-static void least_bits(const uint64_t *plane, int depth, uint64_t mask, moves *mv)
+/* the least count among the values of *values, from the planes scanned from
+ * the top; *values keeps those of its values that reach it */
+static inline __attribute__((always_inline)) int32_t least(const uint64_t *plane, int depth,
+                                                          uint64_t *values)
 {
     int32_t min = 0;
-    for (int k = depth - 1; k >= 0; k--) {
-        uint64_t zero = mask & ~plane[k];
+    for (int j = depth - 1; j >= 0; j--) {
+        uint64_t zero = *values & ~plane[j];
         if (zero)
-            mask = zero;
+            *values = zero;
         else
-            min |= (int32_t)1 << k;
+            min |= (int32_t)1 << j;
     }
-    mv->min = min;
-    mv->mask = mask;
-    mv->n = __builtin_popcountll(mask);
+    return min;
 }
 
-/* d <= 64: v's incident rows are counted in bitlen(deg v) bit planes, a
- * carry-save count (Warren, Hacker's Delight, ch. 5); the least count and
- * the values that reach it are read from the planes with x[v] masked out */
-static void gather_bits(const ulsa_run *r, int64_t v, moves *mv)
+/* v's moves: word by word, v's incident rows are counted in bitlen(deg v)
+ * bit planes, a carry-save count (Warren, Hacker's Delight, ch. 5), and the
+ * least count of the word's values and the values that reach it are read
+ * from the planes; the least over the words is mv->min.  In the search
+ * (live unset) x[v] is masked out and its count is mv->cur; at the start
+ * (live set) v has no value and all d values count */
+static inline __attribute__((always_inline)) void
+gather(const ulsa_run *r, int64_t W, int64_t v, int live, moves *mv)
 {
     const int32_t s0 = r->inc_start[v], s1 = r->inc_start[v + 1];
-    const int depth = depth_of(r, v);
+    const int depth = s1 > s0 ? 64 - __builtin_clzll((uint64_t)(s1 - s0)) : 0;
+    const int64_t xv = r->x[v], tail = r->d & 63;
     uint64_t plane[32];
-    switch (depth) { /* a constant depth unrolls, with the planes in registers */
-#define DEPTH(k) case k: accumulate(r, s0, s1, plane, k, 0); break;
-    DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
+    for (int64_t k = 0; k < W; k++) {
+        switch (depth) { /* a constant depth unrolls, with the planes in registers */
+#define DEPTH(j) case j: accumulate(r, W, k, s0, s1, plane, j, live); break;
+        DEPTH(1) DEPTH(2) DEPTH(3) DEPTH(4) DEPTH(5) DEPTH(6) DEPTH(7) DEPTH(8)
 #undef DEPTH
-    default: accumulate(r, s0, s1, plane, depth, 0);
-    }
-    const int64_t xv = r->x[v];
-    int32_t cur = 0;
-    for (int k = 0; k < depth; k++)
-        cur |= (int32_t)(plane[k] >> xv & 1) << k;
-    mv->cur = cur;
-    least_bits(plane, depth, all_values(r) & ~(1ULL << xv), mv);
-}
-
-/* d > 64: the byte rows of v's slots summed into r->counts; with live set,
- * only the slots whose other endpoint has a value (x >= 0) count */
-static void sum_bytes(const ulsa_run *r, int64_t v, int live)
-{
-    const int64_t d = r->d;
-    int32_t *counts = r->counts;
-    memset(counts, 0, (size_t)d * sizeof *counts);
-    for (int32_t s = r->inc_start[v]; s < r->inc_start[v + 1]; s++) {
-        if (live && r->x[r->slot_other[s]] < 0)
-            continue;
-        const uint8_t *row = r->rows + row_of(r, s) * d;
-        for (int64_t u = 0; u < d; u++)
-            counts[u] += row[u];
+        default: accumulate(r, W, k, s0, s1, plane, depth, live);
+        }
+        uint64_t values = k < W - 1 || !tail ? ~0ULL : (1ULL << tail) - 1;
+        if (!live && k == (W == 1 ? 0 : xv >> 6)) {
+            int32_t cur = 0;
+            for (int j = 0; j < depth; j++)
+                cur |= (int32_t)(plane[j] >> (xv & 63) & 1) << j;
+            mv->cur = cur;
+            values &= ~(1ULL << (xv & 63));
+        }
+        /* a word left with no values reads 2^depth - 1, no less than any count */
+        const int32_t min = least(plane, depth, &values);
+        if (k == 0 || min < mv->min) {
+            for (int64_t j = 0; j < k; j++)
+                mv->mask[j] = 0;
+            mv->min = min;
+            mv->n = 0;
+        }
+        mv->mask[k] = min == mv->min ? values : 0;
+        mv->n += __builtin_popcountll(mv->mask[k]);
     }
 }
 
-/* the least of r->counts and the values that reach it, listed into out */
-static void least_bytes(const ulsa_run *r, moves *mv, int32_t *out)
+/* the k-th of mv's values, ascending, k < mv->n */
+static inline __attribute__((always_inline)) int64_t value_at(const moves *mv, int64_t W,
+                                                             int64_t k)
 {
-    const int64_t d = r->d;
-    const int32_t *counts = r->counts;
-    int32_t min = counts[0];
-    for (int64_t u = 1; u < d; u++)
-        if (counts[u] < min)
-            min = counts[u];
-    int64_t n = 0;
-    for (int64_t u = 0; u < d; u++)
-        if (counts[u] == min)
-            out[n++] = (int32_t)u;
-    mv->min = min;
-    mv->n = n;
-    mv->list = out;
-}
-
-/* d > 64: the byte rows summed into counts, then the values other than x[v]
- * at the least count listed into out */
-static void gather_bytes(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
-{
-    sum_bytes(r, v, 0);
-    mv->cur = r->counts[r->x[v]];
-    r->counts[r->x[v]] = MASK;
-    least_bytes(r, mv, out);
-}
-
-static void gather(const ulsa_run *r, int64_t v, moves *mv, int32_t *out)
-{
-    if (r->bits)
-        gather_bits(r, v, mv);
-    else
-        gather_bytes(r, v, mv, out);
-}
-
-/* the k-th of mv's values, k < mv->n */
-static int64_t value_at(const ulsa_run *r, const moves *mv, int64_t k)
-{
-    if (!r->bits)
-        return mv->list[k];
-    uint64_t mask = mv->mask;
+    int64_t w = 0;
+    for (; w < W - 1; w++) {
+        const int64_t c = __builtin_popcountll(mv->mask[w]);
+        if (k < c)
+            break;
+        k -= c;
+    }
+    uint64_t mask = mv->mask[w];
     for (; k > 0; k--)
         mask &= mask - 1;
-    return __builtin_ctzll(mask);
+    return 64 * w + __builtin_ctzll(mask);
 }
 
 static void add(ulsa_run *r, int32_t cid)
@@ -242,20 +204,14 @@ static void discard(ulsa_run *r, int32_t cid)
 
 /* SearchState._apply_with_cols: slots whose flag differs between the old and
  * the new value enter or leave the violated set, in slot order */
-static void apply(ulsa_run *r, int64_t var, int64_t value)
+static inline __attribute__((always_inline)) void apply(ulsa_run *r, int64_t W, int64_t var,
+                                                        int64_t value)
 {
     const int64_t old = r->x[var];
     for (int32_t s = r->inc_start[var]; s < r->inc_start[var + 1]; s++) {
-        const int64_t w = row_of(r, s);
-        int now, was;
-        if (r->bits) {
-            now = (int)(r->bits[w] >> value & 1);
-            was = (int)(r->bits[w] >> old & 1);
-        } else {
-            now = r->rows[w * r->d + value];
-            was = r->rows[w * r->d + old];
-        }
-        if (now != was) {
+        const uint64_t *row = row_of(r, W, s);
+        const int now = flag(row, W, value);
+        if (now != flag(row, W, old)) {
             if (now)
                 add(r, r->slot_cid[s]);
             else
@@ -266,7 +222,9 @@ static void apply(ulsa_run *r, int64_t var, int64_t value)
     r->t[var] = ++r->n_iter;
 }
 
-void ulsa_advance(ulsa_run *r)
+/* the step loop for rows of W words; mask holds 2W words, W for each endpoint */
+static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W,
+                                                          uint64_t *mask)
 {
     for (;;) {
         int32_t cid = r->ids[(int64_t)(uniform(r) * (double)r->nviol)];
@@ -276,26 +234,26 @@ void ulsa_advance(ulsa_run *r)
         else
             i = b, j = a;
 
-        moves mi, mj;
-        gather(r, i, &mi, r->cands);
+        moves mi = {.mask = mask}, mj = {.mask = mask + W};
+        gather(r, W, i, 0, &mi);
         int expanded = mi.min > mi.cur && r->t[j] != r->n_iter;
         int64_t var, value, delta;
         if (!expanded) {
             var = i;
-            value = value_at(r, &mi, (int64_t)(uniform(r) * (double)mi.n));
+            value = value_at(&mi, W, (int64_t)(uniform(r) * (double)mi.n));
             delta = mi.min - mi.cur;
         } else {
-            gather(r, j, &mj, r->cands + r->d);
+            gather(r, W, j, 0, &mj);
             int64_t delta_i = mi.min - mi.cur, delta_j = mj.min - mj.cur;
             delta = delta_i < delta_j ? delta_i : delta_j;
             int64_t ni = delta_i == delta ? mi.n : 0;
             int64_t nj = delta_j == delta ? mj.n : 0;
             int64_t pick = (int64_t)(uniform(r) * (double)(ni + nj));
             var = pick < ni ? i : j;
-            value = pick < ni ? value_at(r, &mi, pick) : value_at(r, &mj, pick - ni);
+            value = pick < ni ? value_at(&mi, W, pick) : value_at(&mj, W, pick - ni);
         }
 
-        apply(r, var, value);
+        apply(r, W, var, value);
         r->iterations++;
         r->expansions += expanded;
         r->worsening += delta > 0;
@@ -307,56 +265,79 @@ void ulsa_advance(ulsa_run *r)
     }
 }
 
+/* one copy of the loop with W fixed at 1, and one for any W */
+void ulsa_advance(ulsa_run *r)
+{
+    const int64_t W = (r->d + 63) / 64;
+    if (W == 1) {
+        uint64_t mask[2];
+        advance(r, 1, mask);
+    } else {
+        uint64_t mask[2 * W];
+        advance(r, W, mask);
+    }
+}
+
+/* the greedy loop for rows of W words; mask holds W words */
+static inline __attribute__((always_inline)) void
+start(ulsa_run *r, int64_t W, const int64_t *perm, int64_t n, bitgen_t *gen, uint64_t *mask)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t v = perm[k];
+        moves mv = {.mask = mask};
+        gather(r, W, v, 1, &mv);
+        const double u = gen->next_double(gen->state);
+        r->x[v] = value_at(&mv, W, (int64_t)(u * (double)mv.n));
+    }
+}
+
 /* `ulsa_init` runs the greedy loop of `rbcsp.ulsa.init_state` on the tables
  * above: it visits the variables in the order perm[0..n-1], and counts, for
  * each value of the variable visited, its conflicts with the variables that
  * hold a value already.  It then draws u, the next double of gen, as
  * rng.random() does once per variable, and sets the variable to the k-th
  * value, ascending, of those with the least count, k = (int)(u * their
- * number).  x receives the n values; scratch holds 2d int32s, used when
- * d > 64, and rows may be NULL when bits is not.
+ * number).  x receives the n values.
  */
-void ulsa_init(const uint64_t *bits, const uint8_t *rows, const int32_t *inc_start,
-               const int32_t *slot_other, int64_t d, const int64_t *perm, int64_t n,
-               bitgen_t *gen, int64_t *x, int32_t *scratch)
+void ulsa_init(const uint64_t *bits, const int32_t *inc_start, const int32_t *slot_other,
+               int64_t d, const int64_t *perm, int64_t n, bitgen_t *gen, int64_t *x)
 {
-    ulsa_run r = {.rows = rows, .bits = bits, .inc_start = inc_start,
-                  .slot_other = slot_other, .d = d, .x = x, .counts = scratch};
+    ulsa_run r = {.bits = bits, .inc_start = inc_start, .slot_other = slot_other, .d = d,
+                  .x = x};
+    const int64_t W = (d + 63) / 64;
     for (int64_t v = 0; v < n; v++)
         x[v] = -1; /* no value yet */
-    for (int64_t k = 0; k < n; k++) {
-        const int64_t v = perm[k];
-        moves mv;
-        if (bits) {
-            uint64_t plane[32];
-            const int depth = depth_of(&r, v);
-            accumulate(&r, inc_start[v], inc_start[v + 1], plane, depth, 1);
-            least_bits(plane, depth, all_values(&r), &mv);
-        } else {
-            sum_bytes(&r, v, 1);
-            least_bytes(&r, &mv, scratch + d);
-        }
-        const double u = gen->next_double(gen->state);
-        x[v] = value_at(&r, &mv, (int64_t)(u * (double)mv.n));
+    if (W == 1) {
+        uint64_t mask[1];
+        start(&r, 1, perm, n, gen, mask);
+    } else if (inc_start[n]) {
+        uint64_t mask[W];
+        start(&r, W, perm, n, gen, mask);
+    } else { /* no constraints: all d values tie at 0, and the k-th is k */
+        for (int64_t k = 0; k < n; k++)
+            x[perm[k]] = (int64_t)(gen->next_double(gen->state) * (double)d);
     }
 }
 
 
 /* -- the packed tables --------------------------------------------------------
  *
- * `build_bits` fills the packed rows `bits` of `rbcsp.core._FlatTables` for
- * d <= 64 from the instance arrays of `rbcsp.core.CspInstance`: constraint
- * i disallows the pairs (a, b) whose codes a * d + b are
- * codes[pair_start[i] .. pair_start[i+1]-1], ascending.  Its var_a has the
- * incidence slot slot[i] and its var_b the slot slot[m + i].  A pair (a, b)
- * sets bit a of bits[slot[i] * d + b], var_a's row when var_b holds b, and
- * bit b of bits[slot[m + i] * d + a]; bits must hold 2m * d zeros.
+ * `build_bits` fills the packed rows `bits` of `rbcsp.core._FlatTables`, W =
+ * ceil(d / 64) words a row, from the instance arrays of
+ * `rbcsp.core.CspInstance`: constraint i disallows the pairs (a, b) whose
+ * codes a * d + b are codes[pair_start[i] .. pair_start[i+1]-1], ascending.
+ * Its var_a has the incidence slot slot[i] and its var_b the slot
+ * slot[m + i].  A pair (a, b) sets flag a of row slot[i] * d + b, var_a's row
+ * when var_b holds b, and flag b of row slot[m + i] * d + a; bits must hold
+ * 2m * d * W zeros.
  */
-void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int64_t d,
-                const int64_t *slot, uint64_t *bits)
+/* the rows for W words; with W = 1 a flag's word is the row's one */
+static inline __attribute__((always_inline)) void
+fill(const int32_t *codes, const int64_t *pair_start, int64_t m, int64_t d, const int64_t *slot,
+     uint64_t *bits, int64_t W)
 {
     for (int64_t i = 0; i < m; i++) {
-        uint64_t *row_a = bits + slot[i] * d, *row_b = bits + slot[m + i] * d;
+        uint64_t *row_a = bits + slot[i] * d * W, *row_b = bits + slot[m + i] * d * W;
         /* a = code / d, divided out only when the code leaves [base, base + d) */
         int64_t a = 0, base = 0;
         for (int64_t j = pair_start[i]; j < pair_start[i + 1]; j++) {
@@ -366,10 +347,20 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
                 base = a * d;
             }
             const int64_t b = code - base;
-            row_a[b] |= 1ULL << a;
-            row_b[a] |= 1ULL << b;
+            row_a[b * W + (W == 1 ? 0 : a >> 6)] |= 1ULL << (a & 63);
+            row_b[a * W + (W == 1 ? 0 : b >> 6)] |= 1ULL << (b & 63);
         }
     }
+}
+
+void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int64_t d,
+                const int64_t *slot, uint64_t *bits)
+{
+    const int64_t W = (d + 63) / 64;
+    if (W == 1)
+        fill(codes, pair_start, m, d, slot, bits, 1);
+    else
+        fill(codes, pair_start, m, d, slot, bits, W);
 }
 
 

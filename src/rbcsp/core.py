@@ -37,7 +37,7 @@ class CspFormatError(ValueError):
 # allocated.  frb100-40 (n=100, d=40, ~1.3k constraints: 4 MB of tables,
 # 78k clique edges) sits two or more orders of magnitude below each.
 MAX_VARIABLES = 100_000
-MAX_TABLE_BYTES = 1 << 30  # 2·m·d² bytes of per-variable relation tables
+MAX_TABLE_BYTES = 1 << 30  # 2·m·d² bytes of the byte view the Python reference reads
 MAX_CLIQUE_EDGES = 10_000_000  # n·d(d−1)/2 clique edges of the MIS form
 
 
@@ -339,12 +339,11 @@ class _FlatTables:
     is violated when the other endpoint holds w and v holds u.  con_a/con_b
     are the constraints' endpoints.
 
-    For d <= 64, bits packs the flags one uint64 per (slot, w): bit u of
-    bits[s * d + w] is rows[s * d + w, u].  It is the only table of flags
-    built eagerly, by the compiled `build_bits` when it is available; `rows`
-    is unpacked from it when first asked for, which only the Python
-    reference paths do.  For larger d, bits is None and `rows` is built
-    eagerly.
+    bits packs the flags in rows of ceil(d / 64) uint64 words: bit u % 64 of
+    bits[s * d + w, u // 64] is rows[s * d + w, u].  It is the only table of
+    flags built eagerly, by the compiled `build_bits` when it is available;
+    `rows` is unpacked from it when first asked for, which only the Python
+    reference paths do.
     """
 
     __slots__ = ("d", "bits", "base", "inc_start", "slot_other", "slot_cid", "con_a",
@@ -360,11 +359,8 @@ class _FlatTables:
         slot = np.empty(2 * m, dtype=np.int64)
         slot[order] = np.arange(2 * m)
         self.d = d
-        self.bits = self._rows = None
-        if d <= 64:
-            self.bits = _build_bits(instance, slot)
-        else:
-            self._rows = _byte_rows(instance, slot)
+        self.bits = _build_bits(instance, slot)
+        self._rows = None
         self.inc_start = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(var, minlength=n), out=self.inc_start[1:])
         self.slot_other = np.concatenate([con_b, con_a])[order]
@@ -375,46 +371,34 @@ class _FlatTables:
 
     @property
     def rows(self) -> np.ndarray:
-        """uint8 flags of shape (2m·d, d), as the class doc says; for d <= 64
-        unpacked from bits on first use."""
+        """uint8 flags of shape (2m·d, d), as the class doc says, unpacked
+        from bits on first use."""
         if self._rows is None:
-            self._rows = np.unpackbits(
-                self.bits.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
-                axis=1, count=self.d, bitorder="little")
+            self._rows = np.unpackbits(self.bits.astype("<u8", copy=False).view(np.uint8),
+                                       axis=1, count=self.d, bitorder="little")
         return self._rows
 
 
-def _byte_rows(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
-    """`_FlatTables.rows` scattered from the instance's pairs through one
-    flat index per side; slot[cid] and slot[m + cid] are the slots of
+def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
+    """`_FlatTables.bits`, filled by the compiled builder when it is available,
+    else by one numpy scatter; slot[cid] and slot[m + cid] are the slots of
     constraint cid's var a and var b."""
     d, m = instance.d, instance.num_constraints
-    pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
-    va, vb = np.divmod(instance.codes, d)
-    rows = np.zeros(2 * m * d * d, dtype=np.uint8)
-    rows[(slot[pair_cid] * d + vb) * d + va] = 1  # var a's slot: other is b
-    rows[(slot[m + pair_cid] * d + va) * d + vb] = 1  # var b's slot: other is a
-    return rows.reshape(-1, d)
-
-
-def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
-    """`_FlatTables.bits` for d <= 64, filled by the compiled builder when it
-    is available, else packed from `_byte_rows`."""
-    d, m = instance.d, instance.num_constraints
+    words = -(-d // 64)
+    bits = np.zeros((2 * m * d, words), dtype=np.uint64)
     builder = _load_bits_builder()
     if builder is not None:
-        bits = np.zeros(2 * m * d, dtype=np.uint64)
         builder(instance.codes.ctypes.data, instance.pair_start.ctypes.data, m, d,
                 slot.ctypes.data, bits.ctypes.data)
         return bits
-    # one flat packbits over rows padded to whole bytes is 2-3x faster than
-    # packing each row of d bytes on its own
-    nb = (d + 7) // 8
-    wide = np.zeros((2 * m * d, 8 * nb), dtype=np.uint8)
-    wide[:, :d] = _byte_rows(instance, slot)
-    packed = np.zeros((2 * m * d, 8), dtype=np.uint8)
-    packed[:, :nb] = np.packbits(wide, bitorder="little").reshape(-1, nb)
-    return packed.view("<u8").astype(np.uint64, copy=False).ravel()
+    pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
+    va, vb = np.divmod(instance.codes, d)
+    # var a's slot, whose other endpoint holds b, flags a; var b's slot flags b
+    row = np.concatenate([slot[pair_cid] * d + vb, slot[m + pair_cid] * d + va])
+    value = np.concatenate([va, vb])
+    np.bitwise_or.at(bits.reshape(-1), row * words + (value >> 6),
+                     np.uint64(1) << (value & 63).astype(np.uint64))
+    return bits
 
 
 # `build_bits` in _kernel.c, built and opened by _native
@@ -457,10 +441,7 @@ class SearchState:
         # one, so the ids of the flagged slots are the violated ids
         u = np.repeat(self.x, np.diff(tb.inc_start))
         row = np.arange(len(u), dtype=np.int64) * tb.d + self.x.take(tb.slot_other)
-        if tb.bits is not None:
-            flag = tb.bits.take(row) >> u.astype(np.uint64) & np.uint64(1)
-        else:
-            flag = tb.rows[row, u]
+        flag = tb.bits[row, u >> 6] >> (u & 63).astype(np.uint64) & np.uint64(1)
         flags = np.zeros(instance.num_constraints, dtype=bool)
         flags[tb.slot_cid[flag != 0]] = True
         self.violated = ViolatedIndex(instance.num_constraints,

@@ -120,13 +120,9 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
     kernel = _load_kernel()
     values = np.zeros(n, dtype=np.int64)
     if kernel is not None:
-        # held in a local so that it outlives the call, which releases the GIL
-        scratch = None if tb.bits is not None else np.empty(2 * d, dtype=np.int32)
-        kernel.init(tb.bits.ctypes.data if tb.bits is not None else None,
-                    tb.rows.ctypes.data if tb.bits is None else None,
-                    tb.inc_start.ctypes.data, tb.slot_other.ctypes.data, d,
-                    perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
-                    values.ctypes.data, None if scratch is None else scratch.ctypes.data)
+        kernel.init(tb.bits.ctypes.data, tb.inc_start.ctypes.data, tb.slot_other.ctypes.data,
+                    d, perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
+                    values.ctypes.data)
         return SearchState(instance, Assignment(values, np.ones(n, dtype=bool)))
     initialized = np.zeros(n, dtype=bool)
     bounds = tb.inc_start.tolist()
@@ -261,7 +257,7 @@ def _load_kernel() -> Any:
     if _kernel is ...:
         advance = _native.bind("ulsa_advance", [ctypes.POINTER(_RunStruct)], None)
         init = None if advance is None else _native.bind(
-            "ulsa_init", [_P] * 4 + [_I, _P, _I] + [_P] * 3, None)
+            "ulsa_init", [_P] * 3 + [_I, _P, _I] + [_P] * 2, None)
         _kernel = None if init is None else _Kernel(advance, init)
     return _kernel
 
@@ -274,13 +270,12 @@ class _RunStruct(ctypes.Structure):
     """`ulsa_run` in _kernel.c, field for field."""
 
     _fields_ = [
-        ("rows", _P), ("bits", _P), ("inc_start", _P), ("slot_other", _P),
-        ("slot_cid", _P), ("con_a", _P), ("con_b", _P), ("d", _I),
+        ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
+        ("con_a", _P), ("con_b", _P), ("d", _I),
         ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
         ("iterations", _I), ("expansions", _I), ("worsening", _I),
         ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
         ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),
-        ("counts", _P), ("cands", _P),
     ]
 
 
@@ -306,17 +301,13 @@ class _KernelRun:
         self.t = np.zeros(n, dtype=np.int64)
         self.ids = np.empty(m, dtype=np.int32)
         self.pos = np.empty(m, dtype=np.int32)
-        self.scratch = np.empty(3 * d, dtype=np.int32)
-        addr = self.scratch.ctypes.data
         self.c = _RunStruct(
-            None if flat.bits is not None else flat.rows.ctypes.data,
-            None if flat.bits is None else flat.bits.ctypes.data,
-            flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
+            flat.bits.ctypes.data, flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
             flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
             None, self.t.ctypes.data, self.ids.ctypes.data, self.pos.ctypes.data,
             u=uniforms.block.ctypes.data, nu=len(uniforms.block), upos=uniforms.pos,
             gen=uniforms.rng.bit_generator.ctypes.bit_generator,
-            cap=cap, interval=interval or 0, counts=addr, cands=addr + 4 * d)
+            cap=cap, interval=interval or 0)
         self.state: Optional[SearchState] = None  # the state the buffers hold
 
     def advance(self, state: SearchState, best: int) -> None:

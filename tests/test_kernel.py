@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rbcsp import _native, ulsa
@@ -161,7 +162,7 @@ def test_concurrent_first_builds_publish_one_library(kernel, tmp_path):
     assert [p.suffix for p in (tmp_path / "rbcsp").iterdir()] == [".so"]
 
 
-# -- bit planes, the byte branch and kernel slices -----------------------------
+# -- bit planes, words and kernel slices ---------------------------------------
 
 
 def hub(degree: int, d: int, k: int) -> CspInstance:
@@ -177,11 +178,16 @@ def hub(degree: int, d: int, k: int) -> CspInstance:
 
 
 BOUNDARY_CASES = [
-    # d = 64: the top bit of the mask; d = 65: the byte rows
+    # d = 64: the top bit of the mask; d = 65 and 129: a last word of one
+    # value; d = 128: two full words
     pytest.param(lambda: random_instance(random.Random(3), n=8, d=64, m=30),
                  UlsaConfig(max_iterations=3000), id="d64"),
     pytest.param(lambda: random_instance(random.Random(4), n=8, d=65, m=30),
                  UlsaConfig(max_iterations=3000), id="d65"),
+    pytest.param(lambda: random_instance(random.Random(7), n=8, d=128, m=30),
+                 UlsaConfig(max_iterations=3000), id="d128"),
+    pytest.param(lambda: random_instance(random.Random(8), n=8, d=129, m=30),
+                 UlsaConfig(max_iterations=3000, restart_interval=211), id="d129-restarts"),
     pytest.param(lambda: random_instance(random.Random(5), n=8, d=64, m=60),
                  UlsaConfig(max_iterations=3000, restart_interval=211), id="d64-restarts"),
     pytest.param(lambda: random_instance(random.Random(6), n=8, d=65, m=40),
@@ -203,18 +209,19 @@ BOUNDARY_CASES = [
 @pytest.mark.parametrize("make, config", BOUNDARY_CASES)
 def test_boundary_record_equals_python_record(kernel, monkeypatch, make, config):
     instance = make()
-    bits = instance._tables.bits
-    assert (bits is None) == (instance.d > 64)
+    d = instance.d
+    assert instance._tables.bits.shape == (2 * instance.num_constraints * d, -(-d // 64))
     for seed in range(3):
         fast = run(instance, config, seed, track_best=True)
         slow = python_run(monkeypatch, instance, config, seed, track_best=True)
         assert fields(fast) == fields(slow), seed
 
 
-@pytest.mark.parametrize("d", [64, 65])
+@pytest.mark.parametrize("d", [64, 65, 128, 129])
 def test_only_solution_is_the_top_value(kernel, monkeypatch, d):
     # every pair but (d-1, d-1) is disallowed, so the search must move to the
-    # top value: bit 63 of a packed row and of the candidate mask at d = 64
+    # top value: bit 63 of a packed row and of the candidate mask at d = 64,
+    # and of the last word at d = 128; the one value of the last word at 65, 129
     top = d - 1
     pairs = tuple((a, b) for a in range(d) for b in range(d) if (a, b) != (top, top))
     instance = CspInstance(3, d, (Constraint(0, 1, pairs), Constraint(1, 2, pairs)))
@@ -223,6 +230,19 @@ def test_only_solution_is_the_top_value(kernel, monkeypatch, d):
         assert fast.success and fast.iterations > 0 and fast.assignment == [top] * 3
         slow = python_run(monkeypatch, instance, UlsaConfig(), seed, track_best=True)
         assert fields(fast) == fields(slow), seed
+
+
+def test_no_constraints_at_a_huge_domain(kernel):
+    # with no constraints every value ties at 0, and the start needs no masks
+    # of 2^20 words on the stack; the k-th of the d values is k
+    d = 1 << 26
+    record = run(CspInstance(3, d), UlsaConfig(), 0)
+    assert record.success and record.iterations == 0
+    rng = np.random.Generator(np.random.PCG64(0))
+    expected = [0] * 3
+    for v in rng.permutation(3).tolist():
+        expected[v] = int(rng.random() * d)
+    assert record.assignment == expected
 
 
 @pytest.mark.parametrize("slice_", [1, 7])

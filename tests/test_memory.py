@@ -98,3 +98,14 @@ def test_tables_peak_n100(n100):
         pytest.skip("the compiled kernel could not be built here")
     instance, _ = loads_csp(n100[0])
     assert traced_peak_mb(core._FlatTables, instance) <= 3
+
+
+def test_tables_peak_d69():
+    # n = 200 puts d at 69: rows of two words, 6.5 MB for m = 2.9k constraints;
+    # the eager uint8 rows built before at d > 64 took 2m·d² bytes, 28 MB
+    if core._load_bits_builder() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    instance, _ = generate_forced(phase_transition_params(200), 1)
+    m, d = instance.num_constraints, instance.d
+    assert d == 69
+    assert traced_peak_mb(core._FlatTables, instance) <= 2 * m * d * d / 4 / 1e6

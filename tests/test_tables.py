@@ -48,10 +48,14 @@ def oracle(instance: CspInstance):
 
 
 def packed(rows: np.ndarray) -> np.ndarray:
-    """Bit u of entry r is rows[r, u]; the bits are distinct, so the sum is their or."""
+    """Bit u % 64 of word u // 64 of entry r is rows[r, u], in ceil(d / 64)
+    words per entry; a word's bits are distinct, so their sum is their or."""
     d = rows.shape[1]
-    return (rows.astype(np.uint64) << np.arange(d, dtype=np.uint64)).sum(
-        axis=1, dtype=np.uint64)
+    words = -(-d // 64)
+    wide = np.zeros((len(rows), 64 * words), dtype=np.uint64)
+    wide[:, :d] = rows
+    return (wide.reshape(len(rows), words, 64) << np.arange(64, dtype=np.uint64)).sum(
+        axis=2, dtype=np.uint64)
 
 
 def hub(degree: int, d: int, k: int) -> CspInstance:
@@ -73,6 +77,9 @@ INSTANCES = [
     pytest.param(lambda: random_instance(random.Random(2), n=6, d=2, m=10), id="d2"),
     pytest.param(lambda: random_instance(random.Random(63), n=7, d=63, m=15), id="d63"),
     pytest.param(lambda: random_instance(random.Random(64), n=7, d=64, m=15), id="d64"),
+    pytest.param(lambda: random_instance(random.Random(65), n=7, d=65, m=15), id="d65"),
+    pytest.param(lambda: random_instance(random.Random(128), n=7, d=128, m=15), id="d128"),
+    pytest.param(lambda: random_instance(random.Random(129), n=7, d=129, m=15), id="d129"),
     pytest.param(duplicates_and_isolated, id="duplicates-isolated"),
     pytest.param(lambda: hub(600, 5, 6), id="hub600"),
     pytest.param(lambda: generate_forced(ModelRbParams(n=20), 3)[0], id="forced20"),
@@ -106,14 +113,14 @@ def test_native_and_numpy_bits_equal_the_oracle(builder, monkeypatch, make):
         assert tables.slot_other.tolist() == slot_other
 
 
-@pytest.mark.parametrize("make", INSTANCES + [
-    pytest.param(lambda: random_instance(random.Random(65), n=7, d=65, m=15), id="d65")])
+@pytest.mark.parametrize("make", INSTANCES)
 def test_byte_view_equals_the_oracle_rows(monkeypatch, make):
     instance = make()
     rows = oracle(instance)[3]
     for tables in (_FlatTables(instance), numpy_tables(monkeypatch, instance)):
-        # d <= 64 unpacks the view on first use; d > 64 builds it eagerly
-        assert (tables._rows is None) == (instance.d <= 64)
+        # the view is unpacked from the words of bits on first use, at any d
+        assert tables._rows is None
+        assert tables.bits.shape == (len(rows), -(-instance.d // 64))
         assert tables.rows.dtype == np.uint8 and np.array_equal(tables.rows, rows)
         assert tables.base.tolist() == list(range(0, len(rows), instance.d))
 
@@ -135,6 +142,7 @@ def kernel():
     pytest.param(lambda: generate_forced(ModelRbParams(n=25), 2)[0], id="forced25"),
     pytest.param(lambda: random_instance(random.Random(3), n=9, d=64, m=40), id="d64"),
     pytest.param(lambda: random_instance(random.Random(4), n=9, d=65, m=40), id="d65"),
+    pytest.param(lambda: random_instance(random.Random(5), n=9, d=129, m=40), id="d129"),
     pytest.param(duplicates_and_isolated, id="duplicates-isolated"),
     pytest.param(lambda: hub(600, 4, 5), id="hub600"),
 ])
@@ -154,8 +162,9 @@ def test_kernel_start_equals_python_start(kernel, monkeypatch, make):
 
 
 def test_threaded_restarts_at_d65_equal_serial_records(kernel):
-    # at d > 64 each greedy start counts into its own scratch buffer while the
-    # GIL is released; threads restarting side by side must not share one
+    # at d > 64 each greedy start and each step keeps its per-word masks on
+    # its own thread's stack while the GIL is released; threads restarting
+    # side by side must not share them
     instance = random_instance(random.Random(6), n=40, d=65, m=300)
     cfg = UlsaConfig(max_iterations=300, restart_interval=5)
 
@@ -179,11 +188,13 @@ def test_threaded_restarts_at_d65_equal_serial_records(kernel):
 
 
 def test_kernel_run_builds_no_byte_view(kernel):
-    instance = generate_forced(ModelRbParams(n=25), 1)[0]
-    for config in (UlsaConfig(max_iterations=20_000, restart_interval=3000),
-                   UlsaConfig(target=TargetSpec(23, 4))):
-        assert run(instance, config, 0, track_best=True).iterations > 0
-    assert instance._tables._rows is None
+    for instance, target in (
+            (generate_forced(ModelRbParams(n=25), 1)[0], TargetSpec(23, 4)),
+            (random_instance(random.Random(4), n=9, d=65, m=40), TargetSpec(7, 4))):
+        for config in (UlsaConfig(max_iterations=20_000, restart_interval=3000),
+                       UlsaConfig(target=target)):
+            assert run(instance, config, 0, track_best=True).iterations > 0
+        assert instance._tables._rows is None, instance.d
 
 
 def test_bits_builder_compile_failure_falls_back_silently(builder, monkeypatch, capfd):
