@@ -21,7 +21,7 @@
  * bits[(s*d + w) * W + (u >> 6)] is the violation flag when the other
  * endpoint holds w and v holds u, so word k of a row holds the values
  * 64k .. 64k+63.  Counts are kept in bit planes, one word at a time.  The
- * field order of `ulsa_run` matches `rbcsp.ulsa._RunStruct`.
+ * field order of `ulsa_run` matches `rbcsp._native._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>

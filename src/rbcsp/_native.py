@@ -1,11 +1,12 @@
-"""The compiled kernel, _kernel.c: ULSA's step loop, the text reader and
-the text writers.
+"""The compiled kernel, _kernel.c: ULSA's start and step loop, the table
+build, the text reader and the text writers.
 
 The source is built with the local C compiler on first use and cached per
-user; `bind` opens the library and returns one of its functions, or None
-when it cannot be built or opened, and then the caller runs its Python
+user.  `kernel` opens the library once per process and gives every exported
+function its signature from `_SIGNATURES`; it returns the library, or None
+when it cannot be built or opened, and then every caller runs its Python
 reference instead.  This module imports nothing from the package, so that
-`core`, `misbridge` and `ulsa` each bind what they call.
+`core`, `misbridge` and `ulsa` can all call it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")
@@ -63,14 +64,50 @@ def _compile() -> Path:
     return lib
 
 
-def bind(name: str, argtypes: list, restype: Optional[type]) -> Any:
-    """The kernel function `name` with the given signature, or None."""
-    try:
-        fn = getattr(ctypes.CDLL(str(_compile())), name)
-    # no compiler or cache directory, a failed build, a library that does
-    # not load
-    except (OSError, subprocess.SubprocessError, AttributeError, ValueError):
-        return None
-    fn.argtypes = argtypes
-    fn.restype = restype
-    return fn
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+
+
+class _RunStruct(ctypes.Structure):
+    """`ulsa_run` in _kernel.c, field for field."""
+
+    _fields_ = [
+        ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
+        ("con_a", _P), ("con_b", _P), ("d", _I),
+        ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
+        ("iterations", _I), ("expansions", _I), ("worsening", _I),
+        ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
+        ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),
+    ]
+
+
+# (argtypes, restype) of each function the package calls
+_SIGNATURES = {
+    "ulsa_advance": ([ctypes.POINTER(_RunStruct)], None),
+    "ulsa_init": ([_P] * 3 + [_I, _P, _I] + [_P] * 2, None),
+    "build_bits": ([_P, _P, _I, _I, _P, _P], None),
+    "read_piece": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, ctypes.POINTER(_I), _P],
+                   _I),
+    "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P], _I),
+    "write_edges": ([_P, _I, _P], _I),
+}
+
+_lib: Any = ...  # the library once opened, None if unavailable, ... until tried
+
+
+def kernel() -> Any:
+    """The kernel library with every function of _SIGNATURES typed, opened
+    once per process, or None."""
+    global _lib
+    if _lib is ...:
+        try:
+            lib = ctypes.CDLL(str(_compile()))
+            for name, (argtypes, restype) in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.argtypes, fn.restype = argtypes, restype
+        # no compiler or cache directory, a failed build, a library that does
+        # not load or lacks a function
+        except (OSError, subprocess.SubprocessError, AttributeError, ValueError):
+            lib = None
+        _lib = lib
+    return _lib

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _native
 from .core import CspInstance
-from .ulsa import RunRecord, StepStats, UlsaConfig, _load_kernel, run
+from .ulsa import RunRecord, StepStats, UlsaConfig, run
 
 
 class FitError(ValueError):
@@ -43,7 +44,7 @@ def run_many(
     seeds = range(base_seed, base_seed + num_runs)
     if workers <= 1:
         return list(map(one, seeds))
-    if _load_kernel() is not None:
+    if _native.kernel() is not None:
         # kernel calls release the GIL, so threads run in parallel and share
         # the instance's tables, built once here.  Imported here: at module
         # level it moved the peak RSS of processes that never use it

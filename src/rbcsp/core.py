@@ -268,65 +268,81 @@ def conflict_count(instance: CspInstance, assignment: Assignment) -> int:
 
 def _count_violated(instance: CspInstance, values, active: np.ndarray) -> int:
     """Constraints flagged in `active` whose value pair under `values` is
-    disallowed, by binary search of the instance's pair keys cid·d² + code,
-    which ascend."""
-    d, sizes = instance.d, np.diff(instance.pair_start)
-    keys = np.repeat(np.arange(len(sizes)) * d * d, sizes) + instance.codes
+    disallowed, by a binary search of each one's own ascending block of
+    codes, all of the blocks at once."""
+    d, codes = instance.d, instance.codes
     x = np.asarray(values, dtype=np.int64)
     cid = np.flatnonzero(active)
     va, vb = x[instance.con_a[cid]], x[instance.con_b[cid]]
     inside = (va >= 0) & (va < d) & (vb >= 0) & (vb < d)  # others are never disallowed
-    key = ((cid * d + va) * d + vb)[inside]
-    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-    return int(np.count_nonzero(keys[pos] == key))
+    cid, code = cid[inside], (va * d + vb)[inside]
+    lo, end = instance.pair_start[cid], instance.pair_start[cid + 1]
+    hi, top = end, len(codes) - 1
+    # the first position of each block [lo, hi) holding a code >= the pair's
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        right = (lo < hi) & (codes[np.minimum(mid, top)] < code)
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+    return int(np.count_nonzero((lo < end) & (codes[np.minimum(lo, top)] == code)))
 
 
 class ViolatedIndex:
     """Set of constraint ids with O(1) add/discard/membership and O(1) pick.
 
-    Backed by a dense list plus a position map (swap-remove on discard), so a
-    uniform random member is just `ids[int(u * len)]`.
+    Backed by the first `n` entries of a dense int32 array `_ids` of capacity
+    num_constraints plus an int32 position map `pos`, -1 for a non-member
+    (swap-remove on discard), so a uniform random member is just
+    `_ids[int(u * n)]`.  The compiled kernel updates the same two arrays, and
+    `n` is copied back at each of its exits.
     """
 
-    __slots__ = ("ids", "pos")
+    __slots__ = ("_ids", "pos", "n")
 
-    def __init__(self, num_constraints: int, ids: Iterable[int] = ()):
+    def __init__(self, num_constraints: int, ids: Sequence[int] = ()):
         """An index holding `ids`, which must be distinct, in the order given."""
-        self.ids: list[int] = list(ids)
-        self.pos: list[int] = [-1] * num_constraints
-        for p, cid in enumerate(self.ids):
-            self.pos[cid] = p
+        members = np.asarray(ids, dtype=np.int32)
+        self.n = len(members)
+        self._ids = np.empty(num_constraints, dtype=np.int32)
+        self._ids[:self.n] = members
+        self.pos = np.full(num_constraints, -1, dtype=np.int32)
+        self.pos[members] = np.arange(self.n, dtype=np.int32)
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The members in index order, a view that later changes overwrite."""
+        return self._ids[:self.n]
 
     def add(self, cid: int) -> None:
-        if self.pos[cid] < 0:
-            self.pos[cid] = len(self.ids)
-            self.ids.append(cid)
+        if self.pos.item(cid) < 0:
+            self.pos[cid] = self.n
+            self._ids[self.n] = cid
+            self.n += 1
 
     def discard(self, cid: int) -> None:
-        p = self.pos[cid]
+        p = self.pos.item(cid)
         if p < 0:
             return
-        last = self.ids[-1]
-        self.ids[p] = last
+        self.n -= 1
+        last = self._ids.item(self.n)
+        self._ids[p] = last
         self.pos[last] = p
-        self.ids.pop()
         self.pos[cid] = -1
 
     def pick(self, u: float) -> int:
         """Uniform member for u drawn from [0, 1)."""
-        return self.ids[int(u * len(self.ids))]
+        return self._ids.item(int(u * self.n))
 
     def __contains__(self, cid: int) -> bool:
-        return self.pos[cid] >= 0
+        return self.pos.item(cid) >= 0
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return self.n
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.ids)
+        return iter(self.ids.tolist())
 
     def as_set(self) -> set[int]:
-        return set(self.ids)
+        return set(self.ids.tolist())
 
 
 class _FlatTables:
@@ -386,10 +402,10 @@ def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
     d, m = instance.d, instance.num_constraints
     words = -(-d // 64)
     bits = np.zeros((2 * m * d, words), dtype=np.uint64)
-    builder = _load_bits_builder()
-    if builder is not None:
-        builder(instance.codes.ctypes.data, instance.pair_start.ctypes.data, m, d,
-                slot.ctypes.data, bits.ctypes.data)
+    lib = _native.kernel()
+    if lib is not None:
+        lib.build_bits(instance.codes.ctypes.data, instance.pair_start.ctypes.data, m, d,
+                       slot.ctypes.data, bits.ctypes.data)
         return bits
     pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
     va, vb = np.divmod(instance.codes, d)
@@ -401,28 +417,15 @@ def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
     return bits
 
 
-# `build_bits` in _kernel.c, built and opened by _native
-_bits_builder: Any = ...  # build_bits once loaded, None if unavailable, ... until tried
-
-
-def _load_bits_builder() -> Any:
-    """build_bits from the kernel library, loaded once per process, or None."""
-    global _bits_builder
-    if _bits_builder is ...:
-        _bits_builder = _native.bind("build_bits", [ctypes.c_void_p, ctypes.c_void_p,
-                                                    ctypes.c_int64, ctypes.c_int64,
-                                                    ctypes.c_void_p, ctypes.c_void_p], None)
-    return _bits_builder
-
-
 class SearchState:
     """Mutable single-threaded search state over a fixed instance.
 
-    Tracks the current assignment, per-variable change timestamps, the
-    iteration counter, and the exact set of violated constraint ids.
+    Tracks the current assignment `x` and the per-variable change timestamps
+    `t`, both int64 arrays, the iteration counter, and the exact set of
+    violated constraint ids.  The compiled kernel steps these arrays in place.
     """
 
-    __slots__ = ("instance", "x", "t", "n_iter", "violated", "_tb", "_xl", "_inc")
+    __slots__ = ("instance", "x", "t", "n_iter", "violated", "_tb", "_inc")
 
     def __init__(self, instance: CspInstance, assignment: Assignment):
         if not assignment.is_complete:
@@ -434,8 +437,7 @@ class SearchState:
         tb = self._tb = instance._tables
         self._inc = tb.inc_start.tolist()  # slot bounds as ints, for the Python gathers
         self.x = vals.copy()
-        self._xl = self.x.tolist()  # plain-int mirror for scalar reads
-        self.t = [0] * instance.n
+        self.t = np.zeros(instance.n, dtype=np.int64)
         self.n_iter = 0
         # each slot's flag under x; both slots of a constraint hold the same
         # one, so the ids of the flagged slots are the violated ids
@@ -445,7 +447,7 @@ class SearchState:
         flags = np.zeros(instance.num_constraints, dtype=bool)
         flags[tb.slot_cid[flag != 0]] = True
         self.violated = ViolatedIndex(instance.num_constraints,
-                                      np.flatnonzero(flags).tolist())  # ascending
+                                      np.flatnonzero(flags))  # ascending
 
     # -- queries ------------------------------------------------------------
 
@@ -454,7 +456,7 @@ class SearchState:
         return len(self.violated)
 
     def violated_ids(self) -> list[int]:
-        return list(self.violated.ids)
+        return self.violated.ids.tolist()
 
     def as_assignment(self) -> Assignment:
         return Assignment.from_values(self.x)
@@ -490,7 +492,7 @@ class SearchState:
         rows = tb.base[s0:s1] + self.x.take(tb.slot_other[s0:s1])
         cols = tb.rows.take(rows, axis=0)
         counts = np.add.reduce(cols, axis=0, dtype=np.int32)
-        return counts, int(counts[self._xl[var]]), cols
+        return counts, counts.item(self.x.item(var)), cols
 
     # -- mutation -----------------------------------------------------------
 
@@ -501,7 +503,7 @@ class SearchState:
         a from-scratch recount.  `value` must differ from the current value.
         """
         self._check_var_value(var, value)
-        old = self._xl[var]
+        old = self.x.item(var)
         if value == old:
             raise ValueError(
                 f"variable {var} must change to a value different from {old}"
@@ -515,7 +517,7 @@ class SearchState:
         The one update path of the violated set: the slots whose flag differs
         between the old and the new value are added or discarded.
         """
-        old = self._xl[var]
+        old = self.x.item(var)
         new_col = cols[:, value]
         changed = (new_col != cols[:, old]).nonzero()[0]
         if changed.size:
@@ -528,7 +530,6 @@ class SearchState:
                 else:
                     violated.discard(ids.item(s0 + li))
         self.x[var] = value
-        self._xl[var] = value
         self.n_iter += 1
         self.t[var] = self.n_iter
 
@@ -561,14 +562,14 @@ def dumps_csp(
     is available, else by `_blocks`."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}\n")
-    writer = _load_blocks_writer()
-    if writer is None:
+    lib = _native.kernel()
+    if lib is None:
         parts += _blocks(instance)
     else:
-        parts.append(_write(writer, instance.con_a.ctypes.data, instance.con_b.ctypes.data,
-                            instance.pair_start.ctypes.data, instance.num_constraints,
-                            instance.codes.ctypes.data, instance.codes.itemsize == 8,
-                            instance.d))
+        parts.append(_write(lib.write_blocks, instance.con_a.ctypes.data,
+                            instance.con_b.ctypes.data, instance.pair_start.ctypes.data,
+                            instance.num_constraints, instance.codes.ctypes.data,
+                            instance.codes.itemsize == 8, instance.d))
     if solution is not None:
         if not solution.is_complete or len(solution) != instance.n:
             raise ValueError("recorded solution must assign every variable")
@@ -590,20 +591,6 @@ def _blocks(instance: CspInstance) -> list[str]:
     return [f"k {a} {b} {e - s}\n" + "".join(f_lines[s:e])
             for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(),
                                   bounds, bounds[1:])]
-
-
-# `write_blocks` in _kernel.c, built and opened by _native
-_blocks_writer: Any = ...  # write_blocks once loaded, None if unavailable, ... until tried
-
-
-def _load_blocks_writer() -> Any:
-    """write_blocks from the kernel library, loaded once per process, or None."""
-    global _blocks_writer
-    if _blocks_writer is ...:
-        _blocks_writer = _native.bind("write_blocks", [ctypes.c_void_p] * 3 + [
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p], ctypes.c_int64)
-    return _blocks_writer
 
 
 def _write(writer: Any, *args) -> str:
@@ -671,12 +658,12 @@ def _read(text: str, tag: str, limit: int):
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
-    reader = _load_reader()
+    lib = _native.kernel()
     found, lineno = [], 0
     for pos, piece in _pieces(text, _CHUNK):
         got = None
-        if reader is not None and piece.isascii():
-            got = _read_ascii(reader, piece, tag, limit)
+        if lib is not None and piece.isascii():
+            got = _read_ascii(lib.read_piece, piece, tag, limit)
         bulk, values, others, spans, breaks = got or _read_piece(piece, tag, limit)
         found.append(((bulk + lineno).astype(index), values.astype(value),
                       (others + lineno).astype(index), (spans + pos).astype(index)))
@@ -684,27 +671,12 @@ def _read(text: str, tag: str, limit: int):
     return [np.concatenate(column) for column in zip(*found)]
 
 
-# `read_piece` in _kernel.c, built and opened by _native
-_reader: Any = ...  # read_piece once loaded, None if unavailable, ... until tried
-_I64 = ctypes.c_int64
-
-
-def _load_reader() -> Any:
-    """read_piece from the kernel library, loaded once per process, or None."""
-    global _reader
-    if _reader is ...:
-        _reader = _native.bind("read_piece", [ctypes.c_char_p, _I64, ctypes.c_char_p, _I64,
-                                              _I64, ctypes.POINTER(_I64), ctypes.c_void_p],
-                               _I64)
-    return _reader
-
-
 def _read_ascii(reader: Any, piece: str, tag: str, limit: int):
     """_read_piece's results for an ASCII piece, from the compiled reader in
     two passes: one counts the lines, one fills arrays of that size.  None
     when a value token is not plain digits and needs int()'s rules."""
     raw = piece.encode("ascii")
-    sizes = (_I64 * 2)()
+    sizes = (ctypes.c_int64 * 2)()
     args = (raw, len(raw), _ASCII_CLASS, ord(tag), limit, sizes)
     reader(*args, None)
     nbulk, nother = sizes

@@ -13,11 +13,10 @@ that is how such benchmarks are distributed.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from typing import Any, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -346,11 +345,11 @@ def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
     by `_edge_slices`."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
-    writer = _load_edges_writer()
-    if writer is None:
+    lib = _native.kernel()
+    if lib is None:
         parts += _edge_slices(graph.pairs)
     else:
-        parts.append(_write(writer, graph.pairs.ctypes.data, graph.num_edges))
+        parts.append(_write(lib.write_edges, graph.pairs.ctypes.data, graph.num_edges))
     return "".join(parts)
 
 
@@ -369,16 +368,3 @@ def _edge_slices(pairs: np.ndarray) -> Iterator[str]:
         index = index.reshape(-1, 2)
         yield "".join([heads[u] + tails[v] for u, v in zip(index[:, 0].tolist(),
                                                            index[:, 1].tolist())])
-
-
-# `write_edges` in _kernel.c, built and opened by _native
-_edges_writer: Any = ...  # write_edges once loaded, None if unavailable, ... until tried
-
-
-def _load_edges_writer() -> Any:
-    """write_edges from the kernel library, loaded once per process, or None."""
-    global _edges_writer
-    if _edges_writer is ...:
-        _edges_writer = _native.bind("write_edges", [ctypes.c_void_p, ctypes.c_int64,
-                                                     ctypes.c_void_p], ctypes.c_int64)
-    return _edges_writer

@@ -17,10 +17,9 @@ reference, otherwise; both follow the same trajectory.
 
 from __future__ import annotations
 
-import ctypes
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -117,12 +116,12 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
     tb = instance._tables
     n, d = instance.n, instance.d
     perm = rng.permutation(n)
-    kernel = _load_kernel()
+    lib = _native.kernel()
     values = np.zeros(n, dtype=np.int64)
-    if kernel is not None:
-        kernel.init(tb.bits.ctypes.data, tb.inc_start.ctypes.data, tb.slot_other.ctypes.data,
-                    d, perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
-                    values.ctypes.data)
+    if lib is not None:
+        lib.ulsa_init(tb.bits.ctypes.data, tb.inc_start.ctypes.data, tb.slot_other.ctypes.data,
+                      d, perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
+                      values.ctypes.data)
         return SearchState(instance, Assignment(values, np.ones(n, dtype=bool)))
     initialized = np.zeros(n, dtype=bool)
     bounds = tb.inc_start.tolist()
@@ -159,23 +158,22 @@ def step(state: SearchState, rng: np.random.Generator,
 def _step(state: SearchState, draw: Callable[[], float],
           stats: Optional[StepStats]) -> None:
     tb = state._tb
-    ids = state.violated.ids
-    cid = ids[int(draw() * len(ids))]
+    cid = state.violated.pick(draw())
     a, b = tb.con_a.item(cid), tb.con_b.item(cid)
-    t = state.t
-    if t[a] < t[b]:
+    t_a, t_b = state.t.item(a), state.t.item(b)
+    if t_a < t_b:
         i, j = a, b
-    elif t[b] < t[a]:
+    elif t_b < t_a:
         i, j = b, a
     else:
         i, j = (a, b) if draw() < 0.5 else (b, a)
 
     counts_i, cur_i, cols_i = state._counts_cols(i)
     ci = counts_i.tolist()
-    ci[state._xl[i]] = _MASK
+    ci[state.x.item(i)] = _MASK
     min_i = min(ci)
 
-    expanded = min_i > cur_i and t[j] != state.n_iter
+    expanded = min_i > cur_i and state.t.item(j) != state.n_iter
     if not expanded:
         cands = [u for u, c in enumerate(ci) if c == min_i]
         var = i
@@ -185,7 +183,7 @@ def _step(state: SearchState, draw: Callable[[], float],
     else:
         counts_j, cur_j, cols_j = state._counts_cols(j)
         cj = counts_j.tolist()
-        cj[state._xl[j]] = _MASK
+        cj[state.x.item(j)] = _MASK
         min_j = min(cj)
         delta_i = min_i - cur_i
         delta_j = min_j - cur_j
@@ -236,101 +234,59 @@ class _Uniforms:
 
 # -- compiled step kernel ------------------------------------------------------
 #
-# `ulsa_advance` and `ulsa_init` in _kernel.c, built and opened by _native;
-# when that fails, `run` and `init_state` step in Python.  Both paths follow
-# the same trajectory.
+# `ulsa_advance` and `ulsa_init` in _kernel.c, from the library _native.kernel()
+# opens; when it is None, `run` and `init_state` step in Python.  Both paths
+# follow the same trajectory over the same arrays of SearchState.
 
-
-class _Kernel(NamedTuple):
-    advance: Any  # ulsa_advance
-    init: Any  # ulsa_init
-
-
-_kernel: Any = ...  # a _Kernel once loaded, None if unavailable, ... until tried
 # the most steps one kernel call takes, so that Ctrl-C is seen within a second or so
 _SLICE = 1 << 20
 
 
-def _load_kernel() -> Any:
-    """The kernel's run functions, loaded once per process, or None."""
-    global _kernel
-    if _kernel is ...:
-        advance = _native.bind("ulsa_advance", [ctypes.POINTER(_RunStruct)], None)
-        init = None if advance is None else _native.bind(
-            "ulsa_init", [_P] * 3 + [_I, _P, _I] + [_P] * 2, None)
-        _kernel = None if init is None else _Kernel(advance, init)
-    return _kernel
-
-
-_P = ctypes.c_void_p
-_I = ctypes.c_int64
-
-
-class _RunStruct(ctypes.Structure):
-    """`ulsa_run` in _kernel.c, field for field."""
-
-    _fields_ = [
-        ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
-        ("con_a", _P), ("con_b", _P), ("d", _I),
-        ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
-        ("iterations", _I), ("expansions", _I), ("worsening", _I),
-        ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
-        ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),
-    ]
-
-
 class _KernelRun:
-    """The compiled kernel bound to one run, with buffers of its own.
+    """The compiled kernel bound to one run.
 
-    The kernel takes every step of the run.  It updates `state.x` in place,
-    and the violated ids, the clock and the counters are copied back at each
-    exit; a state `init_state` has built is copied in before its first call.
-    From the first call on, the kernel owns the block of uniforms and its
-    cursor, and refills the block from the run's generator.
+    The kernel takes every step of the run on the state's own arrays: it
+    updates `x`, `t` and the violated index's `_ids` and `pos` in place.  The
+    struct points at a state's arrays from its first call on, as after a
+    restart; the violated count and the clock are set before each call and
+    read back after it, with the step counters.  From the first call on, the
+    kernel owns the block of uniforms and its cursor, and refills the block
+    from the run's generator.
     """
 
-    def __init__(self, fn: Any, instance: CspInstance, uniforms: _Uniforms,
+    def __init__(self, lib: Any, instance: CspInstance, uniforms: _Uniforms,
                  stats: StepStats, cap: int, budget: int, interval: Optional[int]):
         flat = instance._tables
-        n, d, m = instance.n, instance.d, instance.num_constraints
-        self.fn = fn
+        self.fn = lib.ulsa_advance
         self.stats = stats
         self.budget = budget
         # kept alive with the struct pointing into them
         self.flat, self.uniforms = flat, uniforms
-        self.t = np.zeros(n, dtype=np.int64)
-        self.ids = np.empty(m, dtype=np.int32)
-        self.pos = np.empty(m, dtype=np.int32)
-        self.c = _RunStruct(
+        self.c = _native._RunStruct(
             flat.bits.ctypes.data, flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
-            flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data, d,
-            None, self.t.ctypes.data, self.ids.ctypes.data, self.pos.ctypes.data,
-            u=uniforms.block.ctypes.data, nu=len(uniforms.block), upos=uniforms.pos,
+            flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data,
+            instance.d, iterations=stats.iterations, expansions=stats.expansions,
+            worsening=stats.worsening, u=uniforms.block.ctypes.data,
+            nu=len(uniforms.block), upos=uniforms.pos,
             gen=uniforms.rng.bit_generator.ctypes.bit_generator,
             cap=cap, interval=interval or 0)
-        self.state: Optional[SearchState] = None  # the state the buffers hold
+        # the state whose arrays the struct points into, kept alive with it
+        self.state: Optional[SearchState] = None
 
     def advance(self, state: SearchState, best: int) -> None:
         """Step `state` until a run event, or for _SLICE steps."""
-        c, stats = self.c, self.stats
+        c, stats, violated = self.c, self.stats, state.violated
         if self.state is not state:
             self.state = state
-            ids = state.violated.ids
-            self.t[:] = state.t
-            self.ids[:len(ids)] = ids
-            self.pos[:] = state.violated.pos
-            c.x = state.x.ctypes.data
-            c.nviol = len(ids)
-            c.n_iter = state.n_iter
-            c.iterations, c.expansions, c.worsening = (
-                stats.iterations, stats.expansions, stats.worsening)
+            c.x, c.t = state.x.ctypes.data, state.t.ctypes.data
+            c.ids, c.pos = violated._ids.ctypes.data, violated.pos.ctypes.data
+        c.nviol, c.n_iter = violated.n, state.n_iter
         c.best = best
         c.budget = stats.iterations + _SLICE
         if self.budget:
             c.budget = min(c.budget, self.budget)
         self.fn(c)
-        state.violated.ids[:] = self.ids[:c.nviol].tolist()
-        state.n_iter = c.n_iter
+        violated.n, state.n_iter = c.nviol, c.n_iter
         stats.iterations, stats.expansions, stats.worsening = (
             c.iterations, c.expansions, c.worsening)
 
@@ -366,17 +322,16 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     best_assignment = best_violated = subset = None
 
     cap = target.conflict_cap if target is not None else -1
-    fn = _load_kernel()
-    kernel = None if fn is None else _KernelRun(fn.advance, instance, uniforms, stats,
-                                                cap, budget, interval)
-    viol_ids = state.violated.ids
+    lib = _native.kernel()
+    kernel = None if lib is None else _KernelRun(lib, instance, uniforms, stats,
+                                                 cap, budget, interval)
     while True:
-        conflicts = len(viol_ids)
+        conflicts = state.num_conflicts
         if conflicts < best:
             best = conflicts
             if track_best:
                 best_assignment = state.x.tolist()
-                best_violated = sorted(viol_ids)
+                best_violated = sorted(state.violated_ids())
         if conflicts == 0:
             break
         if conflicts <= cap:
@@ -387,7 +342,6 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
             break
         if interval is not None and state.n_iter >= interval:
             state = init_state(instance, rng)
-            viol_ids = state.violated.ids
             restarts += 1
             continue
         if kernel is None:
@@ -396,7 +350,7 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
             kernel.advance(state, best)
 
     wall = time.perf_counter() - start
-    success = not viol_ids or subset is not None
+    success = state.num_conflicts == 0 or subset is not None
     assignment = state.x.tolist() if success else None
     if success:  # a recount over the instance's sorted pairs, independent of SearchState
         checked = range(instance.n) if subset is None else subset

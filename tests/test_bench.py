@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbcsp import bench, ulsa
+from rbcsp import _native, bench
 from rbcsp.bench import (
     FitError,
     Rtd,
@@ -72,7 +72,7 @@ class TestRunMany:
         # threads when the kernel is loaded, processes with Python steps
         # otherwise; the threads start on an instance whose tables are not
         # built yet
-        if ulsa._load_kernel() is None:
+        if _native.kernel() is None:
             pytest.skip("the step kernel could not be built here")
         instance, _ = generate_forced(phase_transition_params(15), seed=3)
         cfg = UlsaConfig(max_iterations=500, restart_interval=150)
@@ -93,7 +93,7 @@ class TestRunMany:
                 sys.setswitchinterval(interval)
         serial = records(1)
         with monkeypatch.context() as m:
-            m.setattr(ulsa, "_kernel", None)
+            m.setattr(_native, "_lib", None)
             pooled = records(2)
         assert threaded == serial == pooled
         assert any(r["success"] for r in serial) and not all(r["success"] for r in serial)

@@ -1,8 +1,8 @@
 """The compiled step kernel: same records as the Python step, and a silent
 fallback when it cannot be built.
 
-Each case runs `run` twice, once with the kernel and once with the module's
-kernel handle set to None, which makes `run` take every step in Python, and
+Each case runs `run` twice, once with the kernel and once with
+`_native._lib` set to None, which makes `run` take every step in Python, and
 compares the two records field by field apart from the wall time.
 """
 
@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from rbcsp import _native, ulsa
-from rbcsp.core import Constraint, CspInstance
+from rbcsp.core import Constraint, CspInstance, _FlatTables, dumps_csp, loads_csp
+from rbcsp.misbridge import csp_to_mis, emit_dimacs
 from rbcsp.modelrb import ModelRbParams, generate_forced
 from rbcsp.target import TargetSpec
-from rbcsp.ulsa import UlsaConfig, run
+from rbcsp.ulsa import StepStats, UlsaConfig, run
 
 from conftest import random_instance
 
@@ -34,13 +35,13 @@ def fields(record) -> dict:
 
 def python_run(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(ulsa, "_kernel", None)
+        m.setattr(_native, "_lib", None)
         return run(*args, **kwargs)
 
 
 @pytest.fixture
 def kernel():
-    if ulsa._load_kernel() is None:
+    if _native.kernel() is None:
         pytest.skip("the step kernel could not be built here")
 
 
@@ -117,18 +118,18 @@ def test_compile_failure_falls_back_silently(monkeypatch, capfd):
     def broken():
         raise subprocess.CalledProcessError(1, ["cc"])
 
-    monkeypatch.setattr(ulsa, "_kernel", ...)
+    monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
     assert fields(run(instance, UlsaConfig(), 1)) == expected
-    assert ulsa._kernel is None
+    assert _native._lib is None
     assert capfd.readouterr() == ("", "")
 
 
 def test_build_is_cached_privately(kernel, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(ulsa, "_kernel", ...)
-    assert ulsa._load_kernel() is not None
+    monkeypatch.setattr(_native, "_lib", ...)
+    assert _native.kernel() is not None
     cache = tmp_path / "rbcsp"
     assert os.stat(cache).st_mode & 0o777 == 0o700
     assert [p.suffix for p in cache.iterdir()] == [".so"]
@@ -137,9 +138,9 @@ def test_build_is_cached_privately(kernel, monkeypatch, tmp_path):
     def no_compiler(*args, **kwargs):
         raise AssertionError("compiled again")
 
-    monkeypatch.setattr(ulsa, "_kernel", ...)
+    monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(subprocess, "run", no_compiler)
-    assert ulsa._load_kernel() is not None
+    assert _native.kernel() is not None
 
 
 def test_shared_cache_dir_is_refused(monkeypatch, tmp_path):
@@ -147,8 +148,8 @@ def test_shared_cache_dir_is_refused(monkeypatch, tmp_path):
     cache.mkdir()
     cache.chmod(0o777)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(ulsa, "_kernel", ...)
-    assert ulsa._load_kernel() is None
+    monkeypatch.setattr(_native, "_lib", ...)
+    assert _native.kernel() is None
     assert list(cache.iterdir()) == []
 
 
@@ -156,10 +157,66 @@ def test_concurrent_first_builds_publish_one_library(kernel, tmp_path):
     # three processes race to build into one empty cache
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=os.pathsep.join(sys.path))
-    code = "from rbcsp import ulsa; assert ulsa._load_kernel() is not None"
+    code = "from rbcsp import _native; assert _native.kernel() is not None"
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
     assert [p.suffix for p in (tmp_path / "rbcsp").iterdir()] == [".so"]
+
+
+def test_one_compile_per_process(monkeypatch):
+    # every function the package calls comes from one library, opened once
+    calls = []
+    compile_ = _native._compile
+
+    def counted():
+        calls.append(1)
+        return compile_()
+
+    monkeypatch.setattr(_native, "_lib", ...)
+    monkeypatch.setattr(_native, "_compile", counted)
+    instance, hidden = generate_forced(ModelRbParams(n=20), 1)
+    parsed, _ = loads_csp(dumps_csp(instance, hidden))
+    _FlatTables(parsed)
+    run(parsed, UlsaConfig(max_iterations=1000), 0)
+    emit_dimacs(csp_to_mis(parsed))
+    assert len(calls) == 1
+
+
+def snapshot(state, stats) -> dict:
+    ids, pos = state.violated.ids.tolist(), state.violated.pos.tolist()
+    assert [pos[cid] for cid in ids] == list(range(len(ids)))
+    assert sum(p >= 0 for p in pos) == len(ids)
+    return dict(x=state.x.tolist(), t=state.t.tolist(), n_iter=state.n_iter, ids=ids,
+                pos=pos, stats=dataclasses.astuple(stats))
+
+
+def test_kernel_steps_the_state_arrays_as_python_does(kernel):
+    # k kernel steps leave the state's own arrays as k Python steps do,
+    # before and after a switch to a fresh state, as on a restart; no
+    # solution exists, so every step runs
+    instance = random_instance(random.Random(2), n=8, d=3, m=40)
+    sides = []
+    for stepped_by_kernel in (True, False):
+        rng = np.random.Generator(np.random.PCG64(11))
+        state = ulsa.init_state(instance, rng)
+        uniforms, stats = ulsa._Uniforms(rng), StepStats()
+        # no cap, and a best of 0 that no count goes below: only the budget
+        # ends a kernel call
+        fast = (ulsa._KernelRun(_native.kernel(), instance, uniforms, stats, -1, 0, None)
+                if stepped_by_kernel else None)
+        side = []
+        for budget in (700, 5000, 9100):
+            while stats.iterations < budget:
+                if fast is None:
+                    ulsa._step(state, uniforms, stats)
+                else:
+                    fast.budget = budget
+                    fast.advance(state, 0)
+            side.append(snapshot(state, stats))
+            state = ulsa.init_state(instance, rng)
+        sides.append(side)
+    assert sides[0] == sides[1]
+    assert all(s["ids"] and max(s["t"]) == s["n_iter"] > 0 for s in sides[0])
 
 
 # -- bit planes, words and kernel slices ---------------------------------------

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from rbcsp import core
+from rbcsp import _native, core
 from rbcsp.core import dumps_csp, loads_csp
 from rbcsp.misbridge import csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
@@ -69,7 +69,7 @@ def test_parse_dimacs_peak_n100(n100):
 def test_dumps_csp_peak_n100(n100):
     # the compiled writer takes the 3.9 MB text twice, as bytes and as str:
     # 7.7 MB; the numpy writer's strings per block took 16.9 MB
-    if core._load_blocks_writer() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     instance, hidden = loads_csp(n100[0])
     assert traced_peak_mb(dumps_csp, instance, hidden) <= 10
@@ -94,7 +94,7 @@ def test_reader_transient_does_not_grow_with_the_text(n100):
 def test_tables_peak_n100(n100):
     # the packed table alone, 0.83 MB for m = 1.3k constraints at d = 40; the
     # uint8 rows and their scatter indices, built beside it before, took 20.6 MB
-    if core._load_bits_builder() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     instance, _ = loads_csp(n100[0])
     assert traced_peak_mb(core._FlatTables, instance) <= 3
@@ -103,7 +103,7 @@ def test_tables_peak_n100(n100):
 def test_tables_peak_d69():
     # n = 200 puts d at 69: rows of two words, 6.5 MB for m = 2.9k constraints;
     # the eager uint8 rows built before at d > 64 took 2m·d² bytes, 28 MB
-    if core._load_bits_builder() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     instance, _ = generate_forced(phase_transition_params(200), 1)
     m, d = instance.num_constraints, instance.d

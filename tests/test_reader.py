@@ -2,7 +2,7 @@
 silent fallback to it.
 
 Each check reads a text or a piece twice, once with the compiled reader and
-once with `core._reader` set to None, which makes `_read` take every piece
+once with `_native._lib` set to None, which makes `_read` take every piece
 through the numpy reference, and compares the results field by field.
 """
 
@@ -32,10 +32,10 @@ LIMIT = 4473  # loads_csp's bound on 'f' values
 
 @pytest.fixture
 def reader():
-    fn = core._load_reader()
-    if fn is None:
+    lib = _native.kernel()
+    if lib is None:
         pytest.skip("the compiled kernel could not be built here")
-    return fn
+    return lib.read_piece
 
 
 def same(fast, slow) -> None:
@@ -49,7 +49,7 @@ def same(fast, slow) -> None:
 
 def numpy_read(monkeypatch, text: str, tag: str, limit: int):
     with monkeypatch.context() as m:
-        m.setattr(core, "_reader", None)
+        m.setattr(_native, "_lib", None)
         return core._read(text, tag, limit)
 
 
@@ -104,9 +104,10 @@ def test_pieces_read_alike(reader, piece):
 def test_random_pieces_read_alike(text, cuts):
     # any slice is a piece here, so a '\r\n' or a token may be split
     # across a piece end
-    fn = core._load_reader()
-    if fn is None:
+    lib = _native.kernel()
+    if lib is None:
         pytest.skip("the compiled kernel could not be built here")
+    fn = lib.read_piece
     bounds = sorted({0, len(text), *(min(c, len(text)) for c in cuts)})
     for start, end in zip(bounds, bounds[1:]):
         for limit in (9, LIMIT, MAX_VERTICES + 1):
@@ -169,13 +170,13 @@ def test_compile_failure_reads_alike_silently(monkeypatch, capfd):
     def broken():
         raise subprocess.CalledProcessError(1, ["cc"])
 
-    monkeypatch.setattr(core, "_reader", ...)
+    monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
     with warnings.catch_warnings(record=True) as slow_warnings:
         warnings.simplefilter("always")
         assert (loads_csp(text), parse_dimacs(dimacs)) == expected
-    assert core._reader is None
+    assert _native._lib is None
     assert capfd.readouterr() == ("", "")
     assert ([str(w.message) for w in slow_warnings]
             == [str(w.message) for w in fast_warnings] != [])
@@ -193,8 +194,8 @@ def test_mutated_documents_fail_alike(reader, monkeypatch, seed):
             chars[r.randrange(len(chars))] = r.choice(ALPHABET + "+-_")
         mutated = "".join(chars)
         outcomes = []
-        for fn in (core._load_reader(), None):
-            monkeypatch.setattr(core, "_reader", fn)
+        for lib in (_native.kernel(), None):
+            monkeypatch.setattr(_native, "_lib", lib)
             try:
                 outcomes.append(loads_csp(mutated))
             except core.CspFormatError as exc:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from rbcsp import _native, core, ulsa
+from rbcsp import _native
 from rbcsp.bench import run_many
 from rbcsp.core import Constraint, CspInstance, _FlatTables
 from rbcsp.modelrb import ModelRbParams, generate_forced
@@ -88,13 +88,13 @@ INSTANCES = [
 
 @pytest.fixture
 def builder():
-    if core._load_bits_builder() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
 
 
 def numpy_tables(monkeypatch, instance: CspInstance) -> _FlatTables:
     with monkeypatch.context() as m:
-        m.setattr(core, "_bits_builder", None)
+        m.setattr(_native, "_lib", None)
         return _FlatTables(instance)
 
 
@@ -134,7 +134,7 @@ def test_reading_the_slots_builds_no_view():
 
 @pytest.fixture
 def kernel():
-    if ulsa._load_kernel() is None:
+    if _native.kernel() is None:
         pytest.skip("the step kernel could not be built here")
 
 
@@ -153,11 +153,11 @@ def test_kernel_start_equals_python_start(kernel, monkeypatch, make):
         fast = init_state(instance, fast_rng)
         slow_rng = np.random.Generator(np.random.PCG64(seed))
         with monkeypatch.context() as m:
-            m.setattr(ulsa, "_kernel", None)
+            m.setattr(_native, "_lib", None)
             slow = init_state(instance, slow_rng)
         assert fast.x.tolist() == slow.x.tolist(), seed
-        assert fast.violated.ids == slow.violated.ids, seed
-        assert fast.violated.ids == sorted(recount_violated(instance, fast.x))
+        assert fast.violated_ids() == slow.violated_ids(), seed
+        assert fast.violated_ids() == sorted(recount_violated(instance, fast.x))
         assert fast_rng.random() == slow_rng.random(), seed
 
 
@@ -204,9 +204,9 @@ def test_bits_builder_compile_failure_falls_back_silently(builder, monkeypatch, 
     def broken():
         raise subprocess.CalledProcessError(1, ["cc"])
 
-    monkeypatch.setattr(core, "_bits_builder", ...)
+    monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
     assert _FlatTables(instance).bits.tobytes() == expected.tobytes()
-    assert core._bits_builder is None
+    assert _native._lib is None
     assert capfd.readouterr() == ("", "")

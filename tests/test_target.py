@@ -158,10 +158,12 @@ class TestCheckTarget:
 
 class TestSubsetConflicts:
     def test_matches_pair_set_oracle(self, rng):
-        for _ in range(30):
+        for trial in range(60):
             n, d = rng.randint(2, 7), rng.randint(2, 4)
             inst = random_instance(rng, n=n, d=d, m=rng.randint(0, 3 * n))
             values = random_values(rng, n, d)
+            if trial % 2:  # some values just outside the domain, never disallowed
+                values = [rng.choice((-1, v, v, d)) for v in values]
             subset = rng.sample(range(n), rng.randint(0, n))
             expected = sum(
                 1 for c in inst.constraints

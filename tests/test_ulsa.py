@@ -32,7 +32,7 @@ class TestInitState:
         inst = CspInstance(4, 3, ())
         state = init_state(inst, rng_for(0))
         assert state.num_conflicts == 0
-        assert state.n_iter == 0 and state.t == [0, 0, 0, 0]
+        assert state.n_iter == 0 and state.t.tolist() == [0, 0, 0, 0]
 
     def test_unconstrained_values_uniform(self):
         # single free variable: initialization tie-breaks uniformly over d=4
@@ -111,7 +111,7 @@ class TestStep:
         state = SearchState(inst, assignment_of([0, 0, 0]))
         assert state.violated.as_set() == {0}
         # make endpoint 0 the older one; endpoint 1 not the most recent change
-        state.t = [0, 1, 0]
+        state.t[:] = [0, 1, 0]
         state.n_iter = 5
         stats = StepStats()
         step(state, rng_for(0), stats)
@@ -124,7 +124,7 @@ class TestStep:
         # same instance, but t[j] == n_iter forces S={i} and a worsening move
         inst = self.expansion_instance()
         state = SearchState(inst, assignment_of([0, 0, 0]))
-        state.t = [0, 5, 0]
+        state.t[:] = [0, 5, 0]
         state.n_iter = 5
         stats = StepStats()
         step(state, rng_for(0), stats)

@@ -2,8 +2,8 @@
 byte, and a silent fallback to them.
 
 Each check writes an instance or a graph twice, once with the compiled
-writer and once with `core._blocks_writer` or `misbridge._edges_writer` set
-to None, which makes `dumps_csp` and `emit_dimacs` take the numpy path.
+writer and once with `_native._lib` set to None, which makes `dumps_csp` and
+`emit_dimacs` take the numpy path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcsp import _native, core, misbridge
+from rbcsp import _native
 from rbcsp.core import Assignment, Constraint, CspInstance, dumps_csp, loads_csp
 from rbcsp.misbridge import MisGraph, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
@@ -24,7 +24,7 @@ COMMENTS = ("a comment", "two\nlines", "")
 
 @pytest.fixture
 def writers():
-    if core._load_blocks_writer() is None or misbridge._load_edges_writer() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
 
 
@@ -32,7 +32,7 @@ def both_csp(monkeypatch, instance, solution=None) -> str:
     """dumps_csp's text, after checking that the numpy path writes it too."""
     fast = dumps_csp(instance, solution, COMMENTS)
     with monkeypatch.context() as m:
-        m.setattr(core, "_blocks_writer", None)
+        m.setattr(_native, "_lib", None)
         assert dumps_csp(instance, solution, COMMENTS) == fast
     return fast
 
@@ -41,7 +41,7 @@ def both_dimacs(monkeypatch, graph) -> str:
     """emit_dimacs's text, after checking that the numpy path writes it too."""
     fast = emit_dimacs(graph, COMMENTS)
     with monkeypatch.context() as m:
-        m.setattr(misbridge, "_edges_writer", None)
+        m.setattr(_native, "_lib", None)
         assert emit_dimacs(graph, COMMENTS) == fast
     return fast
 
@@ -113,7 +113,7 @@ def graphs(draw):
 @given(instance=instances(), graph=graphs())
 def test_random_texts_write_alike(instance, graph):
     # not the fixture: hypothesis does not reset a function-scoped one
-    if core._load_blocks_writer() is None or misbridge._load_edges_writer() is None:
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     with pytest.MonkeyPatch.context() as m:
         text = both_csp(m, instance)
@@ -130,10 +130,9 @@ def test_compile_failure_writes_alike_silently(monkeypatch, capfd):
     def broken():
         raise subprocess.CalledProcessError(1, ["cc"])
 
-    monkeypatch.setattr(core, "_blocks_writer", ...)
-    monkeypatch.setattr(misbridge, "_edges_writer", ...)
+    monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
     assert (dumps_csp(instance, hidden, COMMENTS), emit_dimacs(graph, COMMENTS)) == expected
-    assert core._blocks_writer is None and misbridge._edges_writer is None
+    assert _native._lib is None
     assert capfd.readouterr() == ("", "")
