@@ -559,7 +559,7 @@ def dumps_csp(
     """The native text of `instance`, with `solution` as its 's' line.  Each
     line of a comment, as str.splitlines() splits it, becomes its own 'c'
     line.  The 'k' and 'f' lines are written by the compiled writer when it
-    is available, else by `_blocks`."""
+    is available, else by `_blocks`, the reference it is tested against."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}\n")
     lib = _native.kernel()
@@ -577,20 +577,12 @@ def dumps_csp(
     return "".join(parts)
 
 
-def _blocks(instance: CspInstance) -> list[str]:
-    """The 'k' and 'f' lines of `dumps_csp`, one string per constraint block,
-    with array operations and str formatting."""
-    # each block is joined from shared "f a b" lines, one per distinct pair
-    # code: a string per 'f' line would double the memory of the instance
-    # being written
-    codes, index = np.unique(instance.codes, return_inverse=True)
-    distinct = [f"f {a} {b}\n" for a, b in zip(*(x.tolist()
-                                                 for x in np.divmod(codes, instance.d)))]
-    f_lines = np.array(distinct, dtype=object)[index].tolist()
-    bounds = instance.pair_start.tolist()
-    return [f"k {a} {b} {e - s}\n" + "".join(f_lines[s:e])
-            for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(),
-                                  bounds, bounds[1:])]
+def _blocks(instance: CspInstance) -> Iterator[str]:
+    """The 'k' and 'f' lines of `dumps_csp`, one string per constraint block."""
+    d, codes, bounds = instance.d, instance.codes, instance.pair_start.tolist()
+    for a, b, s, e in zip(instance.con_a.tolist(), instance.con_b.tolist(), bounds, bounds[1:]):
+        yield f"k {a} {b} {e - s}\n" + "".join([f"f {c // d} {c % d}\n"
+                                               for c in codes[s:e].tolist()])
 
 
 def _write(writer: Any, *args) -> str:
@@ -607,13 +599,11 @@ def _write(writer: Any, *args) -> str:
 _SPACES = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0,
            0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 _BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
-_SPACE, _BREAK = 1, 2
-_CLASS = np.zeros(0x3002, dtype=np.uint8)  # the last entry stands for all above
-_CLASS[list(_SPACES)] |= _SPACE
-_CLASS[list(_BREAKS)] |= _BREAK
-_ASCII_CLASS = _CLASS[:128].tobytes() + bytes(128)  # a bytes.translate table
-_PIECE_END = re.compile("\r\n?|[" + "".join(map(chr, _BREAKS)) + "]")  # '\r\n' whole
-_MAX_DIGITS = 18  # longer tokens, like non-ASCII-digit ones, go through int()
+_BREAK_CHARS = "".join(map(chr, _BREAKS))
+# the compiled reader's byte classes: 1 marks a space, 2 a line break
+_ASCII_CLASS = bytes((c in _SPACES) | (c in _BREAKS) << 1 for c in range(128)) + bytes(128)
+_PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
+_MAX_DIGITS = 18  # the compiled reader's longest value token; int() reads the rest
 _CHUNK = 1 << 15  # characters read at a time
 
 
@@ -653,8 +643,9 @@ def _read(text: str, tag: str, limit: int):
     The text is read a piece of about _CHUNK characters at a time (see
     _pieces), and only the results above outlive a piece.  So the memory
     taken beyond them is bounded by _CHUNK for any text whose lines are at
-    most _CHUNK characters long.  ASCII pieces are read by the compiled
-    reader when it is available, any other piece by `_read_piece`.
+    most _CHUNK characters long, and by about one copy of a longer line.
+    ASCII pieces are read by the compiled reader when it is available, and
+    any other piece by `_read_piece`, the reference it is tested against.
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
@@ -691,70 +682,36 @@ def _read_ascii(reader: Any, piece: str, tag: str, limit: int):
 
 def _read_piece(piece: str, tag: str, limit: int):
     """_read's results for one piece, with line numbers and spans counted
-    from the piece's start, and the number of line breaks in the piece;
-    found with array operations over the piece's code points."""
-    if piece.isascii():
-        raw = piece.encode("ascii")
-        units = np.frombuffer(raw, np.uint8)
-        cls = np.frombuffer(raw.translate(_ASCII_CLASS), np.uint8)
-    else:
-        units = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), np.uint32)
-        cls = _CLASS.take(np.minimum(units, len(_CLASS) - 1))
-    brk = np.flatnonzero(cls & _BREAK)
-    crlf = (units[brk] == 13) & (units[np.minimum(brk + 1, len(units) - 1)] == 10)
-    keep = ~np.concatenate(([False], crlf))[:-1]  # '\r\n' is one break, at the '\r'
-    brk, crlf = brk[keep], crlf[keep]
-    # tokens are the runs of solid units, so their starts and ends alternate
-    # among the places where solid and space units meet
-    bounds = np.flatnonzero(np.diff((cls & _SPACE) == 0, prepend=False, append=False))
-    del cls
-    tok_start, tok_end = bounds[0::2], bounds[1::2]
-    # the lines holding tokens, each with its first token and token count;
-    # a line's first token is the first one after the break before it
-    first = np.searchsorted(tok_start, np.concatenate(([-1], brk)))
-    ntok = np.diff(first, append=len(tok_start))
-    lines = np.flatnonzero(ntok)
-    first, ntok = first[lines], ntok[lines]
-    one_char = tok_end[first] - tok_start[first] == 1
-    heads = units[tok_start[first]]
-    bulk = one_char & (heads == ord(tag))
-    other = ~(bulk | (one_char & (heads == ord("c"))))
-    # the value tokens of the bulk lines with three tokens; the per-token
-    # arrays are freed before the conversion adds its own
-    three = ntok[bulk] == 3
-    at = first[bulk][three]
-    value_spans = [(tok_start[at + j], tok_end[at + j]) for j in (1, 2)]
-    del bounds, tok_start, tok_end, first, ntok, one_char, heads, at
-    values = np.full((len(three), 2), -1, dtype=np.int64)
-    for j, (start, end) in enumerate(value_spans):
-        values[three, j] = _integers(piece, units, start, end, limit)
-    at = lines[other]
-    spans = np.stack((np.append(0, brk + 1 + crlf)[at], np.append(brk, len(units))[at]),
-                     axis=1)
-    return lines[bulk], values, at, spans, len(brk)
-
-
-def _integers(text: str, units: np.ndarray, start: np.ndarray, end: np.ndarray,
-              limit: int) -> np.ndarray:
-    """The integers int(text[start:end]) of tokens as int64, clamped to
-    [-1, limit], with -1 for a token int() refuses.  ASCII digit strings of
-    up to _MAX_DIGITS are converted with array operations, anything else by
-    int()."""
-    size = end - start
-    plain = size <= _MAX_DIGITS  # until a non-digit shows up
-    values = np.zeros(len(start), dtype=np.int64)
-    for k in range(int(size[plain].max(initial=0))):
-        live = plain & (size > k)
-        digit = units[np.where(live, start + k, 0)] - 48  # wraps below '0'
-        plain &= ~live | (digit < 10)
-        values = np.where(live, values * 10 + digit, values)
-    np.minimum(values, limit, out=values)
-    for t in np.flatnonzero(~plain).tolist():
-        try:
-            values[t] = min(max(int(text[start[t]:end[t]]), -1), limit)
-        except ValueError:
-            values[t] = -1
-    return values
+    from the piece's start, and the number of line breaks in the piece."""
+    bulk, values, others, spans = [], [], [], []
+    lines = piece.splitlines(True)
+    end = 0
+    for lineno, line in enumerate(lines):
+        start, end = end, end + len(line)
+        # the kept line break splits as whitespace too; maxsplit leaves the
+        # tail of a long line in one string
+        fields = line.split(None, 3)
+        if not fields or fields[0] == "c":
+            continue
+        if fields[0] != tag:
+            others.append(lineno)
+            spans += (start, start + len(line.splitlines()[0]))
+            continue
+        bulk.append(lineno)
+        if len(fields) != 3:
+            values += (-1, -1)
+            continue
+        for token in fields[1:]:
+            try:
+                value = int(token)
+            except ValueError:
+                value = -1
+            # clamped inline: a call per token would double the loop's time
+            values.append(-1 if value < -1 else limit if value > limit else value)
+    breaks = len(lines) - (bool(lines) and lines[-1][-1] not in _BREAK_CHARS)
+    return (np.array(bulk, dtype=np.int64), np.array(values, dtype=np.int64).reshape(-1, 2),
+            np.array(others, dtype=np.int64), np.array(spans, dtype=np.int64).reshape(-1, 2),
+            breaks)
 
 
 def _line(text: str, lineno: int) -> str:

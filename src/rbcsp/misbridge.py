@@ -342,7 +342,7 @@ def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
     """Serialize to DIMACS ascii: 1-indexed, edges sorted.  Each line of a
     comment, as `str.splitlines()` splits it, becomes its own 'c' line.  The
     'e' lines are written by the compiled writer when it is available, else
-    by `_edge_slices`."""
+    by `_edge_slices`, the reference it is tested against."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
     lib = _native.kernel()
@@ -354,17 +354,8 @@ def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
 
 
 def _edge_slices(pairs: np.ndarray) -> Iterator[str]:
-    """The 'e' lines of `emit_dimacs`, one string per _EMIT_SLICE edges,
-    with array operations and str formatting."""
-    # each slice is joined from a head and a tail name per vertex of the
-    # slice: a string per edge of the whole graph would take several times
-    # the text's size, and names for every vertex would grow with
-    # num_vertices instead of the edges
+    """The 'e' lines of `emit_dimacs`, one string per _EMIT_SLICE edges, so
+    that the strings of all edges, several times the text, are never held."""
     for start in range(0, len(pairs), _EMIT_SLICE):
-        vertices, index = np.unique(pairs[start:start + _EMIT_SLICE], return_inverse=True)
-        names = (vertices + 1).tolist()
-        heads = [f"e {i}" for i in names]
-        tails = [f" {i}\n" for i in names]
-        index = index.reshape(-1, 2)
-        yield "".join([heads[u] + tails[v] for u, v in zip(index[:, 0].tolist(),
-                                                           index[:, 1].tolist())])
+        yield "".join([f"e {u + 1} {v + 1}\n"
+                       for u, v in pairs[start:start + _EMIT_SLICE].tolist()])

@@ -130,8 +130,10 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
         oi = tb.slot_other[s0:s1]
         live = initialized[oi]
         rows = tb.base[s0:s1][live] + values[oi[live]]
-        counts = np.add.reduce(tb.rows.take(rows, axis=0), axis=0, dtype=np.int32)
-        cands = np.flatnonzero(counts == counts.min())
+        cands = range(d)  # with no rows gathered every value ties at 0
+        if len(rows):
+            counts = np.add.reduce(tb.rows.take(rows, axis=0), axis=0, dtype=np.int32)
+            cands = np.flatnonzero(counts == counts.min())
         values[v] = int(cands[int(rng.random() * len(cands))])
         initialized[v] = True
     return SearchState(instance, Assignment(values, initialized))

@@ -1,4 +1,5 @@
-"""Memory guards for the text readers and writers at frb scale.
+"""Memory guards for the text readers and writers at frb scale, and for the
+Python start at a huge domain.
 
 numpy reports its array allocations to tracemalloc, so a traced peak covers
 the arrays as well as the Python objects.  Each bound sits well above the
@@ -13,9 +14,10 @@ import tracemalloc
 import pytest
 
 from rbcsp import _native, core
-from rbcsp.core import dumps_csp, loads_csp
+from rbcsp.core import CspInstance, dumps_csp, loads_csp
 from rbcsp.misbridge import csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
+from rbcsp.ulsa import UlsaConfig, run
 
 
 def traced_peak_mb(fn, *args) -> float:
@@ -66,18 +68,19 @@ def test_parse_dimacs_peak_n100(n100):
     assert traced_peak_mb(parse_dimacs, dimacs) <= 50
 
 
-def test_dumps_csp_peak_n100(n100):
-    # the compiled writer takes the 3.9 MB text twice, as bytes and as str:
-    # 7.7 MB; the numpy writer's strings per block took 16.9 MB
-    if _native.kernel() is None:
-        pytest.skip("the compiled kernel could not be built here")
+def test_dumps_csp_peak_n100(n100, monkeypatch):
+    # the 3.9 MB text twice: as bytes and str from the compiled writer, or
+    # as the Python writer's block strings and their join: 7.7 and 7.8 MB;
+    # the numpy writer's strings per distinct pair took 16.9 MB
     instance, hidden = loads_csp(n100[0])
+    assert traced_peak_mb(dumps_csp, instance, hidden) <= 10
+    monkeypatch.setattr(_native, "_lib", None)
     assert traced_peak_mb(dumps_csp, instance, hidden) <= 10
 
 
 def test_emit_dimacs_peak_n100(n100):
-    # 13.1 MB with the compiled writer, 15.2 MB with 64k-edge numpy slices;
-    # a string per edge took 52 MB
+    # 13.1 MB with the compiled writer, 19.2 MB with 64k-edge Python
+    # slices; a string per edge took 52 MB
     graph = parse_dimacs(n100[1])
     assert traced_peak_mb(emit_dimacs, graph) <= 25
 
@@ -109,3 +112,13 @@ def test_tables_peak_d69():
     m, d = instance.num_constraints, instance.d
     assert d == 69
     assert traced_peak_mb(core._FlatTables, instance) <= 2 * m * d * d / 4 / 1e6
+
+
+def test_python_start_at_a_huge_domain(monkeypatch):
+    # a variable with no constraint draws its value directly, as the
+    # compiled start does, instead of counting and listing all d ties:
+    # 352 MB traced at d = 2^24 before
+    monkeypatch.setattr(_native, "_lib", None)
+    record = run(CspInstance(3, 1 << 24), UlsaConfig(), 0)
+    assert record.assignment == [277287, 13644410, 687421]  # the compiled start's
+    assert traced_peak_mb(run, CspInstance(3, 1 << 24), UlsaConfig(), 0) <= 2

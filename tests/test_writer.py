@@ -1,9 +1,10 @@
-"""The compiled text writers: the same text as the numpy writers, byte for
+"""The compiled text writers: the same text as the Python writers, byte for
 byte, and a silent fallback to them.
 
 Each check writes an instance or a graph twice, once with the compiled
 writer and once with `_native._lib` set to None, which makes `dumps_csp` and
-`emit_dimacs` take the numpy path.
+`emit_dimacs` format each line with an f-string in `core._blocks` and
+`misbridge._edge_slices`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def writers():
 
 
 def both_csp(monkeypatch, instance, solution=None) -> str:
-    """dumps_csp's text, after checking that the numpy path writes it too."""
+    """dumps_csp's text, after checking that the Python path writes it too."""
     fast = dumps_csp(instance, solution, COMMENTS)
     with monkeypatch.context() as m:
         m.setattr(_native, "_lib", None)
@@ -38,7 +39,7 @@ def both_csp(monkeypatch, instance, solution=None) -> str:
 
 
 def both_dimacs(monkeypatch, graph) -> str:
-    """emit_dimacs's text, after checking that the numpy path writes it too."""
+    """emit_dimacs's text, after checking that the Python path writes it too."""
     fast = emit_dimacs(graph, COMMENTS)
     with monkeypatch.context() as m:
         m.setattr(_native, "_lib", None)
