@@ -372,7 +372,8 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * bytes not of class SPACE; a line whose first token is the one byte `tag` is
  * a bulk line, one whose first token is "c" a comment, and any other line
  * with tokens is one of the others.  The classes come from the caller, the
- * 256-byte table `rbcsp.core._ASCII_CLASS`.
+ * 256-byte table `rbcsp.core._ASCII_CLASS`, in which every BREAK byte is a
+ * SPACE byte too.
  *
  * A bulk line of three tokens has its second and third read as integers,
  * clamped to limit; any other bulk line reads (-1, -1).  Only plain tokens of
@@ -380,120 +381,111 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * tokens has any other value token, read_piece returns -1 and the caller reads
  * the piece with int()'s rules instead.
  *
- * The caller counts first, with out NULL: sizes receives the numbers of bulk
- * and other lines.  It then calls again with out holding 3 * (bulk + other)
- * int64s, which receive, in order: the bulk line numbers, their values as
- * (first, second) rows, the other line numbers, and their spans as
- * (start, end) rows, the line without its break.  Both calls return the
- * number of breaks in the piece; the second returns -1 as above, and also
- * if it finds more lines than counted, which the two passes rule out.
+ * The piece is walked once, each line's end and tokens found in one scan; a
+ * line of exactly "<tag> <digits> <digits>\n" is read without class lookups.
+ * Rows go to the caller's block of 3 * cap int64s, cap line numbers and then
+ * cap pairs: bulk lines from the front, with their values as pairs, and the
+ * others from the back, with their spans (start, end), without the break.
+ * Line numbers and spans count from the piece's start.  The caller sets at[0]
+ * and at[1] to the byte and line to start from, 0 and 0 for a new piece;
+ * read_piece leaves there where it stopped, and the numbers of bulk and
+ * other rows in at[2] and at[3].  It returns 0 at the piece's end, at[1] then
+ * being its number of breaks, and 1 when it stopped at a line because the
+ * block was full, to be called again once the caller has taken the rows.
  */
 
 #define SPACE 1
 #define BREAK 2
 #define MAX_DIGITS 18 /* core._MAX_DIGITS: any 18 digits fit in int64 */
 
-/* the plain digit token s[0..len-1] clamped to limit, or -1 if it is not one */
-static int64_t plain_value(const uint8_t *s, int64_t len, int64_t limit)
+/* the value of the ASCII digits at s[*i..end), at most MAX_DIGITS of them,
+ * clamped to limit, with *i moved past them; -1 if there are none */
+static inline int64_t digits(const uint8_t *s, int64_t *i, int64_t end, int64_t limit)
 {
-    if (len > MAX_DIGITS)
-        return -1;
+    const int64_t start = *i;
     int64_t v = 0;
-    for (int64_t i = 0; i < len; i++) {
-        unsigned digit = (unsigned)s[i] - '0';
-        if (digit > 9)
-            return -1;
+    unsigned digit;
+    while (*i < end && *i - start < MAX_DIGITS && (digit = (unsigned)s[*i] - '0') <= 9) {
         v = v * 10 + digit;
+        ++*i;
     }
-    return v < limit ? v : limit;
+    return *i == start ? -1 : v < limit ? v : limit;
 }
 
-/* the first pass: the bulk and other lines, told apart by their first token */
-static int64_t count_lines(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t tag,
-                           int64_t *sizes)
+/* the index of the '\n' ending the line s[i..] if the line is a plain
+ * "<tag> <digits> <digits>\n", its values in v; else 0 */
+static inline int64_t plain_line(const uint8_t *s, int64_t i, int64_t len, int64_t tag,
+                                 int64_t limit, int64_t *v)
 {
-    int64_t nbulk = 0, nother = 0, line = 0, i = 0;
-    for (;;) {
-        while (i < len && (cls[s[i]] & (SPACE | BREAK)) == SPACE)
-            i++;
-        if (i < len && !(cls[s[i]] & BREAK)) {
-            const int one = i + 1 == len || cls[s[i + 1]] & (SPACE | BREAK);
-            if (one && s[i] == tag)
-                nbulk++;
-            else if (!(one && s[i] == 'c'))
-                nother++;
-        }
-        while (i < len && !(cls[s[i]] & BREAK))
-            i++;
-        if (i == len)
-            break;
-        i += s[i] == '\r' && i + 1 < len && s[i + 1] == '\n' ? 2 : 1;
-        line++;
-    }
-    sizes[0] = nbulk;
-    sizes[1] = nother;
-    return line;
+    if (len - i < 2 || s[i] != tag || s[i + 1] != ' ')
+        return 0;
+    i += 2;
+    v[0] = digits(s, &i, len, limit);
+    if (v[0] < 0 || i == len || s[i++] != ' ')
+        return 0;
+    v[1] = digits(s, &i, len, limit);
+    return v[1] < 0 || i == len || s[i] != '\n' ? 0 : i;
 }
 
 int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t tag,
-                   int64_t limit, int64_t *sizes, int64_t *out)
+                   int64_t limit, int64_t *at, int64_t cap, int64_t *block)
 {
-    if (!out)
-        return count_lines(s, len, cls, tag, sizes);
-    int64_t nbulk = 0, nother = 0, line = 0, i = 0;
-    int64_t *bulk = out, *values = bulk + sizes[0];
-    int64_t *others = values + 2 * sizes[0], *spans = others + sizes[1];
-    for (;;) {
-        int64_t end = i;
-        while (end < len && !(cls[s[end]] & BREAK))
-            end++;
-        /* the line s[i..end): its token count and first three tokens */
-        int64_t ntok = 0, tok[3][2];
-        for (int64_t j = i;;) {
-            while (j < end && cls[s[j]] & SPACE)
-                j++;
-            if (j == end)
-                break;
-            const int64_t t = j;
-            while (j < end && !(cls[s[j]] & SPACE))
-                j++;
-            if (ntok < 3) {
-                tok[ntok][0] = t;
-                tok[ntok][1] = j;
-            }
-            ntok++;
-        }
-        if (ntok) {
-            const int one = tok[0][1] - tok[0][0] == 1;
-            if (one && s[tok[0][0]] == tag) {
-                int64_t a = -1, b = -1;
-                if (ntok == 3) {
-                    a = plain_value(s + tok[1][0], tok[1][1] - tok[1][0], limit);
-                    b = plain_value(s + tok[2][0], tok[2][1] - tok[2][0], limit);
-                    if (a < 0 || b < 0)
-                        return -1;
+    int64_t *lines = block, *pairs = block + cap;
+    int64_t i = at[0], line = at[1], nbulk = 0, nother = 0, full = 0;
+    while (i < len) {
+        /* the line s[i..end): whether it has a row, a bulk one, and its pair */
+        int64_t pair[2], end = plain_line(s, i, len, tag, limit, pair);
+        int row = 1, bulk = 1;
+        if (!end) {
+            int64_t ntok = 0, tok[3][2];
+            for (end = i;;) {
+                while (end < len && cls[s[end]] == SPACE)
+                    end++;
+                if (end == len || cls[s[end]] & BREAK)
+                    break;
+                const int64_t t = end;
+                while (end < len && !cls[s[end]]) /* neither a space nor a break */
+                    end++;
+                if (ntok < 3) {
+                    tok[ntok][0] = t;
+                    tok[ntok][1] = end;
                 }
-                if (nbulk == sizes[0]) /* never, if the passes agree */
+                ntok++;
+            }
+            const int one = ntok && tok[0][1] - tok[0][0] == 1;
+            row = ntok && !(one && s[tok[0][0]] == 'c');
+            bulk = one && s[tok[0][0]] == tag;
+            pair[0] = bulk ? -1 : i;
+            pair[1] = bulk ? -1 : end;
+            for (int k = 0; bulk && ntok == 3 && k < 2; k++) {
+                int64_t j = tok[k + 1][0];
+                pair[k] = digits(s, &j, tok[k + 1][1], limit);
+                if (j != tok[k + 1][1]) /* not plain digits, or too many */
                     return -1;
-                bulk[nbulk] = line;
-                values[2 * nbulk] = a;
-                values[2 * nbulk + 1] = b;
-                nbulk++;
-            } else if (!(one && s[tok[0][0]] == 'c')) {
-                if (nother == sizes[1])
-                    return -1;
-                others[nother] = line;
-                spans[2 * nother] = i;
-                spans[2 * nother + 1] = end;
-                nother++;
             }
         }
-        if (end == len)
+        if (row) {
+            if (nbulk + nother == cap) {
+                full = 1;
+                break;
+            }
+            const int64_t k = bulk ? nbulk++ : cap - ++nother;
+            lines[k] = line;
+            pairs[2 * k] = pair[0];
+            pairs[2 * k + 1] = pair[1];
+        }
+        if (end == len) {
+            i = len;
             break;
+        }
         i = end + (s[end] == '\r' && end + 1 < len && s[end + 1] == '\n' ? 2 : 1);
         line++;
     }
-    return line;
+    at[0] = i;
+    at[1] = line;
+    at[2] = nbulk;
+    at[3] = nother;
+    return full;
 }
 
 

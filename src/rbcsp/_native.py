@@ -86,8 +86,8 @@ _SIGNATURES = {
     "ulsa_advance": ([ctypes.POINTER(_RunStruct)], None),
     "ulsa_init": ([_P] * 3 + [_I, _P, _I] + [_P] * 2, None),
     "build_bits": ([_P, _P, _I, _I, _P, _P], None),
-    "read_piece": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, ctypes.POINTER(_I), _P],
-                   _I),
+    "read_piece": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, ctypes.POINTER(_I), _I,
+                    _P], _I),
     "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P], _I),
     "write_edges": ([_P, _I, _P], _I),
 }

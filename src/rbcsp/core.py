@@ -605,6 +605,7 @@ _ASCII_CLASS = bytes((c in _SPACES) | (c in _BREAKS) << 1 for c in range(128)) +
 _PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
 _MAX_DIGITS = 18  # the compiled reader's longest value token; int() reads the rest
 _CHUNK = 1 << 15  # characters read at a time
+_BLOCK_ROWS = 1 << 13  # lines the compiled reader's block holds, in 192 KiB
 
 
 def _pieces(text: str, size: int) -> Iterator[tuple[int, str]]:
@@ -644,40 +645,47 @@ def _read(text: str, tag: str, limit: int):
     _pieces), and only the results above outlive a piece.  So the memory
     taken beyond them is bounded by _CHUNK for any text whose lines are at
     most _CHUNK characters long, and by about one copy of a longer line.
-    ASCII pieces are read by the compiled reader when it is available, and
-    any other piece by `_read_piece`, the reference it is tested against.
+    ASCII pieces are read by the compiled reader when it is available, into
+    one block of _BLOCK_ROWS lines reused for every piece (see _read_ascii),
+    and any other piece by `_read_piece`, the reference it is tested against.
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
     lib = _native.kernel()
+    block = None if lib is None else np.empty(3 * _BLOCK_ROWS, dtype=np.int64)
     found, lineno = [], 0
     for pos, piece in _pieces(text, _CHUNK):
-        got = None
+        parts = None
         if lib is not None and piece.isascii():
-            got = _read_ascii(lib.read_piece, piece, tag, limit)
-        bulk, values, others, spans, breaks = got or _read_piece(piece, tag, limit)
-        found.append(((bulk + lineno).astype(index), values.astype(value),
-                      (others + lineno).astype(index), (spans + pos).astype(index)))
+            parts = _read_ascii(lib.read_piece, piece, tag, limit, block)
+        for bulk, values, others, spans, breaks in parts or [_read_piece(piece, tag, limit)]:
+            found.append(((bulk + lineno).astype(index), values.astype(value),
+                          (others + lineno).astype(index), (spans + pos).astype(index)))
         lineno += breaks
     return [np.concatenate(column) for column in zip(*found)]
 
 
-def _read_ascii(reader: Any, piece: str, tag: str, limit: int):
-    """_read_piece's results for an ASCII piece, from the compiled reader in
-    two passes: one counts the lines, one fills arrays of that size.  None
-    when a value token is not plain digits and needs int()'s rules."""
+def _read_ascii(reader: Any, piece: str, tag: str, limit: int, block: np.ndarray):
+    """_read_piece's results for an ASCII piece from the compiled reader, in
+    parts, one per fill of `block` (int64, three per line it holds): the
+    parts' arrays joined are _read_piece's, the last part's break count the
+    piece's.  All but the last part are copies; the last is views of block.
+    None when a value token is not plain digits and needs int()'s rules."""
     raw = piece.encode("ascii")
-    sizes = (ctypes.c_int64 * 2)()
-    args = (raw, len(raw), _ASCII_CLASS, ord(tag), limit, sizes)
-    reader(*args, None)
-    nbulk, nother = sizes
-    out = np.empty(3 * (nbulk + nother), dtype=np.int64)
-    breaks = reader(*args, out.ctypes.data)
-    if breaks < 0:
-        return None
-    others = 3 * nbulk
-    return (out[:nbulk], out[nbulk:others].reshape(nbulk, 2),
-            out[others:others + nother], out[others + nother:].reshape(nother, 2), breaks)
+    at = (ctypes.c_int64 * 4)()  # where to resume, and the rows of a fill
+    cap, parts = len(block) // 3, []
+    lines, pairs = block[:cap], block[cap:].reshape(cap, 2)
+    while True:
+        full = reader(raw, len(raw), _ASCII_CLASS, ord(tag), limit, at, cap, block.ctypes.data)
+        if full < 0:
+            return None
+        _, breaks, nbulk, nother = at
+        # bulk lines fill the block from the front, the others from the back
+        part = (lines[:nbulk], pairs[:nbulk],
+                lines[cap - nother:][::-1], pairs[cap - nother:][::-1])
+        if not full:
+            return [*parts, (*part, breaks)]
+        parts.append((*(a.copy() for a in part), breaks))
 
 
 def _read_piece(piece: str, tag: str, limit: int):

@@ -67,11 +67,19 @@ def plain_values(piece: str, tag: str) -> bool:
 
 
 def check_piece(reader, piece: str, tag: str, limit: int) -> None:
-    fast = core._read_ascii(reader, piece, tag, limit)
-    if fast is None:  # left for int()
-        assert not plain_values(piece, tag)
-        return
-    same(fast, core._read_piece(piece, tag, limit))
+    # with a block of one line, each line with results is read by a call of
+    # its own, resumed after the line before it
+    slow = core._read_piece(piece, tag, limit)
+    for rows in (1, core._BLOCK_ROWS):
+        block = np.empty(3 * rows, dtype=np.int64)
+        parts = core._read_ascii(reader, piece, tag, limit, block)
+        if parts is None:  # left for int()
+            assert not plain_values(piece, tag)
+            return
+        joined = [np.concatenate(column) for column in zip(*(part[:4] for part in parts))]
+        same((*joined, parts[-1][4]), slow)
+        if rows == 1:
+            assert len(parts) == max(1, len(slow[0]) + len(slow[2]))
 
 
 PIECES = [
@@ -89,6 +97,13 @@ PIECES = [
     "f 1 2 3\nf 1\nf\nff 1 2\nf1 2 3\nc\nc 1 2\ncc 1 2\n",
     " \t f 1 2 \x1f\x0c",
     "x" * 70_000 + " f 1 2\nf 3 4",  # a line longer than _CHUNK
+    # value tokens too long for int64, read by int()
+    f"f {'1' * 20} 2\n", f"f 2 {'9' * 25}\n", f"f {'7' * 70_000} 3\n",
+    # near misses of the plain line '<tag> <digits> <digits>\n'
+    "f 1 2 \n", "f 1 2\t\n", "f  1 2\n", "f 1 2\x0b", "f 1 2\r\n", " f 1 2\n",
+    "f 01 0004473\n", "f\t1 2\n",
+    "f 3 4\nf 1 2",  # no final break after plain lines
+    "e 1 2\ne 30 40\nf 5 6\n",  # read with tag 'f' as well as 'e'
 ]
 
 
@@ -132,6 +147,29 @@ def test_texts_read_alike(reader, monkeypatch, text, chunk):
     with mock.patch.object(core, "_CHUNK", chunk):
         for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
             same(core._read(text, tag, limit), python_read(monkeypatch, text, tag, limit))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
+@pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
+def test_texts_resume_alike(reader, monkeypatch, text, chunk, rows):
+    # a block of a few lines fills mid-piece, so the reader resumes after
+    # bulk lines, other lines and before a final line with no break
+    with mock.patch.object(core, "_CHUNK", chunk), mock.patch.object(core, "_BLOCK_ROWS", rows):
+        for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
+            same(core._read(text, tag, limit), python_read(monkeypatch, text, tag, limit))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_frb_texts_resume_alike(reader, monkeypatch, rows):
+    instance, hidden = generate_forced(phase_transition_params(40), 2)
+    text = dumps_csp(instance, hidden)
+    dimacs = emit_dimacs(csp_to_mis(instance))
+    with mock.patch.object(core, "_BLOCK_ROWS", rows):
+        for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e")):
+            same(core._read(body, "f", LIMIT), python_read(monkeypatch, body, "f", LIMIT))
+        same(core._read(dimacs, "e", MAX_VERTICES + 1),
+             python_read(monkeypatch, dimacs, "e", MAX_VERTICES + 1))
 
 
 def test_frb_texts_read_alike(reader, monkeypatch):
