@@ -386,12 +386,9 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * Rows go to the caller's block of 3 * cap int64s, cap line numbers and then
  * cap pairs: bulk lines from the front, with their values as pairs, and the
  * others from the back, with their spans (start, end), without the break.
- * Line numbers and spans count from the piece's start.  The caller sets at[0]
- * and at[1] to the byte and line to start from, 0 and 0 for a new piece;
- * read_piece leaves there where it stopped, and the numbers of bulk and
- * other rows in at[2] and at[3].  It returns 0 at the piece's end, at[1] then
- * being its number of breaks, and 1 when it stopped at a line because the
- * block was full, to be called again once the caller has taken the rows.
+ * Line numbers and spans count from the piece's start.  read_piece returns 0
+ * with the piece's numbers of breaks, bulk rows and other rows in at[0..2],
+ * or -1, writing nothing beyond the block, if the piece has more than cap rows.
  */
 
 #define SPACE 1
@@ -431,7 +428,7 @@ int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t ta
                    int64_t limit, int64_t *at, int64_t cap, int64_t *block)
 {
     int64_t *lines = block, *pairs = block + cap;
-    int64_t i = at[0], line = at[1], nbulk = 0, nother = 0, full = 0;
+    int64_t i = 0, line = 0, nbulk = 0, nother = 0;
     while (i < len) {
         /* the line s[i..end): whether it has a row, a bulk one, and its pair */
         int64_t pair[2], end = plain_line(s, i, len, tag, limit, pair);
@@ -465,27 +462,22 @@ int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t ta
             }
         }
         if (row) {
-            if (nbulk + nother == cap) {
-                full = 1;
-                break;
-            }
+            if (nbulk + nother == cap)
+                return -1;
             const int64_t k = bulk ? nbulk++ : cap - ++nother;
             lines[k] = line;
             pairs[2 * k] = pair[0];
             pairs[2 * k + 1] = pair[1];
         }
-        if (end == len) {
-            i = len;
+        if (end == len)
             break;
-        }
         i = end + (s[end] == '\r' && end + 1 < len && s[end + 1] == '\n' ? 2 : 1);
         line++;
     }
-    at[0] = i;
-    at[1] = line;
-    at[2] = nbulk;
-    at[3] = nother;
-    return full;
+    at[0] = line;
+    at[1] = nbulk;
+    at[2] = nother;
+    return 0;
 }
 
 
@@ -499,9 +491,9 @@ int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t ta
  * `rbcsp.misbridge.emit_dimacs` from the (u, v) rows of `pairs`, 1-based.
  * All numbers are nonnegative.
  *
- * Each is called twice: with out NULL it returns the exact length of the
- * text, and then with out holding that many bytes it writes the text there
- * and returns the length again.
+ * Each writes its text into the caller's buffer of cap bytes at out, in one
+ * pass, and returns its length; if the text does not fit, it returns -1,
+ * having written nothing beyond cap bytes.
  */
 
 /* the number of decimal digits of v */
@@ -515,47 +507,45 @@ static int64_t count_digits(uint64_t v)
     return k;
 }
 
-/* the decimal digits of v written at out, or only counted if out is NULL;
- * inlined with a constant out == NULL or not, the test folds away */
-static inline __attribute__((always_inline)) int64_t put_uint(char *out, uint64_t v)
+/* the k decimal digits of v written at p; returns their end */
+static inline char *put_uint(char *p, int64_t k, uint64_t v)
 {
-    const int64_t k = count_digits(v);
-    if (out)
-        for (char *p = out + k; p > out; v /= 10)
-            *--p = (char)('0' + v % 10);
-    return k;
+    for (char *q = p + k; q > p; v /= 10)
+        *--q = (char)('0' + v % 10);
+    return p + k;
 }
 
-/* the line "<tag> <v[0]> ... <v[nv-1]>\n" at out, or its length if out is NULL */
-static inline __attribute__((always_inline)) int64_t put_line(char *out, char tag, int nv,
-                                                              const uint64_t *v)
+/* the line "<tag> <v[0]> ... <v[nv-1]>\n" written at p, nv <= 3; returns its
+ * end, or NULL, writing nothing, if it does not fit in end - p bytes */
+static inline __attribute__((always_inline)) char *
+put_line(char *p, const char *end, char tag, int nv, const uint64_t *v)
 {
-    int64_t len = 1;
-    if (out)
-        out[0] = tag;
+    int64_t k[3], len = 2 + nv; /* the tag, a space before each number, the break */
+    for (int i = 0; i < nv; i++)
+        len += k[i] = count_digits(v[i]);
+    if (end - p < len)
+        return NULL;
+    *p++ = tag;
     for (int i = 0; i < nv; i++) {
-        if (out)
-            out[len] = ' ';
-        len++;
-        len += put_uint(out ? out + len : NULL, v[i]);
+        *p++ = ' ';
+        p = put_uint(p, k[i], v[i]);
     }
-    if (out)
-        out[len] = '\n';
-    return len + 1;
+    *p++ = '\n';
+    return p;
 }
 
-/* write_blocks' text at out, or its length if out is NULL */
-static inline __attribute__((always_inline)) int64_t
-blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start, int64_t m,
-       const void *codes, int64_t wide, int64_t d, char *out)
+int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
+                     int64_t m, const void *codes, int64_t wide, int64_t d, char *out,
+                     int64_t cap)
 {
     const int32_t *narrow_codes = codes;
     const int64_t *wide_codes = codes;
-    int64_t len = 0;
+    char *p = out;
     for (int64_t i = 0; i < m; i++) {
         const uint64_t k[3] = {(uint64_t)con_a[i], (uint64_t)con_b[i],
                                (uint64_t)(pair_start[i + 1] - pair_start[i])};
-        len += put_line(out ? out + len : NULL, 'k', 3, k);
+        if (!(p = put_line(p, out + cap, 'k', 3, k)))
+            return -1;
         /* a = code / d, divided out only when the code leaves [base, base + d):
          * at most d times per block, as a block's codes ascend */
         int64_t a = 0, base = 0;
@@ -566,36 +556,20 @@ blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start, in
                 base = a * d;
             }
             const uint64_t f[2] = {(uint64_t)a, (uint64_t)(code - base)};
-            len += put_line(out ? out + len : NULL, 'f', 2, f);
+            if (!(p = put_line(p, out + cap, 'f', 2, f)))
+                return -1;
         }
     }
-    return len;
+    return p - out;
 }
 
-/* two inlined copies of the loop: one only counts, one only writes */
-int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
-                     int64_t m, const void *codes, int64_t wide, int64_t d, char *out)
+int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *out, int64_t cap)
 {
-    if (!out)
-        return blocks(con_a, con_b, pair_start, m, codes, wide, d, NULL);
-    return blocks(con_a, con_b, pair_start, m, codes, wide, d, out);
-}
-
-/* write_edges' text at out, or its length if out is NULL */
-static inline __attribute__((always_inline)) int64_t edges(const int64_t *pairs,
-                                                           int64_t num_edges, char *out)
-{
-    int64_t len = 0;
+    char *p = out;
     for (int64_t i = 0; i < num_edges; i++) {
         const uint64_t e[2] = {(uint64_t)pairs[2 * i] + 1, (uint64_t)pairs[2 * i + 1] + 1};
-        len += put_line(out ? out + len : NULL, 'e', 2, e);
+        if (!(p = put_line(p, out + cap, 'e', 2, e)))
+            return -1;
     }
-    return len;
-}
-
-int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *out)
-{
-    if (!out)
-        return edges(pairs, num_edges, NULL);
-    return edges(pairs, num_edges, out);
+    return p - out;
 }

@@ -88,8 +88,8 @@ _SIGNATURES = {
     "build_bits": ([_P, _P, _I, _I, _P, _P], None),
     "read_piece": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, ctypes.POINTER(_I), _I,
                     _P], _I),
-    "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P], _I),
-    "write_edges": ([_P, _I, _P], _I),
+    "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P, _I], _I),
+    "write_edges": ([_P, _I, _P, _I], _I),
 }
 
 _lib: Any = ...  # the library once opened, None if unavailable, ... until tried

@@ -559,17 +559,21 @@ def dumps_csp(
     """The native text of `instance`, with `solution` as its 's' line.  Each
     line of a comment, as str.splitlines() splits it, becomes its own 'c'
     line.  The 'k' and 'f' lines are written by the compiled writer when it
-    is available, else by `_blocks`, the reference it is tested against."""
+    is available; else, or if they overrun the buffer sized for them, by
+    `_blocks`, the reference the writer is tested against."""
+    n, d, m = instance.n, instance.d, instance.num_constraints
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
-    parts.append(f"p bcsp {instance.n} {instance.d} {instance.num_constraints}\n")
-    lib = _native.kernel()
-    if lib is None:
-        parts += _blocks(instance)
-    else:
-        parts.append(_write(lib.write_blocks, instance.con_a.ctypes.data,
-                            instance.con_b.ctypes.data, instance.pair_start.ctypes.data,
-                            instance.num_constraints, instance.codes.ctypes.data,
-                            instance.codes.itemsize == 8, instance.d))
+    parts.append(f"p bcsp {n} {d} {m}\n")
+    lib, text = _native.kernel(), None
+    if lib is not None:
+        # a 'k' line holds two variables below n and a count of at most d²,
+        # an 'f' line two values below d
+        size = (m * (5 + 2 * len(str(n)) + len(str(d * d)))
+                + len(instance.codes) * (4 + 2 * len(str(d))))
+        text = _write(lib.write_blocks, size, instance.con_a.ctypes.data,
+                      instance.con_b.ctypes.data, instance.pair_start.ctypes.data, m,
+                      instance.codes.ctypes.data, instance.codes.itemsize == 8, d)
+    parts += _blocks(instance) if text is None else [text]
     if solution is not None:
         if not solution.is_complete or len(solution) != instance.n:
             raise ValueError("recorded solution must assign every variable")
@@ -585,13 +589,12 @@ def _blocks(instance: CspInstance) -> Iterator[str]:
                                                for c in codes[s:e].tolist()])
 
 
-def _write(writer: Any, *args) -> str:
-    """The ASCII text a compiled writer writes for `args`, in two passes: one
-    measures it, one fills a buffer of that size, which is decoded once."""
-    size = writer(*args, None)
+def _write(writer: Any, size: int, *args) -> Optional[str]:
+    """The ASCII text a compiled writer writes for `args` in one pass into a
+    buffer of `size` bytes, decoded once; None if it does not fit."""
     buf = bytearray(size)
-    writer(*args, (ctypes.c_char * size).from_buffer(buf))
-    return buf.decode("ascii")
+    used = writer(*args, (ctypes.c_char * size).from_buffer(buf), size)
+    return None if used < 0 else str(memoryview(buf)[:used], "ascii")
 
 
 # The whitespace of str.split() and the line breaks of str.splitlines(); all
@@ -605,7 +608,6 @@ _ASCII_CLASS = bytes((c in _SPACES) | (c in _BREAKS) << 1 for c in range(128)) +
 _PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
 _MAX_DIGITS = 18  # the compiled reader's longest value token; int() reads the rest
 _CHUNK = 1 << 15  # characters read at a time
-_BLOCK_ROWS = 1 << 13  # lines the compiled reader's block holds, in 192 KiB
 
 
 def _pieces(text: str, size: int) -> Iterator[tuple[int, str]]:
@@ -620,12 +622,6 @@ def _pieces(text: str, size: int) -> Iterator[tuple[int, str]]:
         if cut == len(text):
             return
         pos = cut
-
-
-def _lines(text: str, chunk: int) -> Iterator[str]:
-    """The lines of text.splitlines(), split from one piece at a time."""
-    for _, piece in _pieces(text, chunk):
-        yield from piece.splitlines()
 
 
 def _read(text: str, tag: str, limit: int):
@@ -645,47 +641,45 @@ def _read(text: str, tag: str, limit: int):
     _pieces), and only the results above outlive a piece.  So the memory
     taken beyond them is bounded by _CHUNK for any text whose lines are at
     most _CHUNK characters long, and by about one copy of a longer line.
-    ASCII pieces are read by the compiled reader when it is available, into
-    one block of _BLOCK_ROWS lines reused for every piece (see _read_ascii),
+    ASCII pieces are read by the compiled reader when it is available, in
+    one call each into one block reused for every piece (see _read_ascii),
     and any other piece by `_read_piece`, the reference it is tested against.
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
     lib = _native.kernel()
-    block = None if lib is None else np.empty(3 * _BLOCK_ROWS, dtype=np.int64)
+    # A row needs a token and, unless its line ends the piece, a break: two
+    # characters.  A piece's lines but its last end at breaks starting below
+    # _CHUNK (see _pieces), so they hold at most _CHUNK // 2 rows, and the
+    # last line one more.
+    block = None if lib is None else np.empty(3 * (_CHUNK // 2 + 1), dtype=np.int64)
     found, lineno = [], 0
     for pos, piece in _pieces(text, _CHUNK):
-        parts = None
+        rows = None
         if lib is not None and piece.isascii():
-            parts = _read_ascii(lib.read_piece, piece, tag, limit, block)
-        for bulk, values, others, spans, breaks in parts or [_read_piece(piece, tag, limit)]:
-            found.append(((bulk + lineno).astype(index), values.astype(value),
-                          (others + lineno).astype(index), (spans + pos).astype(index)))
+            rows = _read_ascii(lib.read_piece, piece, tag, limit, block)
+        bulk, values, others, spans, breaks = rows or _read_piece(piece, tag, limit)
+        found.append(((bulk + lineno).astype(index), values.astype(value),
+                      (others + lineno).astype(index), (spans + pos).astype(index)))
         lineno += breaks
     return [np.concatenate(column) for column in zip(*found)]
 
 
 def _read_ascii(reader: Any, piece: str, tag: str, limit: int, block: np.ndarray):
-    """_read_piece's results for an ASCII piece from the compiled reader, in
-    parts, one per fill of `block` (int64, three per line it holds): the
-    parts' arrays joined are _read_piece's, the last part's break count the
-    piece's.  All but the last part are copies; the last is views of block.
-    None when a value token is not plain digits and needs int()'s rules."""
+    """_read_piece's results for an ASCII piece from one call of the compiled
+    reader, as views of `block` (int64, three per row it holds).  None when
+    a value token is not plain digits and needs int()'s rules, or when the
+    piece has more rows than the block holds."""
     raw = piece.encode("ascii")
-    at = (ctypes.c_int64 * 4)()  # where to resume, and the rows of a fill
-    cap, parts = len(block) // 3, []
+    at = (ctypes.c_int64 * 3)()  # breaks, bulk rows, other rows
+    cap = len(block) // 3
+    if reader(raw, len(raw), _ASCII_CLASS, ord(tag), limit, at, cap, block.ctypes.data) < 0:
+        return None
+    breaks, nbulk, nother = at
     lines, pairs = block[:cap], block[cap:].reshape(cap, 2)
-    while True:
-        full = reader(raw, len(raw), _ASCII_CLASS, ord(tag), limit, at, cap, block.ctypes.data)
-        if full < 0:
-            return None
-        _, breaks, nbulk, nother = at
-        # bulk lines fill the block from the front, the others from the back
-        part = (lines[:nbulk], pairs[:nbulk],
-                lines[cap - nother:][::-1], pairs[cap - nother:][::-1])
-        if not full:
-            return [*parts, (*part, breaks)]
-        parts.append((*(a.copy() for a in part), breaks))
+    # bulk rows fill the block from the front, the others from the back
+    return (lines[:nbulk], pairs[:nbulk], lines[cap - nother:][::-1],
+            pairs[cap - nother:][::-1], breaks)
 
 
 def _read_piece(piece: str, tag: str, limit: int):
@@ -723,8 +717,9 @@ def _read_piece(piece: str, tag: str, limit: int):
 
 
 def _line(text: str, lineno: int) -> str:
-    """Line `lineno` (0-based) of text.splitlines(), read again for a message."""
-    return next(islice(_lines(text, _CHUNK), lineno, None))
+    """Line `lineno` (0-based) of text.splitlines(), split again a piece at a time."""
+    lines = (line for _, piece in _pieces(text, _CHUNK) for line in piece.splitlines())
+    return next(islice(lines, lineno, None))
 
 
 def _f_problem(raw: str, d: int) -> str:

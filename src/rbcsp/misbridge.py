@@ -341,15 +341,16 @@ def parse_dimacs(text: str) -> MisGraph:
 def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
     """Serialize to DIMACS ascii: 1-indexed, edges sorted.  Each line of a
     comment, as `str.splitlines()` splits it, becomes its own 'c' line.  The
-    'e' lines are written by the compiled writer when it is available, else
-    by `_edge_slices`, the reference it is tested against."""
+    'e' lines are written by the compiled writer when it is available, into
+    a buffer sized for two vertices of at most V a line; else, or if they
+    overrun it, by `_edge_slices`, the reference it is tested against."""
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
-    lib = _native.kernel()
-    if lib is None:
-        parts += _edge_slices(graph.pairs)
-    else:
-        parts.append(_write(lib.write_edges, graph.pairs.ctypes.data, graph.num_edges))
+    lib, text = _native.kernel(), None
+    if lib is not None:
+        text = _write(lib.write_edges, graph.num_edges * (4 + 2 * len(str(graph.num_vertices))),
+                      graph.pairs.ctypes.data, graph.num_edges)
+    parts += _edge_slices(graph.pairs) if text is None else [text]
     return "".join(parts)
 
 

@@ -69,8 +69,9 @@ def test_parse_dimacs_peak_n100(n100):
 
 
 def test_dumps_csp_peak_n100(n100, monkeypatch):
-    # the 3.9 MB text twice: as bytes and str from the compiled writer, or
-    # as the Python writer's block strings and their join: 7.7 and 7.8 MB;
+    # the 3.9 MB text twice: as the compiled writer's buffer, sized a little
+    # above the text, and its str, or as the Python writer's block strings
+    # and their join: 8.0 and 7.8 MB;
     # the numpy writer's strings per distinct pair took 16.9 MB
     instance, hidden = loads_csp(n100[0])
     assert traced_peak_mb(dumps_csp, instance, hidden) <= 10
@@ -79,7 +80,7 @@ def test_dumps_csp_peak_n100(n100, monkeypatch):
 
 
 def test_emit_dimacs_peak_n100(n100):
-    # 13.1 MB with the compiled writer, 19.2 MB with 64k-edge Python
+    # 13.4 MB with the compiled writer, 19.2 MB with 64k-edge Python
     # slices; a string per edge took 52 MB
     graph = parse_dimacs(n100[1])
     assert traced_peak_mb(emit_dimacs, graph) <= 25

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcsp import core, misbridge
-from rbcsp.core import Constraint, CspInstance, SearchState, _lines, dumps_csp, loads_csp
+from rbcsp.core import Constraint, CspInstance, SearchState, _line, dumps_csp, loads_csp
 from rbcsp.misbridge import (
     MAX_VERTICES,
     DimacsFormatError,
@@ -281,7 +281,10 @@ class TestDimacs:
                         max_size=60),
            chunk=st.integers(0, 8))
     def test_lines_split_like_splitlines(self, text, chunk):
-        assert list(_lines(text, chunk)) == text.splitlines()
+        # _line reads the text again a piece of _CHUNK characters at a time
+        lines = text.splitlines()
+        with mock.patch.object(core, "_CHUNK", chunk):
+            assert [_line(text, i) for i in range(len(lines))] == lines
 
     def test_line_numbers_follow_splitlines(self):
         # \x0b, \x0c and a lone \r end lines; \r\n ends one

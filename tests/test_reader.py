@@ -4,7 +4,10 @@ silent fallback to it.
 Each check reads a text or a piece twice, once with the compiled reader and
 once with `_native._lib` set to None, which makes `_read` take every piece
 through the Python reference, a loop over `str.splitlines()`,
-`str.split()` and `int()`, and compares the results field by field.
+`str.split()` and `int()`, and compares the results field by field.  The
+compiled reader reads a piece in one call into a block that `_read` sizes
+from `_CHUNK`; the checks below show that every piece fits it, and that a
+piece with more rows than its block is left to the Python reader.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcsp import _native, core
+from rbcsp import _native, core, misbridge
 from rbcsp.core import dumps_csp, loads_csp
 from rbcsp.misbridge import MAX_VERTICES, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
@@ -66,20 +69,24 @@ def plain_values(piece: str, tag: str) -> bool:
     return True
 
 
+def block(rows: int) -> np.ndarray:
+    return np.empty(3 * rows, dtype=np.int64)
+
+
 def check_piece(reader, piece: str, tag: str, limit: int) -> None:
-    # with a block of one line, each line with results is read by a call of
-    # its own, resumed after the line before it
+    # the block _read allocates, and one of exactly the piece's rows, give
+    # _read_piece's results; a block one row short gives None, and the
+    # piece is then left to _read_piece
     slow = core._read_piece(piece, tag, limit)
-    for rows in (1, core._BLOCK_ROWS):
-        block = np.empty(3 * rows, dtype=np.int64)
-        parts = core._read_ascii(reader, piece, tag, limit, block)
-        if parts is None:  # left for int()
+    rows = len(slow[0]) + len(slow[2])
+    for size in (core._CHUNK // 2 + 1, rows):
+        fast = core._read_ascii(reader, piece, tag, limit, block(size))
+        if fast is None:  # left for int()
             assert not plain_values(piece, tag)
             return
-        joined = [np.concatenate(column) for column in zip(*(part[:4] for part in parts))]
-        same((*joined, parts[-1][4]), slow)
-        if rows == 1:
-            assert len(parts) == max(1, len(slow[0]) + len(slow[2]))
+        same(fast, slow)
+    if rows:
+        assert core._read_ascii(reader, piece, tag, limit, block(rows - 1)) is None
 
 
 PIECES = [
@@ -149,37 +156,59 @@ def test_texts_read_alike(reader, monkeypatch, text, chunk):
             same(core._read(text, tag, limit), python_read(monkeypatch, text, tag, limit))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 7])
 @pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
 @pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
-def test_texts_resume_alike(reader, monkeypatch, text, chunk, rows):
-    # a block of a few lines fills mid-piece, so the reader resumes after
-    # bulk lines, other lines and before a final line with no break
-    with mock.patch.object(core, "_CHUNK", chunk), mock.patch.object(core, "_BLOCK_ROWS", rows):
+def test_texts_fit_the_block(reader, monkeypatch, text, chunk):
+    # only a piece with non-ASCII text or a value token for int() reaches
+    # the Python reader: no piece has more rows than the block
+    seen, read_piece = [], core._read_piece
+
+    def recording(piece, tag, limit):
+        seen.append((piece, tag))
+        return read_piece(piece, tag, limit)
+
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    monkeypatch.setattr(core, "_read_piece", recording)
+    for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
+        core._read(text, tag, limit)
+    assert all(not piece.isascii() or not plain_values(piece, tag) for piece, tag in seen)
+
+
+# texts of two characters a row, the most rows a piece can hold
+DENSEST = ["f\n", "f\x1c", "x\r\n", "\nf\n", "f 1 2\n"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 40, core._CHUNK])
+@pytest.mark.parametrize("unit", DENSEST, ids=[f"dense{i}" for i in range(len(DENSEST))])
+def test_densest_texts_read_in_c(reader, monkeypatch, unit, chunk):
+    text = unit * (3 * chunk // len(unit) + 10)
+    with mock.patch.object(core, "_CHUNK", chunk):
         for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
-            same(core._read(text, tag, limit), python_read(monkeypatch, text, tag, limit))
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3, 7])
-def test_frb_texts_resume_alike(reader, monkeypatch, rows):
-    instance, hidden = generate_forced(phase_transition_params(40), 2)
-    text = dumps_csp(instance, hidden)
-    dimacs = emit_dimacs(csp_to_mis(instance))
-    with mock.patch.object(core, "_BLOCK_ROWS", rows):
-        for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e")):
-            same(core._read(body, "f", LIMIT), python_read(monkeypatch, body, "f", LIMIT))
-        same(core._read(dimacs, "e", MAX_VERTICES + 1),
-             python_read(monkeypatch, dimacs, "e", MAX_VERTICES + 1))
+            slow = python_read(monkeypatch, text, tag, limit)
+            with mock.patch.object(core, "_read_piece", side_effect=AssertionError(unit)):
+                same(core._read(text, tag, limit), slow)
 
 
 def test_frb_texts_read_alike(reader, monkeypatch):
+    # the n=40 CSP text at three line ends and its DIMACS text are written
+    # and read by the compiled kernel alone, with the Python reader's results:
+    # the Python reader and writers are made to raise meanwhile
+    def compiled_only(m):
+        for module, name in ((core, "_read_piece"), (core, "_blocks"),
+                             (misbridge, "_edge_slices")):
+            m.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
+
     instance, hidden = generate_forced(phase_transition_params(40), 2)
-    text = dumps_csp(instance, hidden)
-    dimacs = emit_dimacs(csp_to_mis(instance))
-    for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e")):
-        same(core._read(body, "f", LIMIT), python_read(monkeypatch, body, "f", LIMIT))
-    same(core._read(dimacs, "e", MAX_VERTICES + 1),
-         python_read(monkeypatch, dimacs, "e", MAX_VERTICES + 1))
+    with monkeypatch.context() as m:
+        compiled_only(m)
+        text = dumps_csp(instance, hidden)
+        dimacs = emit_dimacs(csp_to_mis(instance))
+    for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e"), dimacs):
+        tag, limit = ("e", MAX_VERTICES + 1) if body is dimacs else ("f", LIMIT)
+        slow = python_read(monkeypatch, body, tag, limit)
+        with monkeypatch.context() as m:
+            compiled_only(m)
+            same(core._read(body, tag, limit), slow)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])

@@ -4,18 +4,23 @@ byte, and a silent fallback to them.
 Each check writes an instance or a graph twice, once with the compiled
 writer and once with `_native._lib` set to None, which makes `dumps_csp` and
 `emit_dimacs` format each line with an f-string in `core._blocks` and
-`misbridge._edge_slices`.
+`misbridge._edge_slices`.  The compiled writers write into a buffer that
+their callers size from n, d and V; the checks at digit boundaries show the
+text fits it, and a buffer a byte short is refused without being overrun.
 """
 
 from __future__ import annotations
 
+import ctypes
 import subprocess
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcsp import _native
+from rbcsp import _native, core, misbridge
 from rbcsp.core import Assignment, Constraint, CspInstance, dumps_csp, loads_csp
 from rbcsp.misbridge import MisGraph, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
@@ -87,6 +92,58 @@ def test_frb_scale(writers, monkeypatch):
     graph = csp_to_mis(instance)
     assert parse_dimacs(both_dimacs(monkeypatch, graph)) == MisGraph._from_pairs(
         graph.num_vertices, graph.pairs)
+
+
+def compiled(monkeypatch, write, *args) -> str:
+    """write(*args) with the Python writers made to raise: a text that only
+    the compiled writer wrote, so _write returned it rather than None."""
+    with monkeypatch.context() as m:
+        m.setattr(core, "_blocks", mock.Mock(side_effect=AssertionError("_blocks")))
+        m.setattr(misbridge, "_edge_slices", mock.Mock(side_effect=AssertionError("_edge_slices")))
+        return write(*args)
+
+
+def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
+    # n, d and V where a number gains a digit, a constraint disallowing all
+    # d² pairs, vertices up to 2⁶² and codes stored as int64
+    for n, d in product((9, 10, 99, 100), repeat=2):
+        instance = CspInstance(n, d, (Constraint(n - 1, n - 2, tuple(product(range(d), repeat=2))),
+                                      Constraint(0, n - 1, ((d - 1, 0),))))
+        assert compiled(monkeypatch, dumps_csp, instance, None, COMMENTS) == both_csp(
+            monkeypatch, instance)
+    pairs = ((0, 1), (12345, 0), (46340, 46341), (49999, 0), (49999, 49999))
+    wide = CspInstance(3, 50000, (Constraint(0, 1, pairs), Constraint(2, 0, pairs[3:])))
+    assert compiled(monkeypatch, dumps_csp, wide, None, COMMENTS) == both_csp(monkeypatch, wide)
+    for size in (9, 10, 99, 100, 2**62):
+        graph = MisGraph(size, [(0, size - 1), (size - 2, size - 1), (0, 1)])
+        assert compiled(monkeypatch, emit_dimacs, graph, COMMENTS) == both_dimacs(
+            monkeypatch, graph)
+
+
+def test_a_buffer_short_of_the_text_is_refused(writers):
+    # at every cap below the text's length the writer returns -1 and
+    # writes no byte at or beyond the cap
+    lib = _native.kernel()
+    instance = CspInstance(12, 10, (Constraint(11, 0, ((9, 9), (0, 3))),
+                                    Constraint(1, 2, ((5, 0),))))
+    graph = MisGraph(2**40, [(0, 2**40 - 1), (9, 10)])
+    cases = [
+        (lib.write_blocks, (instance.con_a.ctypes.data, instance.con_b.ctypes.data,
+                            instance.pair_start.ctypes.data, instance.num_constraints,
+                            instance.codes.ctypes.data, instance.codes.itemsize == 8, instance.d),
+         "".join(core._blocks(instance))),
+        (lib.write_edges, (graph.pairs.ctypes.data, graph.num_edges),
+         "".join(misbridge._edge_slices(graph.pairs))),
+    ]
+    for writer, args, text in cases:
+        size = len(text)
+        buf = bytearray(size + 16)
+        out = (ctypes.c_char * len(buf)).from_buffer(buf)
+        assert writer(*args, out, size) == size and buf[:size] == text.encode()
+        for cap in range(size):
+            buf[:] = b"#" * len(buf)
+            assert writer(*args, out, cap) == -1
+            assert buf[cap:] == b"#" * (len(buf) - cap)
 
 
 @st.composite
