@@ -174,6 +174,66 @@ def test_texts_fit_the_block(reader, monkeypatch, text, chunk):
     assert all(not piece.isascii() or not plain_values(piece, tag) for piece, tag in seen)
 
 
+def small_block(m, rows: int) -> list:
+    """Has _read hand the compiled reader one block of `rows` rows, reused
+    for every piece, and returns the (piece, tag, limit, read) of each call,
+    where read is False if the call returned None."""
+    calls, read_ascii, shared = [], core._read_ascii, block(rows)
+
+    def with_small_block(reader, piece, tag, limit, _):
+        found = read_ascii(reader, piece, tag, limit, shared)
+        calls.append((piece, tag, limit, found is not None))
+        return found
+
+    m.setattr(core, "_read_ascii", with_small_block)
+    return calls
+
+
+def check_calls(calls, rows: int) -> None:
+    # a piece of more rows than the block is refused, and any other one
+    # only for a value token left for int()
+    for piece, tag, limit, read in calls:
+        bulk, _, others, _, _ = core._read_piece(piece, tag, limit)
+        if len(bulk) + len(others) > rows:
+            assert not read
+        elif not read:
+            assert not plain_values(piece, tag)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
+@pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
+def test_texts_resume_alike(reader, monkeypatch, text, chunk, rows):
+    # a block of a few rows fills mid-piece, after bulk lines, other lines
+    # or before a final line with no break: the compiled call returns -1,
+    # _read_piece reads the piece from its start, and the next piece reuses
+    # the block the refused call left rows in
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
+        slow = python_read(monkeypatch, text, tag, limit)
+        with monkeypatch.context() as m:
+            calls = small_block(m, rows)
+            same(core._read(text, tag, limit), slow)
+        check_calls(calls, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_frb_texts_resume_alike(reader, monkeypatch, rows):
+    # every piece of the n=40 texts is refused by a block this small and
+    # read by _read_piece, with the same results
+    instance, hidden = generate_forced(phase_transition_params(40), 2)
+    text = dumps_csp(instance, hidden)
+    dimacs = emit_dimacs(csp_to_mis(instance))
+    for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e"), dimacs):
+        tag, limit = ("e", MAX_VERTICES + 1) if body is dimacs else ("f", LIMIT)
+        slow = python_read(monkeypatch, body, tag, limit)
+        with monkeypatch.context() as m:
+            calls = small_block(m, rows)
+            same(core._read(body, tag, limit), slow)
+        assert calls and not any(read for *_, read in calls)
+        check_calls(calls, rows)
+
+
 # texts of two characters a row, the most rows a piece can hold
 DENSEST = ["f\n", "f\x1c", "x\r\n", "\nf\n", "f 1 2\n"]
 
