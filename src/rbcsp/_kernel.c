@@ -16,12 +16,20 @@
  *
  * The tables are `rbcsp.core._FlatTables`: the incidence slots of
  * variable v are inc_start[v] .. inc_start[v+1]-1, in constraint id order;
- * slot s holds constraint slot_cid[s] with other endpoint slot_other[s].
- * Its relation is packed in rows of W = ceil(d / 64) words: bit u & 63 of
+ * slot s holds constraint slot_cid[s] with other endpoint slot_other[s], and
+ * rev[s] is the constraint's slot at that other endpoint.  Its relation is
+ * packed in rows of W = ceil(d / 64) words: bit u & 63 of
  * bits[(s*d + w) * W + (u >> 6)] is the violation flag when the other
  * endpoint holds w and v holds u, so word k of a row holds the values
- * 64k .. 64k+63.  Counts are kept in bit planes, one word at a time.  The
- * field order of `ulsa_run` matches `rbcsp._native._RunStruct`.
+ * 64k .. 64k+63.
+ *
+ * The step loop reads no row of bits for a gather: the run's row cache cur
+ * holds, at cur[s * W], slot s's row under the current value of its other
+ * endpoint, so the rows of a variable lie in order, one after another.  The
+ * caller fills cur for each state it hands over (`rbcsp.ulsa._KernelRun`);
+ * `apply` keeps it current, refreshing the rows at the far end of every slot
+ * of the variable it changes.  Counts are kept in bit planes, one word at a
+ * time.  The field order of `ulsa_run` matches `rbcsp._native._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>
@@ -38,9 +46,10 @@ typedef struct {
 typedef struct {
     /* tables, read only */
     const uint64_t *bits;
-    const int32_t *inc_start, *slot_other, *slot_cid, *con_a, *con_b;
+    const int32_t *inc_start, *slot_other, *slot_cid, *rev, *con_a, *con_b;
     int64_t d;
-    /* search state, updated in place */
+    /* search state, updated in place: the row cache, 2m rows of W words */
+    uint64_t *cur;
     int64_t *x, *t;
     int32_t *ids, *pos;
     int64_t nviol, n_iter;
@@ -73,10 +82,29 @@ static double uniform(ulsa_run *r)
     return r->u[r->upos++];
 }
 
-/* the words of slot s's row under the current value of its other endpoint */
-static inline __attribute__((always_inline)) const uint64_t *
-row_of(const ulsa_run *r, int64_t W, int32_t s)
+/* the number of set bits of v: the POPCNT instruction where the target has
+ * it, else Warren's branch-free count (Hacker's Delight, 5-1), as the
+ * builtin would otherwise call into libgcc */
+static inline __attribute__((always_inline)) int64_t popcount(uint64_t v)
 {
+#ifdef __POPCNT__
+    return __builtin_popcountll(v);
+#else
+    v -= v >> 1 & 0x5555555555555555ULL;
+    v = (v & 0x3333333333333333ULL) + (v >> 2 & 0x3333333333333333ULL);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int64_t)(v * 0x0101010101010101ULL >> 56);
+#endif
+}
+
+/* the words of slot s's row under the current value of its other endpoint:
+ * read from bits at the start, where the endpoint may have no value yet, and
+ * from the row cache in the search */
+static inline __attribute__((always_inline)) const uint64_t *
+row_of(const ulsa_run *r, int64_t W, int32_t s, int live)
+{
+    if (!live)
+        return r->cur + (int64_t)s * W;
     return r->bits + ((int64_t)s * r->d + r->x[r->slot_other[s]]) * W;
 }
 
@@ -99,7 +127,7 @@ accumulate(const ulsa_run *r, int64_t W, int64_t k, int32_t s0, int32_t s1, uint
     for (int32_t s = s0; s < s1; s++) {
         if (live && r->x[r->slot_other[s]] < 0)
             continue;
-        uint64_t carry = row_of(r, W, s)[k];
+        uint64_t carry = row_of(r, W, s, live)[k];
         for (int j = 0; j < depth; j++) {
             uint64_t next = plane[j] & carry;
             plane[j] ^= carry;
@@ -161,7 +189,7 @@ gather(const ulsa_run *r, int64_t W, int64_t v, int live, moves *mv)
             mv->n = 0;
         }
         mv->mask[k] = min == mv->min ? values : 0;
-        mv->n += __builtin_popcountll(mv->mask[k]);
+        mv->n += popcount(mv->mask[k]);
     }
 }
 
@@ -171,7 +199,7 @@ static inline __attribute__((always_inline)) int64_t value_at(const moves *mv, i
 {
     int64_t w = 0;
     for (; w < W - 1; w++) {
-        const int64_t c = __builtin_popcountll(mv->mask[w]);
+        const int64_t c = popcount(mv->mask[w]);
         if (k < c)
             break;
         k -= c;
@@ -182,41 +210,52 @@ static inline __attribute__((always_inline)) int64_t value_at(const moves *mv, i
     return 64 * w + __builtin_ctzll(mask);
 }
 
-static void add(ulsa_run *r, int32_t cid)
+/* constraint cid enters the violated set if now is set, and leaves it by a
+ * swap with the last member otherwise, without a branch: its flag has just
+ * changed, so it is a member exactly when now is clear */
+static inline __attribute__((always_inline)) void toggle(ulsa_run *r, int32_t cid, int now)
 {
-    if (r->pos[cid] < 0) {
-        r->pos[cid] = (int32_t)r->nviol;
-        r->ids[r->nviol++] = cid;
-    }
+    const int64_t tail = r->nviol - 1 + now;  /* the new end, or the last member */
+    const int32_t last = r->ids[tail], at = r->pos[cid];
+    const int32_t moved = now ? cid : last, p = now ? (int32_t)tail : at;
+    r->ids[p] = moved;
+    r->pos[moved] = p;
+    r->pos[cid] = now ? p : -1;
+    r->nviol += 2 * now - 1;
 }
 
-static void discard(ulsa_run *r, int32_t cid)
-{
-    int32_t p = r->pos[cid];
-    if (p < 0)
-        return;
-    int32_t last = r->ids[r->nviol - 1];
-    r->ids[p] = last;
-    r->pos[last] = p;
-    r->nviol--;
-    r->pos[cid] = -1;
-}
+/* the slots of var listed, at most CHANGED at a time */
+#define CHANGED 64
 
 /* SearchState._apply_with_cols: slots whose flag differs between the old and
- * the new value enter or leave the violated set, in slot order */
+ * the new value enter or leave the violated set, in slot order.  The flags
+ * are read from the row cache, and the row at the far end of each slot is
+ * refreshed for the new value; the slots whose flag changes are listed first
+ * and then toggled */
 static inline __attribute__((always_inline)) void apply(ulsa_run *r, int64_t W, int64_t var,
                                                         int64_t value)
 {
-    const int64_t old = r->x[var];
-    for (int32_t s = r->inc_start[var]; s < r->inc_start[var + 1]; s++) {
-        const uint64_t *row = row_of(r, W, s);
-        const int now = flag(row, W, value);
-        if (now != flag(row, W, old)) {
-            if (now)
-                add(r, r->slot_cid[s]);
-            else
-                discard(r, r->slot_cid[s]);
+    /* locals, as a store to cur could otherwise alias the struct's fields */
+    uint64_t *const cur = r->cur;
+    const uint64_t *const bits = r->bits;
+    const int32_t *const rev = r->rev;
+    const int64_t old = r->x[var], d = r->d;
+    const int32_t s1 = r->inc_start[var + 1];
+    int32_t changed[CHANGED];
+    for (int32_t c0 = r->inc_start[var]; c0 < s1; c0 += CHANGED) {
+        const int32_t c1 = s1 - c0 < CHANGED ? s1 : c0 + CHANGED;
+        int n = 0;
+        for (int32_t s = c0; s < c1; s++) {
+            const uint64_t *row = cur + (int64_t)s * W;
+            changed[n] = s;
+            n += flag(row, W, value) != flag(row, W, old);
+            const int64_t o = rev[s];
+            const uint64_t *fresh = bits + (o * d + value) * W;
+            for (int64_t k = 0; k < W; k++)
+                cur[o * W + k] = fresh[k];
         }
+        for (int k = 0; k < n; k++)
+            toggle(r, r->slot_cid[changed[k]], flag(cur + (int64_t)changed[k] * W, W, value));
     }
     r->x[var] = value;
     r->t[var] = ++r->n_iter;

@@ -72,9 +72,9 @@ class _RunStruct(ctypes.Structure):
     """`ulsa_run` in _kernel.c, field for field."""
 
     _fields_ = [
-        ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P),
+        ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P), ("rev", _P),
         ("con_a", _P), ("con_b", _P), ("d", _I),
-        ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
+        ("cur", _P), ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
         ("iterations", _I), ("expansions", _I), ("worsening", _I),
         ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
         ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),

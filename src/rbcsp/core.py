@@ -352,8 +352,9 @@ class _FlatTables:
     inc_start[v] .. inc_start[v+1]-1, in constraint id order.  Slot s holds
     constraint slot_cid[s], whose other endpoint is slot_other[s], and its
     relation oriented toward v: rows[s * d + w, u] == 1 iff the constraint
-    is violated when the other endpoint holds w and v holds u.  con_a/con_b
-    are the constraints' endpoints.
+    is violated when the other endpoint holds w and v holds u.  rev[s] is the
+    same constraint's slot at the other endpoint, so rev[rev[s]] == s.
+    con_a/con_b are the constraints' endpoints.
 
     bits packs the flags in rows of ceil(d / 64) uint64 words: bit u % 64 of
     bits[s * d + w, u // 64] is rows[s * d + w, u].  It is the only table of
@@ -362,7 +363,7 @@ class _FlatTables:
     reference paths do.
     """
 
-    __slots__ = ("d", "bits", "base", "inc_start", "slot_other", "slot_cid", "con_a",
+    __slots__ = ("d", "bits", "base", "inc_start", "slot_other", "slot_cid", "rev", "con_a",
                  "con_b", "_rows")
 
     def __init__(self, instance: CspInstance):
@@ -381,6 +382,8 @@ class _FlatTables:
         np.cumsum(np.bincount(var, minlength=n), out=self.inc_start[1:])
         self.slot_other = np.concatenate([con_b, con_a])[order]
         self.slot_cid = cid[order]
+        self.rev = np.empty(2 * m, dtype=np.int32)
+        self.rev[slot] = np.concatenate([slot[m:], slot[:m]])
         self.base = np.arange(2 * m, dtype=np.int64) * d  # slot s's first row in rows
         self.con_a = con_a
         self.con_b = con_b

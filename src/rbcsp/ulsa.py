@@ -9,10 +9,13 @@ the candidate set expands to both endpoints ("neighborhood expansion").  No
 weights or penalties are maintained; occasional forced worsening moves are
 what gets the search out of local optima.
 
-The per-iteration work is one or two stacked-table gathers from the core
-search state plus O(1) bookkeeping.  `run` takes its steps in a compiled
-kernel (_kernel.c) when one can be built, and in `_step`, the Python
-reference, otherwise; both follow the same trajectory.
+The per-iteration work is one or two gathers of a variable's incident
+relation rows plus bookkeeping over the changed variable's slots.  `run`
+takes its steps in a compiled kernel (_kernel.c) when one can be built, and
+in `_step`, the Python reference, otherwise; both follow the same
+trajectory.  The kernel keeps each slot's current row in a per-run cache, so
+a gather reads one contiguous run of words and a change refreshes the rows
+at the far end of its slots (see `_KernelRun`).
 """
 
 from __future__ import annotations
@@ -254,6 +257,12 @@ class _KernelRun:
     read back after it, with the step counters.  From the first call on, the
     kernel owns the block of uniforms and its cursor, and refills the block
     from the run's generator.
+
+    The run also holds the kernel's row cache `cur`, allocated once: row s
+    is slot s's packed row of `bits` under the current value of its other
+    endpoint, 2m·W words in all.  It is filled from the state whenever the
+    struct is pointed at a new one, and the kernel keeps it current from
+    then on, so nothing but the kernel may change that state's `x`.
     """
 
     def __init__(self, lib: Any, instance: CspInstance, uniforms: _Uniforms,
@@ -264,10 +273,12 @@ class _KernelRun:
         self.budget = budget
         # kept alive with the struct pointing into them
         self.flat, self.uniforms = flat, uniforms
+        self.cur = np.empty((len(flat.slot_cid), flat.bits.shape[1]), dtype=np.uint64)
         self.c = _native._RunStruct(
             flat.bits.ctypes.data, flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
-            flat.slot_cid.ctypes.data, flat.con_a.ctypes.data, flat.con_b.ctypes.data,
-            instance.d, iterations=stats.iterations, expansions=stats.expansions,
+            flat.slot_cid.ctypes.data, flat.rev.ctypes.data, flat.con_a.ctypes.data,
+            flat.con_b.ctypes.data, instance.d, self.cur.ctypes.data,
+            iterations=stats.iterations, expansions=stats.expansions,
             worsening=stats.worsening, u=uniforms.block.ctypes.data,
             nu=len(uniforms.block), upos=uniforms.pos,
             gen=uniforms.rng.bit_generator.ctypes.bit_generator,
@@ -282,6 +293,8 @@ class _KernelRun:
             self.state = state
             c.x, c.t = state.x.ctypes.data, state.t.ctypes.data
             c.ids, c.pos = violated._ids.ctypes.data, violated.pos.ctypes.data
+            flat = self.flat
+            flat.bits.take(flat.base + state.x.take(flat.slot_other), axis=0, out=self.cur)
         c.nviol, c.n_iter = violated.n, state.n_iter
         c.best = best
         c.budget = stats.iterations + _SLICE

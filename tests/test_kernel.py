@@ -190,11 +190,13 @@ def snapshot(state, stats) -> dict:
                 pos=pos, stats=dataclasses.astuple(stats))
 
 
-def test_kernel_steps_the_state_arrays_as_python_does(kernel):
+@pytest.mark.parametrize("d, m", [pytest.param(3, 40, id="d3"), pytest.param(65, 60, id="d65")])
+def test_kernel_steps_the_state_arrays_as_python_does(kernel, d, m):
     # k kernel steps leave the state's own arrays as k Python steps do,
-    # before and after a switch to a fresh state, as on a restart; no
+    # before and after a switch to a fresh state, as on a restart, which
+    # rebuilds the kernel's row cache, of two words a row at d = 65; no
     # solution exists, so every step runs
-    instance = random_instance(random.Random(2), n=8, d=3, m=40)
+    instance = random_instance(random.Random(2), n=8, d=d, m=m)
     sides = []
     for stepped_by_kernel in (True, False):
         rng = np.random.Generator(np.random.PCG64(11))

@@ -1,5 +1,6 @@
 """The search tables: the compiled and the numpy build of the packed rows,
-the byte view unpacked from them, and the compiled greedy start.
+the byte view unpacked from them, the reverse slots, and the compiled
+greedy start.
 
 Each build is checked against an oracle that lays the slots out with plain
 loops over `instance.constraints`, sharing no code with `_FlatTables`.
@@ -123,6 +124,32 @@ def test_byte_view_equals_the_oracle_rows(monkeypatch, make):
         assert tables.bits.shape == (len(rows), -(-instance.d // 64))
         assert tables.rows.dtype == np.uint8 and np.array_equal(tables.rows, rows)
         assert tables.base.tolist() == list(range(0, len(rows), instance.d))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_instance(random.Random(13), n=7, d=3, m=15), id="d3"),
+    pytest.param(lambda: random_instance(random.Random(14), n=7, d=64, m=15), id="d64"),
+    pytest.param(lambda: random_instance(random.Random(15), n=7, d=65, m=15), id="d65"),
+    pytest.param(lambda: random_instance(random.Random(16), n=7, d=129, m=15), id="d129"),
+    pytest.param(duplicates_and_isolated, id="duplicates-isolated"),
+])
+def test_rev_is_an_involution_onto_the_transposed_relation(builder, monkeypatch, make):
+    # rev[s] is the same constraint's slot at the other endpoint: flag u of
+    # row (s, w) is the constraint's verdict on (u at s's variable, w at the
+    # other), which is flag w of row (rev[s], u)
+    instance = make()
+    d = instance.d
+    rows = oracle(instance)[3]
+    for tables in (_FlatTables(instance), numpy_tables(monkeypatch, instance)):
+        rev = tables.rev
+        assert rev.dtype == np.int32 and len(rev) == 2 * instance.num_constraints
+        assert np.array_equal(rev[rev], np.arange(len(rev)))
+        assert np.array_equal(tables.slot_cid[rev], tables.slot_cid)
+        # the far slot's other endpoint is the variable that owns s
+        owner = np.repeat(np.arange(instance.n), np.diff(tables.inc_start))
+        assert np.array_equal(tables.slot_other[rev], owner)
+        for s, r in enumerate(rev.tolist()):
+            assert np.array_equal(rows[s * d:(s + 1) * d], rows[r * d:(r + 1) * d].T), s
 
 
 def test_reading_the_slots_builds_no_view():
