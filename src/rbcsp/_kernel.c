@@ -1,5 +1,6 @@
 /* The package's compiled kernel: ULSA's start and step loop, the build of
- * the packed search tables, the text reader and the text writers.
+ * the packed search tables, the text reader, the text writers and the
+ * conversions between a CSP and its independent-set graph.
  *
  * -- the step loop ------------------------------------------------------------
  *
@@ -611,4 +612,231 @@ int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *out, int64_t 
             return -1;
     }
     return p - out;
+}
+
+
+/* -- the MIS conversions ------------------------------------------------------
+ *
+ * `mis_edges` writes the edges of `rbcsp.misbridge.csp_to_mis`, and
+ * `mis_constraints` the constraints of `rbcsp.misbridge.mis_to_csp`, each
+ * in its final order, with no sort.  Vertex p * d + a stands for
+ * variable p holding value a, and block p is variable p's d vertices.  The
+ * instance arrays are those of `rbcsp.core.CspInstance`, with int32 codes
+ * only: both callers check n * d(d-1)/2 against
+ * `rbcsp.core.MAX_CLIQUE_EDGES`, so d <= 4472 and every code a * d + b <
+ * d * d fits in 31 bits.  The caller
+ * sizes every buffer from a bound that holds by construction, and each
+ * function returns the count it wrote.
+ *
+ * `mis_edges` takes the constraints in the order `order`, by (low endpoint,
+ * high endpoint, id).  It first orients the codes of each constraint from
+ * its low endpoint to its high one: a constraint with con_a > con_b has its
+ * codes a * d + b rewritten as b * d + a into `oriented`, at the same
+ * places, ascending by a counting sort on b.  Then for each vertex
+ * u = (p, a) in ascending order it writes the rows (u, w), w > u: u's clique
+ * neighbours (p, a+1 .. d-1), and then, constraint by constraint in `order`,
+ * the vertices (q, b) of the oriented codes a * d + b of each constraint on
+ * (p, q), read through the constraint's cursor.  Constraints on one block
+ * pair, in either orientation, are neighbours in `order`, and their runs are
+ * merged through a mask of ceil(d / 64) words, which drops repeated edges.
+ * So the rows come out ascending and distinct.  pairs must hold
+ * n * d(d-1)/2 + len(codes) rows of two int64s, cursor m int64s and, if
+ * any constraint has con_a > con_b, oriented len(codes) int32s.
+ *
+ * `mis_constraints` walks the rows (u, w), u < w, of a graph's `pairs` in
+ * their ascending order, one block p of u at a time.  A row with w in block
+ * p is a clique edge, counted in inner[p]; any other is a cross edge to a
+ * block q > p.  A u's rows into one block q form a run, and the next run's
+ * q is one more, or else found by a multiplication by 1 / d, so no row
+ * takes a division.  A block's cross edges come in the order (a, q, b), and
+ * a counting sort by q reorders them, in two passes over the block's rows:
+ * the first counts each q's rows and marks q in a mask of ceil(n / 64)
+ * words; the marked blocks, taken in ascending order, become the block's
+ * constraints (p, q); the second pass writes each row's code a * d + b at
+ * the end of its constraint's codes.  That is the order (q, a, b) that
+ * sorting them all would give.  It returns the number of constraints, whose
+ * codes are codes[pair_start[i] .. pair_start[i+1]-1].  count must hold n
+ * zeros and mask ceil(n / 64), and both are left so; inner takes n counts,
+ * codes one code per cross edge, and con_a, con_b and pair_start one entry
+ * per block pair with a cross edge, pair_start one more.
+ */
+
+/* the low and high endpoint of constraint i */
+static inline int64_t low_end(const int32_t *con_a, const int32_t *con_b, int64_t i)
+{
+    return con_a[i] < con_b[i] ? con_a[i] : con_b[i];
+}
+
+static inline int64_t high_end(const int32_t *con_a, const int32_t *con_b, int64_t i)
+{
+    return con_a[i] < con_b[i] ? con_b[i] : con_a[i];
+}
+
+/* the ascending codes[s .. e-1], each a * d + b, written as b * d + a at
+ * oriented[s .. e-1], ascending; count holds d + 1 int64s */
+static void orient(const int32_t *codes, int64_t s, int64_t e, int64_t d, int64_t *count,
+                   int32_t *oriented)
+{
+    for (int64_t b = 0; b <= d; b++)
+        count[b] = 0;
+    /* a = code / d, divided out only when the code leaves [base, base + d) */
+    int64_t a = 0, base = 0;
+    for (int64_t j = s; j < e; j++) {
+        if (codes[j] - base >= d) {
+            a = codes[j] / d;
+            base = a * d;
+        }
+        count[codes[j] - base + 1]++;
+    }
+    for (int64_t b = 0; b < d; b++) /* count[b]: where b's codes start */
+        count[b + 1] += count[b];
+    a = base = 0;
+    for (int64_t j = s; j < e; j++) {
+        if (codes[j] - base >= d) {
+            a = codes[j] / d;
+            base = a * d;
+        }
+        const int64_t b = codes[j] - base;
+        oriented[s + count[b]++] = (int32_t)(b * d + a);
+    }
+}
+
+int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
+                  const int32_t *codes, const int64_t *order, int64_t m, int64_t n, int64_t d,
+                  int64_t *cursor, int32_t *oriented, int64_t *pairs)
+{
+    {
+        int64_t count[d + 1];
+        for (int64_t i = 0; i < m; i++)
+            if (con_a[i] > con_b[i])
+                orient(codes, pair_start[i], pair_start[i + 1], d, count, oriented);
+    }
+    const int64_t W = (d + 63) / 64;
+    uint64_t mask[W];
+    memset(mask, 0, sizeof mask);
+    int64_t e = 0; /* rows written */
+    for (int64_t p = 0, k0 = 0, k1; p < n; p++, k0 = k1) {
+        /* the constraints order[k0 .. k1-1] have low endpoint p */
+        for (k1 = k0; k1 < m && low_end(con_a, con_b, order[k1]) == p; k1++)
+            cursor[k1] = pair_start[order[k1]];
+        for (int64_t a = 0; a < d; a++) {
+            /* u's oriented codes are a * d + b, below limit */
+            const int64_t u = p * d + a, limit = (a + 1) * d;
+            for (int64_t w = u + 1; w < (p + 1) * d; w++, e++) {
+                pairs[2 * e] = u;
+                pairs[2 * e + 1] = w;
+            }
+            /* each group order[k .. g-1] of the constraints on (p, q) */
+            for (int64_t k = k0, g; k < k1; k = g) {
+                const int64_t q = high_end(con_a, con_b, order[k]), to = q * d - a * d;
+                for (g = k + 1; g < k1 && high_end(con_a, con_b, order[g]) == q; g++)
+                    ;
+                for (int64_t j = k; j < g; j++) {
+                    const int64_t i = order[j], end = pair_start[i + 1];
+                    const int32_t *run = con_a[i] > con_b[i] ? oriented : codes;
+                    int64_t c = cursor[j];
+                    if (g == k + 1) /* one constraint: its run is u's rows into block q */
+                        for (; c < end && run[c] < limit; c++, e++) {
+                            pairs[2 * e] = u;
+                            pairs[2 * e + 1] = run[c] + to;
+                        }
+                    else
+                        for (; c < end && run[c] < limit; c++) {
+                            const int64_t b = run[c] - a * d;
+                            mask[b >> 6] |= 1ULL << (b & 63);
+                        }
+                    cursor[j] = c;
+                }
+                if (g == k + 1)
+                    continue;
+                for (int64_t x = 0; x < W; x++) {
+                    for (uint64_t bits = mask[x]; bits; bits &= bits - 1, e++) {
+                        pairs[2 * e] = u;
+                        pairs[2 * e + 1] = q * d + 64 * x + __builtin_ctzll(bits);
+                    }
+                    mask[x] = 0;
+                }
+            }
+        }
+    }
+    return e;
+}
+
+/* the end of the run of rows from r on that share u and have w below limit */
+static inline int64_t run_end(const int64_t *pairs, int64_t r, int64_t num_edges, int64_t u,
+                              int64_t limit)
+{
+    while (r < num_edges && pairs[2 * r] == u && pairs[2 * r + 1] < limit)
+        r++;
+    return r;
+}
+
+/* w / d from a multiplication by inv = 1.0 / d, which a division takes
+ * several times as long as.  For w < 2^31 the product is within a few ulps
+ * of w / d, so its floor can be one short, at a multiple of d (w = 49 at
+ * d = 49), but never over: a fraction below an integer is at least 1 / d */
+static inline int64_t block_of(int64_t w, int64_t d, double inv)
+{
+    const int64_t q = (int64_t)((double)w * inv);
+    return q + ((q + 1) * d <= w);
+}
+
+int64_t mis_constraints(const int64_t *pairs, int64_t num_edges, int64_t n, int64_t d,
+                        int64_t *inner, int64_t *count, uint64_t *mask, int32_t *con_a,
+                        int32_t *con_b, int64_t *pair_start, int32_t *codes)
+{
+    const double inv = 1.0 / (double)d;
+    int64_t r = 0, k = 0, total = 0; /* rows walked, constraints and codes written */
+    for (int64_t p = 0; p < n; p++) {
+        /* block p's rows are r0 .. r-1, its vertices p * d .. end - 1 */
+        const int64_t r0 = r, k0 = k, end = (p + 1) * d;
+        int64_t top = p;
+        inner[p] = 0;
+        /* each u's rows: its clique edges, then one run per block q, ascending */
+        while (r < num_edges && pairs[2 * r] < end) {
+            const int64_t u = pairs[2 * r], s = r;
+            r = run_end(pairs, r, num_edges, u, end);
+            inner[p] += r - s;
+            for (int64_t q = p; r < num_edges && pairs[2 * r] == u;) {
+                const int64_t w = pairs[2 * r + 1], s = r;
+                q = w < (q + 2) * d ? q + 1 : block_of(w, d, inv);
+                r = run_end(pairs, r, num_edges, u, (q + 1) * d);
+                count[q] += r - s;
+                mask[q >> 6] |= 1ULL << (q & 63);
+                top = q > top ? q : top;
+            }
+        }
+        /* one constraint per marked block, ascending; count[q]: where its codes start */
+        for (int64_t x = (p + 1) >> 6; x <= top >> 6; x++) {
+            for (uint64_t bits = mask[x]; bits; bits &= bits - 1, k++) {
+                const int64_t q = 64 * x + __builtin_ctzll(bits), c = count[q];
+                con_a[k] = (int32_t)p;
+                con_b[k] = (int32_t)q;
+                pair_start[k] = total;
+                count[q] = total;
+                total += c;
+            }
+            mask[x] = 0;
+        }
+        /* the same runs again, each copied to the end of its block's codes */
+        for (int64_t t = r0; t < r;) {
+            const int64_t u = pairs[2 * t];
+            t = run_end(pairs, t, r, u, end);
+            for (int64_t q = p; t < r && pairs[2 * t] == u;) {
+                const int64_t w = pairs[2 * t + 1], s = t;
+                q = w < (q + 2) * d ? q + 1 : block_of(w, d, inv);
+                t = run_end(pairs, t, r, u, (q + 1) * d);
+                /* the code (u - p * d) * d + w - q * d of each row's w */
+                const int64_t shift = (u - p * d - q) * d;
+                int32_t *out = codes + count[q];
+                for (int64_t j = s; j < t; j++)
+                    *out++ = (int32_t)(pairs[2 * j + 1] + shift);
+                count[q] += t - s;
+            }
+        }
+        for (int64_t j = k0; j < k; j++)
+            count[con_b[j]] = 0;
+    }
+    pair_start[k] = total;
+    return k;
 }

@@ -1,5 +1,5 @@
 """The compiled kernel, _kernel.c: ULSA's start and step loop, the table
-build, the text reader and the text writers.
+build, the text reader, the text writers and the MIS conversions.
 
 The source is built with the local C compiler on first use and cached per
 user.  `kernel` opens the library once per process and gives every exported
@@ -90,6 +90,8 @@ _SIGNATURES = {
                     _P], _I),
     "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P, _I], _I),
     "write_edges": ([_P, _I, _P, _I], _I),
+    "mis_edges": ([_P] * 5 + [_I] * 3 + [_P] * 3, _I),
+    "mis_constraints": ([_P, _I, _I, _I] + [_P] * 7, _I),
 }
 
 _lib: Any = ...  # the library once opened, None if unavailable, ... until tried

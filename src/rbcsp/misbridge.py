@@ -176,9 +176,42 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     parallel edges), so conflict counts on the graph side follow the
     deduplicated-constraint semantics.  Sizes beyond `check_size`'s caps are
     refused before any edge is built.
+
+    The compiled kernel writes the edges in their final order, each vertex's
+    clique neighbours and then its cross neighbours block by block, into a
+    buffer of n·d(d−1)/2 + len(codes) rows, one per clique edge and per
+    code, which it then trims; one lexsort of the m constraints by their
+    endpoints is all it needs from numpy.  `_mis_pairs`, which sorts one key
+    per edge, is the fallback and the reference.
     """
     n, d = instance.n, instance.d
     check_size(n, d, 0)
+    lib = _native.kernel()
+    if lib is None:
+        return MisGraph._from_pairs(n * d, _mis_pairs(instance), block_size=d)
+    # under check_size's cap on clique edges d <= 4472, so codes are int32
+    # here and the kernel has no int64-code variant
+    con_a, con_b, codes = instance.con_a, instance.con_b, instance.codes
+    m = len(con_a)
+    # by (low endpoint, high endpoint, id): lexsort is stable
+    order = np.lexsort((np.maximum(con_a, con_b), np.minimum(con_a, con_b)))
+    order = order.astype(np.int64, copy=False)
+    cursor = np.empty(m, dtype=np.int64)
+    # the codes of a constraint with con_a > con_b are oriented into a copy
+    oriented = np.empty(len(codes) if (con_a > con_b).any() else 0, dtype=np.int32)
+    pairs = np.empty((n * (d * (d - 1) // 2) + len(codes), 2), dtype=np.int64)
+    used = lib.mis_edges(con_a.ctypes.data, con_b.ctypes.data, instance.pair_start.ctypes.data,
+                         codes.ctypes.data, order.ctypes.data, m, n, d, cursor.ctypes.data,
+                         oriented.ctypes.data, pairs.ctypes.data)
+    del order, cursor, oriented
+    pairs.resize((used, 2), refcheck=False)  # the buffer is ours alone
+    return MisGraph._from_pairs(n * d, pairs, block_size=d)
+
+
+def _mis_pairs(instance: CspInstance) -> np.ndarray:
+    """The edges of `csp_to_mis(instance)` as its (E, 2) `pairs` array, from
+    one int64 key per edge, sorted; the reference of the compiled build."""
+    n, d = instance.n, instance.d
     num_vertices = n * d  # V² < 2⁶³ under the caps, so the keys below fit in int64
     lo, hi = np.triu_indices(d, 1)
     base = np.arange(n)[:, None] * d
@@ -197,8 +230,7 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
-    pairs = np.stack(np.divmod(keys, num_vertices), axis=1)
-    return MisGraph._from_pairs(num_vertices, pairs, block_size=d)
+    return np.stack(np.divmod(keys, num_vertices), axis=1)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
@@ -210,6 +242,13 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     pair's single constraint; duplicate constraints of the original instance
     cannot be told apart, so recovery yields deduplicated constraints.
     Sizes beyond `check_size`'s caps are refused before anything scales with n.
+
+    The compiled kernel walks `pairs` block by block, counting each block's
+    clique edges and writing its cross edges, by a counting sort on the
+    other block, as the codes of its constraints in their final order.  Its
+    buffers hold a code per edge and min(E, n(n−1)/2) constraints, bounds no
+    graph can pass, and are trimmed after.  `_csp_arrays`, which sorts one
+    key per cross edge, is the fallback and the reference.
     """
     if d < 1:
         raise ValueError(f"block size must be positive, got {d}")
@@ -224,16 +263,44 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     if graph.num_edges < n * clique:
         raise MisStructureError(f"{graph.num_edges} edges are too few for "
                                 f"{n} block cliques of {clique} edges")
-    u, w = graph.pairs.T  # u < w, so a cross edge's block pair is ordered
-    inner = u // d == w // d
-    counts = np.bincount(u[inner] // d, minlength=n)
+    lib = _native.kernel()
+    if lib is None:
+        return CspInstance._from_arrays(n, d, *_csp_arrays(graph.pairs, n, d))
+    num_edges = graph.num_edges
+    bound = min(num_edges, n * (n - 1) // 2)
+    inner, count = np.empty(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    mask = np.zeros((n + 63) // 64, dtype=np.uint64)
+    con_a, con_b = np.empty(bound, dtype=np.int32), np.empty(bound, dtype=np.int32)
+    pair_start = np.empty(bound + 1, dtype=np.int64)
+    codes = np.empty(num_edges, dtype=np.int32)  # d <= 4472, as in csp_to_mis
+    m = lib.mis_constraints(graph.pairs.ctypes.data, num_edges, n, d, inner.ctypes.data,
+                            count.ctypes.data, mask.ctypes.data, con_a.ctypes.data,
+                            con_b.ctypes.data, pair_start.ctypes.data, codes.ctypes.data)
+    _check_cliques(inner, d)
+    return CspInstance._from_arrays(n, d, con_a[:m], con_b[:m], pair_start[:m + 1],
+                                    codes[:pair_start[m]])
+
+
+def _check_cliques(counts: np.ndarray, d: int) -> None:
+    """Raise MisStructureError for the lowest block whose count of clique
+    edges in `counts` is short of d(d−1)/2."""
+    clique = d * (d - 1) // 2
     short = np.flatnonzero(counts != clique)
     if short.size:
         v = int(short[0])
         raise MisStructureError(f"block {v} (vertices {v * d}..{v * d + d - 1}) "
                                 f"is not a clique: {counts[v]} of {clique} edges present")
+
+
+def _csp_arrays(pairs: np.ndarray, n: int, d: int):
+    """The arrays con_a, con_b, pair_start and codes of `mis_to_csp` for the
+    edges `pairs` of n blocks of d vertices, from one sort of a key per
+    cross edge; the reference of the compiled walk."""
+    u, w = pairs.T  # u < w, so a cross edge's block pair is ordered
+    inner = u // d == w // d
+    _check_cliques(np.bincount(u[inner] // d, minlength=n), d)
     # one sort by (block pair, pair code): each block pair becomes one constraint
-    cross = graph.pairs[~inner]
+    cross = pairs[~inner]
     del inner
     keys, va = np.divmod(cross[:, 0], d)
     bw, vb = np.divmod(cross[:, 1], d)
@@ -245,8 +312,7 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     pair, codes = np.divmod(keys, d * d)
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
     con_a, con_b = np.divmod(pair[starts], n)
-    return CspInstance._from_arrays(n, d, con_a, con_b, np.append(starts, len(keys)),
-                                    codes)
+    return con_a, con_b, np.append(starts, len(keys)), codes
 
 
 def _read_header(raw: str) -> tuple[int, int]:

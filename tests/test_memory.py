@@ -1,5 +1,5 @@
-"""Memory guards for the text readers and writers at frb scale, and for the
-Python start at a huge domain.
+"""Memory guards for the text readers and writers and the MIS conversions
+at frb scale, and for the Python start at a huge domain.
 
 numpy reports its array allocations to tracemalloc, so a traced peak covers
 the arrays as well as the Python objects.  Each bound sits well above the
@@ -15,7 +15,7 @@ import pytest
 
 from rbcsp import _native, core
 from rbcsp.core import CspInstance, dumps_csp, loads_csp
-from rbcsp.misbridge import csp_to_mis, emit_dimacs, parse_dimacs
+from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.ulsa import UlsaConfig, run
 
@@ -84,6 +84,26 @@ def test_emit_dimacs_peak_n100(n100):
     # slices; a string per edge took 52 MB
     graph = parse_dimacs(n100[1])
     assert traced_peak_mb(emit_dimacs, graph) <= 25
+
+
+def test_csp_to_mis_peak_n100(n100):
+    # 9.5 MB: the compiled build's buffer of a row per clique edge and per
+    # code, 590k rows of 16 bytes, trimmed to the 573k edges in place; the
+    # numpy build's sorted int64 key per edge took 30.6 MB
+    if _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    instance, _ = loads_csp(n100[0])
+    assert traced_peak_mb(csp_to_mis, instance) <= 15
+
+
+def test_mis_to_csp_peak_n100(n100):
+    # 4.4 MB: a code per edge, 2.3 MB, and the instance's copy of the 2.0 MB
+    # of codes kept; the numpy recovery's sorted int64 key per cross edge
+    # took 31.7 MB
+    if _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    graph = parse_dimacs(n100[1])
+    assert traced_peak_mb(mis_to_csp, graph, 40) <= 8
 
 
 def test_reader_transient_does_not_grow_with_the_text(n100):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbcsp import core, misbridge
+from rbcsp import _native, core, misbridge
 from rbcsp.core import Constraint, CspInstance, SearchState, _line, dumps_csp, loads_csp
 from rbcsp.misbridge import (
     MAX_VERTICES,
@@ -227,6 +227,157 @@ class TestMisToCsp:
             for u, w in graph.edges:
                 assert not (u in chosen and w in chosen)
         assert found > 5
+
+
+@pytest.fixture
+def compiled():
+    if _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+
+
+def numpy_reference():
+    """The numpy bodies of csp_to_mis and mis_to_csp, `_mis_pairs` and
+    `_csp_arrays`: the kernel patched away."""
+    return mock.patch.object(_native, "kernel", lambda: None)
+
+
+def both_paths(instance: CspInstance) -> tuple[MisGraph, CspInstance]:
+    """csp_to_mis(instance) and its recovery, compiled, after checking that
+    the numpy reference gives the same graph and instance."""
+    graph = csp_to_mis(instance)
+    recovered = mis_to_csp(graph, instance.d)
+    with numpy_reference():
+        assert csp_to_mis(instance) == graph
+        assert mis_to_csp(graph, instance.d) == recovered
+    assert csp_to_mis(recovered) == graph
+    return graph, recovered
+
+
+def with_duplicates(r: random.Random, instance: CspInstance) -> CspInstance:
+    """instance with some constraints repeated, as they are and with their
+    endpoints swapped, (a, b) and (b, a), in a shuffled order."""
+    cons = list(instance.constraints)
+    for c in instance.constraints:
+        if r.random() < 0.5:
+            cons.append(c)
+        if r.random() < 0.5:
+            cons.append(Constraint(c.var_b, c.var_a, tuple((vb, va) for va, vb in c.disallowed)))
+    r.shuffle(cons)
+    return CspInstance(instance.n, instance.d, cons)
+
+
+def block_graph(r: random.Random, n: int, d: int, num_cross: int) -> MisGraph:
+    """n complete block cliques of d vertices and up to num_cross random
+    edges between blocks, some of them far apart."""
+    edges = [(v * d + a, v * d + b) for v in range(n) for a in range(d) for b in range(a + 1, d)]
+    for _ in range(num_cross if n > 1 else 0):
+        p, q = r.sample(range(n), 2)
+        edges.append((p * d + r.randrange(d), q * d + r.randrange(d)))
+    return MisGraph(n * d, edges, block_size=d)
+
+
+def outcome(fn, *args) -> tuple[type, str]:
+    """The type and the message of the error fn(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestCompiledConversions:
+    """The compiled csp_to_mis and mis_to_csp against their numpy bodies."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicates_in_both_orientations(self, compiled, seed):
+        r = random.Random(seed)
+        n, d = r.randint(2, 8), r.randint(1, 6)
+        instance = with_duplicates(r, random_instance(r, n=n, d=d, m=r.randint(0, 3 * n)))
+        graph, recovered = both_paths(instance)
+        assert graph.num_edges == n * d * (d - 1) // 2 + len(dedup_union(instance))
+        assert recovered.num_constraints == len(
+            {(min(c.var_a, c.var_b), max(c.var_a, c.var_b)) for c in instance.constraints})
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_variable_no_constraints(self, compiled, d):
+        graph, recovered = both_paths(CspInstance(1, d))
+        assert graph.num_edges == d * (d - 1) // 2 and recovered == CspInstance(1, d)
+
+    def test_variables_with_no_constraints(self, compiled, rng):
+        # the first, the last and some middle variables take part in none
+        cons = [Constraint(2, 4, ((0, 1), (2, 2))), Constraint(6, 2, ((1, 0),)),
+                Constraint(4, 6, ((2, 0), (2, 1), (0, 2)))]
+        both_paths(CspInstance(8, 3, cons))
+        for _ in range(10):
+            inst = random_instance(rng, n=12, d=3, m=3)
+            both_paths(with_duplicates(rng, inst))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 63, 64, 65, 129])
+    def test_domain_sizes(self, compiled, d):
+        # few variables, so that most constraints share a block pair: the
+        # merge mask of ceil(d / 64) words spans one, two and three words
+        r = random.Random(d)
+        for _ in range(3):
+            instance = random_instance(r, n=4, d=d, m=8, max_pairs=3 * d)
+            both_paths(with_duplicates(r, instance))
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_forced_instances_take_no_fallback(self, compiled, n):
+        instance, _ = generate_forced(phase_transition_params(n), 1)
+        with numpy_reference():
+            graph = csp_to_mis(instance)
+            recovered = mis_to_csp(graph, instance.d)
+
+        def refuse(*args):
+            raise AssertionError("the numpy body ran")
+
+        with mock.patch.object(misbridge, "_mis_pairs", refuse), \
+                mock.patch.object(misbridge, "_csp_arrays", refuse):
+            assert csp_to_mis(instance) == graph
+            assert mis_to_csp(graph, instance.d) == recovered
+            assert csp_to_mis(recovered) == graph
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (63, 1), (64, 2), (65, 2), (200, 3),
+                                      (300, 49), (100_000, 1), (33_333, 3)])
+    def test_random_block_graphs(self, compiled, n, d):
+        # the mask over the blocks spans several words from n = 65 on, and
+        # the large graphs put cross edges far apart, where a run's block is
+        # found by the multiplication by 1 / d; at d = 49 that product falls
+        # short of half the multiples of d, which must be put right
+        r = random.Random(n * d)
+        graph = block_graph(r, n, d, min(4 * n, 400))
+        recovered = mis_to_csp(graph, d)
+        with numpy_reference():
+            assert mis_to_csp(graph, d) == recovered
+        assert csp_to_mis(recovered) == graph
+
+    MALFORMED = [
+        (MisGraph(4, frozenset({(0, 2), (1, 3), (2, 3)})), 2),
+        (MisGraph(4, frozenset({(0, 1), (0, 2), (1, 3)})), 2),
+        (MisGraph(6, frozenset({(0, 1), (1, 2), (3, 4)})), 3),
+        (MisGraph(10**10, frozenset()), 1),
+        (MisGraph(10**10, frozenset()), 2),
+        (MisGraph(4, frozenset({(0, 1)})), 3),
+        (MisGraph(4, frozenset({(0, 1)})), 0),
+        # block 0 complete with a cross edge; block 1 has none of its own
+        (MisGraph(4, frozenset({(0, 1), (0, 2)})), 2),
+    ]
+
+    @pytest.mark.parametrize("graph, d", MALFORMED)
+    def test_malformed_graphs_raise_the_same_message(self, compiled, graph, d):
+        got = outcome(mis_to_csp, graph, d)
+        with numpy_reference():
+            assert outcome(mis_to_csp, graph, d) == got
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_missing_clique_edge_is_reported_alike(self, compiled, seed):
+        r = random.Random(seed)
+        d = r.randint(2, 5)
+        graph = block_graph(r, r.randint(2, 10), d, 30)
+        drop = r.choice([e for e in graph.edges if e[0] // d == e[1] // d])
+        broken = MisGraph(graph.num_vertices, graph.edges - {drop})
+        got = outcome(mis_to_csp, broken, d)
+        assert got[0] is MisStructureError and f"block {drop[0] // d} " in got[1]
+        with numpy_reference():
+            assert outcome(mis_to_csp, broken, d) == got
 
 
 class TestDimacs:
