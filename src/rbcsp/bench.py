@@ -40,6 +40,8 @@ def run_many(
     """num_runs independent runs with seeds base_seed+i, ordered by seed."""
     if num_runs < 1:
         raise ValueError(f"need at least one run, got {num_runs}")
+    # a process pool forks all its workers at the first submit
+    workers = min(workers, num_runs)
     one = partial(run, instance, config, track_best=track_best)
     seeds = range(base_seed, base_seed + num_runs)
     if workers <= 1:
@@ -61,8 +63,7 @@ def aggregate_stats(records: Sequence[RunRecord]) -> StepStats:
     """Summed step counters; rates are ratios of sums, never averaged rates."""
     total = StepStats()
     for rec in records:
-        if rec.stats is not None:
-            total.merge(rec.stats)
+        total.merge(rec.stats)
     return total
 
 

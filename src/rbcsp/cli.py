@@ -98,12 +98,11 @@ def _build_config(args, n: int) -> UlsaConfig:
         max_iterations=args.max_iters,
         target=target,
         restart_interval=args.restart_every,
-        stats_enabled=args.stats,
     )
 
 
 def _record_json(rec: RunRecord, path: str) -> dict:
-    out = {
+    return {
         "instance": path,
         "seed": rec.seed,
         "success": rec.success,
@@ -114,16 +113,14 @@ def _record_json(rec: RunRecord, path: str) -> dict:
         "assignment": rec.assignment,
         "subset": rec.subset,
         "prng": PRNG_ID,
-    }
-    if rec.stats is not None:
-        out["stats"] = {
+        "stats": {
             "iterations": rec.stats.iterations,
             "expansions": rec.stats.expansions,
             "worsening": rec.stats.worsening,
             "expansion_rate": rec.stats.expansion_rate,
             "worsening_rate": rec.stats.worsening_rate,
-        }
-    return out
+        },
+    }
 
 
 def _cmd_solve(args) -> int:
@@ -241,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="only check states with at most this many conflicts")
     search.add_argument("--restart-every", type=int, default=None,
                         help="reinitialize every N iterations")
-    search.add_argument("--stats", action=argparse.BooleanOptionalAction,
-                        default=True, help="include step counters in the output")
 
     solve = sub.add_parser("solve", parents=[search],
                            help="run the local search solver")

@@ -7,10 +7,9 @@ pair are kept and counted separately.
 
 The search state keeps the violated-constraint set exactly up to date across
 single-variable changes.  The disallowed relations of each variable's
-incident constraints lie in consecutive rows of one flat table, packed into
-bits for the compiled kernel, so that the conflict deltas for every candidate
-value come out of a single row gather and column sum instead of a per-value
-rescan.
+incident constraints lie in consecutive rows of one flat table of packed
+bits, so that the conflict deltas for every candidate value come out of a
+single row gather and column sum instead of a per-value rescan.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class CspFormatError(ValueError):
 # allocated.  frb100-40 (n=100, d=40, ~1.3k constraints: 4 MB of tables,
 # 78k clique edges) sits two or more orders of magnitude below each.
 MAX_VARIABLES = 100_000
-MAX_TABLE_BYTES = 1 << 30  # 2·m·d² bytes of the byte view the Python reference reads
+MAX_TABLE_BYTES = 1 << 30  # 2·m·d²: the relation tables' size at one byte per flag
 MAX_CLIQUE_EDGES = 10_000_000  # n·d(d−1)/2 clique edges of the MIS form
 
 
@@ -351,20 +350,20 @@ class _FlatTables:
     Incidence slots are grouped by variable in CSR form: the slots of v are
     inc_start[v] .. inc_start[v+1]-1, in constraint id order.  Slot s holds
     constraint slot_cid[s], whose other endpoint is slot_other[s], and its
-    relation oriented toward v: rows[s * d + w, u] == 1 iff the constraint
-    is violated when the other endpoint holds w and v holds u.  rev[s] is the
-    same constraint's slot at the other endpoint, so rev[rev[s]] == s.
-    con_a/con_b are the constraints' endpoints.
+    relation oriented toward v in d rows of `bits` from row base[s] = s·d:
+    row s·d + w holds ceil(d / 64) uint64 words, and bit u % 64 of its word
+    u // 64 is set iff the constraint is violated when the other endpoint
+    holds w and v holds u.  rev[s] is the same constraint's slot at the
+    other endpoint, so rev[rev[s]] == s.  con_a/con_b are the constraints'
+    endpoints.
 
-    bits packs the flags in rows of ceil(d / 64) uint64 words: bit u % 64 of
-    bits[s * d + w, u // 64] is rows[s * d + w, u].  It is the only table of
-    flags built eagerly, by the compiled `build_bits` when it is available;
-    `rows` is unpacked from it when first asked for, which only the Python
-    reference paths do.
+    bits is the one table of flags, built by the compiled `build_bits` when
+    it is available; the Python reference paths unpack only the rows they
+    gather, with `flags`.
     """
 
     __slots__ = ("d", "bits", "base", "inc_start", "slot_other", "slot_cid", "rev", "con_a",
-                 "con_b", "_rows")
+                 "con_b", "_take_bytes")
 
     def __init__(self, instance: CspInstance):
         n, d, m = instance.n, instance.d, instance.num_constraints
@@ -377,25 +376,26 @@ class _FlatTables:
         slot[order] = np.arange(2 * m)
         self.d = d
         self.bits = _build_bits(instance, slot)
-        self._rows = None
+        # gathers rows of bits as bytes with each word little-endian, so that
+        # bit u % 8 of byte u // 8 of a row is flag u on any host; the bytes
+        # are a view of bits, not a copy, on a little-endian host
+        self._take_bytes = self.bits.astype("<u8", copy=False).view(np.uint8).take
         self.inc_start = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(var, minlength=n), out=self.inc_start[1:])
         self.slot_other = np.concatenate([con_b, con_a])[order]
         self.slot_cid = cid[order]
         self.rev = np.empty(2 * m, dtype=np.int32)
         self.rev[slot] = np.concatenate([slot[m:], slot[:m]])
-        self.base = np.arange(2 * m, dtype=np.int64) * d  # slot s's first row in rows
+        self.base = np.arange(2 * m, dtype=np.int64) * d  # slot s's first row in bits
         self.con_a = con_a
         self.con_b = con_b
 
-    @property
-    def rows(self) -> np.ndarray:
-        """uint8 flags of shape (2m·d, d), as the class doc says, unpacked
-        from bits on first use."""
-        if self._rows is None:
-            self._rows = np.unpackbits(self.bits.astype("<u8", copy=False).view(np.uint8),
-                                       axis=1, count=self.d, bitorder="little")
-        return self._rows
+    def flags(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows of bits unpacked: uint8 flags of shape (len(rows), d),
+        flag u of a row at column u."""
+        # axis 1, count d and bit order by position: on a 2-core Xeon keywords
+        # cost ~0.3 µs a call, about 2% of a Python step
+        return np.unpackbits(self._take_bytes(rows, 0), 1, self.d, "little")
 
 
 def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
@@ -445,7 +445,7 @@ class SearchState:
         # each slot's flag under x; both slots of a constraint hold the same
         # one, so the ids of the flagged slots are the violated ids
         u = np.repeat(self.x, np.diff(tb.inc_start))
-        row = np.arange(len(u), dtype=np.int64) * tb.d + self.x.take(tb.slot_other)
+        row = tb.base + self.x.take(tb.slot_other)
         flag = tb.bits[row, u >> 6] >> (u & 63).astype(np.uint64) & np.uint64(1)
         flags = np.zeros(instance.num_constraints, dtype=bool)
         flags[tb.slot_cid[flag != 0]] = True
@@ -493,7 +493,7 @@ class SearchState:
         tb = self._tb
         s0, s1 = self._inc[var], self._inc[var + 1]
         rows = tb.base[s0:s1] + self.x.take(tb.slot_other[s0:s1])
-        cols = tb.rows.take(rows, axis=0)
+        cols = tb.flags(rows)
         counts = np.add.reduce(cols, axis=0, dtype=np.int32)
         return counts, counts.item(self.x.item(var)), cols
 

@@ -67,13 +67,11 @@ class UlsaConfig:
     target: optional partial-solution spec checked whenever the current
         conflict count is at or below its cap.
     restart_interval: reinitialize from scratch every this many iterations.
-    stats_enabled: include step counters in the run record.
     """
 
     max_iterations: int = 0
     target: Optional[TargetSpec] = None
     restart_interval: Optional[int] = None
-    stats_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 0:
@@ -98,7 +96,7 @@ class RunRecord:
     wall_time: float
     success: bool
     best_conflicts: int
-    stats: Optional[StepStats] = None
+    stats: StepStats
     assignment: Optional[list[int]] = None
     subset: Optional[list[int]] = None
     restarts: int = 0
@@ -135,7 +133,7 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
         rows = tb.base[s0:s1][live] + values[oi[live]]
         cands = range(d)  # with no rows gathered every value ties at 0
         if len(rows):
-            counts = np.add.reduce(tb.rows.take(rows, axis=0), axis=0, dtype=np.int32)
+            counts = np.add.reduce(tb.flags(rows), axis=0, dtype=np.int32)
             cands = np.flatnonzero(counts == counts.min())
         values[v] = int(cands[int(rng.random() * len(cands))])
         initialized[v] = True
@@ -377,7 +375,7 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
         wall_time=wall,
         success=success,
         best_conflicts=best,
-        stats=stats if config.stats_enabled else None,
+        stats=stats,
         assignment=assignment,
         subset=subset,
         restarts=restarts,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import sys
@@ -97,6 +98,34 @@ class TestRunMany:
             pooled = records(2)
         assert threaded == serial == pooled
         assert any(r["success"] for r in serial) and not all(r["success"] for r in serial)
+
+    def test_pools_start_no_more_workers_than_runs(self, monkeypatch, small_instance):
+        # threads when the kernel is loaded, processes otherwise; each pool
+        # here records its size and maps serially, so no worker starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = UlsaConfig(max_iterations=2000)
+        serial = [fields(r) for r in run_many(small_instance, cfg, num_runs=2, base_seed=3)]
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        for lib in (_native.kernel(), None):
+            monkeypatch.setattr(_native, "_lib", lib)
+            pooled = run_many(small_instance, cfg, num_runs=2, base_seed=3, workers=5000)
+            assert [fields(r) for r in pooled] == serial
+        assert sizes == [2, 2]
 
     def test_summary_fields(self, small_instance):
         cfg = UlsaConfig(max_iterations=50_000)

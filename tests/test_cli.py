@@ -94,15 +94,6 @@ class TestSolve:
         assert record["success"] is True
         assert len(record["subset"]) == 14
 
-    def test_no_stats_flag(self, tmp_path, capsys):
-        path = tmp_path / "a.csp"
-        run_cli(["gen", "--n", "10", "--forced", "--seed", "5",
-                 "--out", str(path)], capsys)
-        code, out, _ = run_cli(
-            ["solve", "--in", str(path), "--seed", "6", "--no-stats"], capsys)
-        assert code == 0
-        assert "stats" not in json.loads(out)
-
 
 class TestBench:
     def test_outputs_all_files(self, tmp_path, capsys):
@@ -129,6 +120,21 @@ class TestBench:
             rows = list(csv.reader(f))
         assert rows[0] == ["conflicts", "runs"]
         assert sum(int(r[1]) for r in rows[1:]) == 8
+
+    def test_summary_rates_are_ratios_of_the_summed_counters(self, tmp_path, capsys):
+        path = tmp_path / "a.csp"
+        run_cli(["gen", "--n", "20", "--forced", "--seed", "1",
+                 "--out", str(path)], capsys)
+        search = ["--in", str(path), "--max-iters", "100000"]
+        code, out, _ = run_cli(["bench", *search, "--runs", "4", "--base-seed", "0"], capsys)
+        assert code == 0
+        summary = json.loads(out)
+        stats = [json.loads(run_cli(["solve", *search, "--seed", str(seed)], capsys)[1])["stats"]
+                 for seed in range(4)]
+        iterations = sum(s["iterations"] for s in stats)
+        assert summary["expansion_rate"] == sum(s["expansions"] for s in stats) / iterations
+        assert summary["worsening_rate"] == sum(s["worsening"] for s in stats) / iterations
+        assert summary["expansion_rate"] > 0 and summary["worsening_rate"] > 0
 
     def test_all_runs_failing_still_reports(self, tmp_path, capsys):
         path = tmp_path / "a.csp"

@@ -444,7 +444,8 @@ class TestArrayInstance:
     @pytest.mark.parametrize("d", [2, 8, 63, 64, 65])
     def test_packed_rows_hold_the_byte_rows(self, d):
         flat = random_instance(random.Random(d), n=5, d=d, m=8)._tables
-        rows = flat.rows.reshape(-1, d)
+        rows = flat.flags(np.arange(len(flat.bits)))
+        assert rows.shape == (16 * d, d)
         assert flat.bits.dtype == np.uint64 and flat.bits.shape == (len(rows), -(-d // 64))
         u = np.arange(d)
         unpacked = flat.bits[:, u // 64] >> (u % 64).astype(np.uint64) & np.uint64(1)

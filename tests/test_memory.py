@@ -1,5 +1,5 @@
 """Memory guards for the text readers and writers and the MIS conversions
-at frb scale, and for the Python start at a huge domain.
+at frb scale, and for the Python start and steps.
 
 numpy reports its array allocations to tracemalloc, so a traced peak covers
 the arrays as well as the Python objects.  Each bound sits well above the
@@ -133,6 +133,17 @@ def test_tables_peak_d69():
     m, d = instance.num_constraints, instance.d
     assert d == 69
     assert traced_peak_mb(core._FlatTables, instance) <= 2 * m * d * d / 4 / 1e6
+
+
+def test_python_run_at_d69_unpacks_only_the_rows_it_gathers(monkeypatch):
+    # the Python start and steps unpack the packed rows they gather; the
+    # byte view of every row they read before took 2m·d² bytes, 28 MB here
+    instance, _ = generate_forced(phase_transition_params(200), 1)
+    m, d = instance.num_constraints, instance.d
+    instance._tables  # built before the trace: only the run is measured
+    monkeypatch.setattr(_native, "_lib", None)
+    peak = traced_peak_mb(run, instance, UlsaConfig(max_iterations=2000), 0)
+    assert peak <= 2 * m * d * d / 20 / 1e6
 
 
 def test_python_start_at_a_huge_domain(monkeypatch):

@@ -1,5 +1,5 @@
 """The search tables: the compiled and the numpy build of the packed rows,
-the byte view unpacked from them, the reverse slots, and the compiled
+the gathered rows unpacked from them, the reverse slots, and the compiled
 greedy start.
 
 Each build is checked against an oracle that lays the slots out with plain
@@ -20,8 +20,7 @@ from rbcsp import _native
 from rbcsp.bench import run_many
 from rbcsp.core import Constraint, CspInstance, _FlatTables
 from rbcsp.modelrb import ModelRbParams, generate_forced
-from rbcsp.target import TargetSpec
-from rbcsp.ulsa import UlsaConfig, init_state, run
+from rbcsp.ulsa import UlsaConfig, init_state
 
 from conftest import random_instance, recount_violated
 
@@ -114,15 +113,20 @@ def test_native_and_numpy_bits_equal_the_oracle(builder, monkeypatch, make):
         assert tables.slot_other.tolist() == slot_other
 
 
-@pytest.mark.parametrize("make", INSTANCES)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_instance(random.Random(13), n=7, d=3, m=15), id="d3"),
+    *INSTANCES])
 def test_byte_view_equals_the_oracle_rows(monkeypatch, make):
     instance = make()
     rows = oracle(instance)[3]
+    # every row in order, then in a shuffled order with repeats, as the
+    # Python gathers pick them
+    shuffled = np.random.default_rng(instance.d).integers(0, max(len(rows), 1), 2 * len(rows))
     for tables in (_FlatTables(instance), numpy_tables(monkeypatch, instance)):
-        # the view is unpacked from the words of bits on first use, at any d
-        assert tables._rows is None
         assert tables.bits.shape == (len(rows), -(-instance.d // 64))
-        assert tables.rows.dtype == np.uint8 and np.array_equal(tables.rows, rows)
+        for picked in (np.arange(len(rows)), shuffled):
+            flags = tables.flags(picked)
+            assert flags.dtype == np.uint8 and np.array_equal(flags, rows[picked])
         assert tables.base.tolist() == list(range(0, len(rows), instance.d))
 
 
@@ -150,13 +154,6 @@ def test_rev_is_an_involution_onto_the_transposed_relation(builder, monkeypatch,
         assert np.array_equal(tables.slot_other[rev], owner)
         for s, r in enumerate(rev.tolist()):
             assert np.array_equal(rows[s * d:(s + 1) * d], rows[r * d:(r + 1) * d].T), s
-
-
-def test_reading_the_slots_builds_no_view():
-    tables = random_instance(random.Random(1), n=6, d=8, m=12)._tables
-    for name in _FlatTables.__slots__:
-        getattr(tables, name)
-    assert tables._rows is None
 
 
 @pytest.fixture
@@ -212,16 +209,6 @@ def test_threaded_restarts_at_d65_equal_serial_records(kernel):
     serial = records(1)
     assert all(r["restarts"] > 0 and not r["success"] for r in serial)
     assert threaded == [serial] * 2
-
-
-def test_kernel_run_builds_no_byte_view(kernel):
-    for instance, target in (
-            (generate_forced(ModelRbParams(n=25), 1)[0], TargetSpec(23, 4)),
-            (random_instance(random.Random(4), n=9, d=65, m=40), TargetSpec(7, 4))):
-        for config in (UlsaConfig(max_iterations=20_000, restart_interval=3000),
-                       UlsaConfig(target=target)):
-            assert run(instance, config, 0, track_best=True).iterations > 0
-        assert instance._tables._rows is None, instance.d
 
 
 def test_bits_builder_compile_failure_falls_back_silently(builder, monkeypatch, capfd):

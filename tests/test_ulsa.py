@@ -225,11 +225,6 @@ class TestRun:
         assert rec.stats.expansions <= rec.iterations
         assert rec.stats.worsening <= rec.iterations
 
-    def test_stats_disabled_omits_counters(self):
-        inst = CspInstance(4, 2, (Constraint(0, 1, ((0, 0),)),))
-        rec = run(inst, UlsaConfig(max_iterations=100, stats_enabled=False), seed=1)
-        assert rec.stats is None
-
     def test_restarts_reset_clock_and_still_solve(self):
         params = phase_transition_params(15)
         inst, _ = generate_forced(params, seed=9)
