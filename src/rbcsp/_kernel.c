@@ -1,6 +1,7 @@
 /* The package's compiled kernel: ULSA's start and step loop, the build of
- * the packed search tables, the text reader, the text writers and the
- * conversions between a CSP and its independent-set graph.
+ * the packed search tables, the one-pass readers of the CSP and DIMACS
+ * texts, the text writers and the conversions between a CSP and its
+ * independent-set graph.
  *
  * -- the step loop ------------------------------------------------------------
  *
@@ -404,120 +405,208 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
 }
 
 
-/* -- the text reader ----------------------------------------------------------
+/* -- the text readers ---------------------------------------------------------
  *
- * `read_piece` finds the lines and tokens of one ASCII piece of text by the
- * rules of `rbcsp.core._read_piece`, and yields the same results: lines end
- * at each byte of class BREAK, "\r\n" being one break; tokens are the runs of
- * bytes not of class SPACE; a line whose first token is the one byte `tag` is
- * a bulk line, one whose first token is "c" a comment, and any other line
- * with tokens is one of the others.  The classes come from the caller, the
- * 256-byte table `rbcsp.core._ASCII_CLASS`, in which every BREAK byte is a
- * SPACE byte too.
+ * `read_header`, `read_csp` and `read_dimacs` read the texts of
+ * `rbcsp.core.loads_csp` and `rbcsp.misbridge.parse_dimacs` in one pass,
+ * straight into the arrays those functions return.  They accept a text only
+ * when they can prove it valid, and return -1 for any other, after which
+ * the caller reads it with its Python reference; so every error and every
+ * warning comes from Python.  Lines end at each byte of class BREAK and
+ * tokens are the runs of bytes of no class, as `str.splitlines()` and
+ * `str.split()` find them in ASCII text, the only text the callers pass.
+ * A line break is a space too, and "\r\n" reads as a break and an empty
+ * line, which needs no line number here.  Blank lines and lines whose first
+ * token is "c" may stand anywhere.
+ * Numbers are plain tokens of at most MAX_DIGITS ASCII digits; a sign, an
+ * underscore or a longer token is left to Python's `int()`.
  *
- * A bulk line of three tokens has its second and third read as integers,
- * clamped to limit; any other bulk line reads (-1, -1).  Only plain tokens of
- * at most MAX_DIGITS ASCII digits are read here: when a bulk line of three
- * tokens has any other value token, read_piece returns -1 and the caller reads
- * the piece with int()'s rules instead.
+ * `read_header` skips the comment and blank lines before the first other
+ * line, which must be "p <word> <v[0]> .. <v[nv-1]>", and returns the offset
+ * after its break, with the numbers in v.  The caller checks them and sizes
+ * the body's arrays from them and from the rest of the text, so that no
+ * array is longer than the text could fill.
  *
- * The piece is walked once, each line's end and tokens found in one scan; a
- * line of exactly "<tag> <digits> <digits>\n" is read without class lookups.
- * Rows go to the caller's block of 3 * cap int64s, cap line numbers and then
- * cap pairs: bulk lines from the front, with their values as pairs, and the
- * others from the back, with their spans (start, end), without the break.
- * Line numbers and spans count from the piece's start.  read_piece returns 0
- * with the piece's numbers of breaks, bulk rows and other rows in at[0..2],
- * or -1, writing nothing beyond the block, if the piece has more than cap rows.
+ * `read_csp` reads the body after the "p bcsp n d m" header: 'k a b npairs'
+ * lines, each followed by its npairs 'f va vb' lines, with a and b below n
+ * and differing and va and vb below d, and at most one 's' line of n values
+ * below d, standing outside a block.  It writes constraint i's endpoints to
+ * con_a[i] and con_b[i] and its first code's place to pair_start[i], for
+ * m constraints, and each pair's code va * d + vb to codes; the codes of a
+ * block must ascend, so that they are distinct and in the order
+ * `rbcsp.core.CspInstance` keeps, and a text whose block repeats a pair or
+ * lists pairs out of order is left to Python.  Under `rbcsp.core.check_size`
+ * d <= 4472, so a code fits in an int32.  It returns the number of codes, and
+ * sets *seen when it wrote an 's' line to solution.  con_a and con_b hold
+ * mcap entries, pair_start mcap + 1, codes fcap and solution scap.
+ *
+ * `read_dimacs` reads the body after the "p edge V E" header: 'e u v' lines
+ * with u and v in 1..V and differing.  It writes each edge as the 0-based row
+ * (min, max) of pairs, in text order, and returns the number of rows; more
+ * than cap rows, which the caller sets to at most E, are left to Python.
+ * *ascending is set when the rows ascend strictly, as in a written file, so
+ * that they need no sort and hold no repeat.
  */
 
 #define SPACE 1
 #define BREAK 2
-#define MAX_DIGITS 18 /* core._MAX_DIGITS: any 18 digits fit in int64 */
+#define MAX_DIGITS 18 /* any 18 digits fit in int64 */
 
-/* the value of the ASCII digits at s[*i..end), at most MAX_DIGITS of them,
- * clamped to limit, with *i moved past them; -1 if there are none */
-static inline int64_t digits(const uint8_t *s, int64_t *i, int64_t end, int64_t limit)
+/* the ASCII whitespace of str.split() and line breaks of str.splitlines(),
+ * rbcsp.core._SPACES and _BREAKS below 0x80 */
+static const uint8_t CLASS[256] = {
+    ['\t'] = SPACE, [' '] = SPACE, [0x1f] = SPACE,
+    ['\n'] = SPACE | BREAK, ['\v'] = SPACE | BREAK, ['\f'] = SPACE | BREAK,
+    ['\r'] = SPACE | BREAK, [0x1c] = SPACE | BREAK, [0x1d] = SPACE | BREAK,
+    [0x1e] = SPACE | BREAK,
+};
+
+/* the first byte at or after i that is not a space within a line */
+static inline int64_t skip_spaces(const uint8_t *s, int64_t i, int64_t len)
 {
-    const int64_t start = *i;
-    int64_t v = 0;
+    while (i < len && CLASS[s[i]] == SPACE)
+        i++;
+    return i;
+}
+
+/* the offset after the break ending the line at i, or len */
+static inline int64_t skip_line(const uint8_t *s, int64_t i, int64_t len)
+{
+    while (i < len && !(CLASS[s[i]] & BREAK))
+        i++;
+    return i < len ? i + 1 : len;
+}
+
+/* whether the next token of the line at *i is a number, then read into *v
+ * with *i moved past it */
+static inline int number(const uint8_t *s, int64_t *i, int64_t len, int64_t *v)
+{
+    int64_t j = skip_spaces(s, *i, len);
+    const int64_t start = j;
+    uint64_t x = 0;
     unsigned digit;
-    while (*i < end && *i - start < MAX_DIGITS && (digit = (unsigned)s[*i] - '0') <= 9) {
-        v = v * 10 + digit;
-        ++*i;
+    while (j < len && (digit = (unsigned)s[j] - '0') <= 9) {
+        x = x * 10 + digit;
+        j++;
     }
-    return *i == start ? -1 : v < limit ? v : limit;
+    if (j == start || j - start > MAX_DIGITS || (j < len && !CLASS[s[j]]))
+        return 0;
+    *v = (int64_t)x;
+    *i = j;
+    return 1;
 }
 
-/* the index of the '\n' ending the line s[i..] if the line is a plain
- * "<tag> <digits> <digits>\n", its values in v; else 0 */
-static inline int64_t plain_line(const uint8_t *s, int64_t i, int64_t len, int64_t tag,
-                                 int64_t limit, int64_t *v)
+/* whether the line at *i holds no more tokens, then with *i moved past it */
+static inline int line_end(const uint8_t *s, int64_t *i, int64_t len)
 {
-    if (len - i < 2 || s[i] != tag || s[i + 1] != ' ')
+    const int64_t j = skip_spaces(s, *i, len);
+    if (j < len && !(CLASS[s[j]] & BREAK))
         return 0;
-    i += 2;
-    v[0] = digits(s, &i, len, limit);
-    if (v[0] < 0 || i == len || s[i++] != ' ')
-        return 0;
-    v[1] = digits(s, &i, len, limit);
-    return v[1] < 0 || i == len || s[i] != '\n' ? 0 : i;
+    *i = j < len ? j + 1 : len;
+    return 1;
 }
 
-int64_t read_piece(const uint8_t *s, int64_t len, const uint8_t *cls, int64_t tag,
-                   int64_t limit, int64_t *at, int64_t cap, int64_t *block)
+/* the tag of the next line with tokens at or after *i, with *i moved past
+ * it, skipping blank and comment lines; -1 at the end of the text, and 0 if
+ * the first token is longer than one byte (a NUL tag is no tag either) */
+static inline int tag(const uint8_t *s, int64_t *i, int64_t len)
 {
-    int64_t *lines = block, *pairs = block + cap;
-    int64_t i = 0, line = 0, nbulk = 0, nother = 0;
-    while (i < len) {
-        /* the line s[i..end): whether it has a row, a bulk one, and its pair */
-        int64_t pair[2], end = plain_line(s, i, len, tag, limit, pair);
-        int row = 1, bulk = 1;
-        if (!end) {
-            int64_t ntok = 0, tok[3][2];
-            for (end = i;;) {
-                while (end < len && cls[s[end]] == SPACE)
-                    end++;
-                if (end == len || cls[s[end]] & BREAK)
-                    break;
-                const int64_t t = end;
-                while (end < len && !cls[s[end]]) /* neither a space nor a break */
-                    end++;
-                if (ntok < 3) {
-                    tok[ntok][0] = t;
-                    tok[ntok][1] = end;
-                }
-                ntok++;
-            }
-            const int one = ntok && tok[0][1] - tok[0][0] == 1;
-            row = ntok && !(one && s[tok[0][0]] == 'c');
-            bulk = one && s[tok[0][0]] == tag;
-            pair[0] = bulk ? -1 : i;
-            pair[1] = bulk ? -1 : end;
-            for (int k = 0; bulk && ntok == 3 && k < 2; k++) {
-                int64_t j = tok[k + 1][0];
-                pair[k] = digits(s, &j, tok[k + 1][1], limit);
-                if (j != tok[k + 1][1]) /* not plain digits, or too many */
-                    return -1;
-            }
+    for (;;) {
+        const int64_t j = skip_spaces(s, *i, len);
+        if (j == len)
+            return -1;
+        if (CLASS[s[j]] & BREAK) {
+            *i = j + 1;
+            continue;
         }
-        if (row) {
-            if (nbulk + nother == cap)
+        if (j + 1 < len && !CLASS[s[j + 1]])
+            return 0;
+        if (s[j] == 'c') {
+            *i = skip_line(s, j + 1, len);
+            continue;
+        }
+        *i = j + 1;
+        return s[j];
+    }
+}
+
+int64_t read_header(const uint8_t *s, int64_t len, const char *word, int64_t nv, int64_t *v)
+{
+    int64_t i = 0;
+    if (tag(s, &i, len) != 'p')
+        return -1;
+    i = skip_spaces(s, i, len);
+    for (; *word; word++, i++)
+        if (i == len || s[i] != (uint8_t)*word)
+            return -1;
+    if (i < len && !CLASS[s[i]])
+        return -1;
+    for (int64_t k = 0; k < nv; k++)
+        if (!number(s, &i, len, &v[k]))
+            return -1;
+    return line_end(s, &i, len) ? i : -1;
+}
+
+int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d, int64_t m,
+                 int32_t *con_a, int32_t *con_b, int64_t *pair_start, int64_t mcap,
+                 int32_t *codes, int64_t fcap, int64_t *solution, int64_t scap, int64_t *seen)
+{
+    int64_t k = 0, nf = 0, want = 0, got = 0, a, b, c;
+    *seen = 0;
+    for (int t; (t = tag(s, &i, len)) >= 0;) {
+        if (t == 'f') {
+            if (got == want || nf == fcap || !number(s, &i, len, &a) || a >= d
+                || !number(s, &i, len, &b) || b >= d || !line_end(s, &i, len))
                 return -1;
-            const int64_t k = bulk ? nbulk++ : cap - ++nother;
-            lines[k] = line;
-            pairs[2 * k] = pair[0];
-            pairs[2 * k + 1] = pair[1];
+            const int64_t code = a * d + b;
+            if (got++ && code <= codes[nf - 1])
+                return -1;
+            codes[nf++] = (int32_t)code;
+        } else if (t == 'k') {
+            if (got < want || k == mcap || !number(s, &i, len, &a) || a >= n
+                || !number(s, &i, len, &b) || b >= n || a == b
+                || !number(s, &i, len, &c) || c < 1 || !line_end(s, &i, len))
+                return -1;
+            con_a[k] = (int32_t)a;
+            con_b[k] = (int32_t)b;
+            pair_start[k++] = nf;
+            want = c;
+            got = 0;
+        } else if (t == 's') {
+            if (*seen || got < want || n > scap)
+                return -1;
+            for (int64_t v = 0; v < n; v++)
+                if (!number(s, &i, len, &solution[v]) || solution[v] >= d)
+                    return -1;
+            if (!line_end(s, &i, len))
+                return -1;
+            *seen = 1;
+        } else {
+            return -1;
         }
-        if (end == len)
-            break;
-        i = end + (s[end] == '\r' && end + 1 < len && s[end + 1] == '\n' ? 2 : 1);
-        line++;
     }
-    at[0] = line;
-    at[1] = nbulk;
-    at[2] = nother;
-    return 0;
+    if (got < want || k != m)
+        return -1;
+    pair_start[k] = nf;
+    return nf;
+}
+
+int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_t *pairs,
+                    int64_t cap, int64_t *ascending)
+{
+    int64_t e = 0, u, v;
+    *ascending = 1;
+    for (int t; (t = tag(s, &i, len)) >= 0;) {
+        if (t != 'e' || e == cap || !number(s, &i, len, &u) || u < 1 || u > nv
+            || !number(s, &i, len, &v) || v < 1 || v > nv || u == v || !line_end(s, &i, len))
+            return -1;
+        int64_t *row = pairs + 2 * e++;
+        row[0] = (u < v ? u : v) - 1;
+        row[1] = (u < v ? v : u) - 1;
+        if (e > 1 && (row[-2] > row[0] || (row[-2] == row[0] && row[-1] >= row[1])))
+            *ascending = 0;
+    }
+    return e;
 }
 
 

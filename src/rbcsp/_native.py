@@ -1,5 +1,5 @@
 """The compiled kernel, _kernel.c: ULSA's start and step loop, the table
-build, the text reader, the text writers and the MIS conversions.
+build, the one-pass text readers, the text writers and the MIS conversions.
 
 The source is built with the local C compiler on first use and cached per
 user.  `kernel` opens the library once per process and gives every exported
@@ -86,8 +86,9 @@ _SIGNATURES = {
     "ulsa_advance": ([ctypes.POINTER(_RunStruct)], None),
     "ulsa_init": ([_P] * 3 + [_I, _P, _I] + [_P] * 2, None),
     "build_bits": ([_P, _P, _I, _I, _P, _P], None),
-    "read_piece": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _I, ctypes.POINTER(_I), _I,
-                    _P], _I),
+    "read_header": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P], _I),
+    "read_csp": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 3 + [_I, _P, _I, _P, _I, _P], _I),
+    "read_dimacs": ([ctypes.c_char_p, _I, _I, _I, _P, _I, _P], _I),
     "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P, _I], _I),
     "write_edges": ([_P, _I, _P, _I], _I),
     "mis_edges": ([_P] * 5 + [_I] * 3 + [_P] * 3, _I),

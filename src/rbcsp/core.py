@@ -146,18 +146,21 @@ class CspInstance:
                      codes) -> "CspInstance":
         """An instance from arrays laid out as the class doc says and known to
         be valid: endpoints in [0, n) that differ, and nonempty, ascending,
-        distinct codes below d² per constraint.  The arrays are copied."""
+        distinct codes below d² per constraint.  An array of the dtype the
+        instance keeps is kept as it is, and made read-only, so the caller
+        hands it over; any other is copied."""
         instance = cls.__new__(cls)
-        instance._init(n, d, con_a, con_b, pair_start, codes)
+        instance._init(n, d, con_a, con_b, pair_start, codes, copy=None)
         return instance
 
-    def _init(self, n, d, con_a, con_b, pair_start, codes) -> None:
+    def _init(self, n, d, con_a, con_b, pair_start, codes, copy=True) -> None:
         # a code a·d + b < d² takes 4 bytes unless d² does not fit in them
-        arrays = [np.array(x, dtype=t).ravel() for x, t in zip(
-            (con_a, con_b, pair_start, codes),
-            (np.int32, np.int32, np.int64, np.int32 if d * d < 2**31 else np.int64))]
-        for arr in arrays:
+        arrays = []
+        for x, t in zip((con_a, con_b, pair_start, codes),
+                        (np.int32, np.int32, np.int64, np.int32 if d * d < 2**31 else np.int64)):
+            arr = np.array(x, dtype=t, copy=copy)
             arr.flags.writeable = False
+            arrays.append(arr if arr.ndim == 1 else arr.reshape(-1))
         self.__dict__.update(n=int(n), d=int(d), **dict(zip(_ARRAYS, arrays)))
 
     @cached_property
@@ -606,10 +609,7 @@ _SPACES = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA
            0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 _BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
 _BREAK_CHARS = "".join(map(chr, _BREAKS))
-# the compiled reader's byte classes: 1 marks a space, 2 a line break
-_ASCII_CLASS = bytes((c in _SPACES) | (c in _BREAKS) << 1 for c in range(128)) + bytes(128)
 _PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
-_MAX_DIGITS = 18  # the compiled reader's longest value token; int() reads the rest
 _CHUNK = 1 << 15  # characters read at a time
 
 
@@ -640,49 +640,23 @@ def _read(text: str, tag: str, limit: int):
     lines, and spans their (start, end) in `text`.  Line numbers and spans
     are int32 for a text below 2³¹ characters.
 
-    The text is read a piece of about _CHUNK characters at a time (see
-    _pieces), and only the results above outlive a piece.  So the memory
-    taken beyond them is bounded by _CHUNK for any text whose lines are at
-    most _CHUNK characters long, and by about one copy of a longer line.
-    ASCII pieces are read by the compiled reader when it is available, in
-    one call each into one block reused for every piece (see _read_ascii),
-    and any other piece by `_read_piece`, the reference it is tested against.
+    This is the Python path of `loads_csp` and `parse_dimacs`, taken for any
+    text their compiled pass refuses or when the kernel is not loaded, and
+    the reference that pass is tested against.  The text is read a piece of
+    about _CHUNK characters at a time (see _pieces) by `_read_piece`, and
+    only the results above outlive a piece.  So the memory taken beyond them
+    is bounded by _CHUNK for any text whose lines are at most _CHUNK
+    characters long, and by about one copy of a longer line.
     """
     index = np.int32 if len(text) < 2**31 else np.int64
     value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
-    lib = _native.kernel()
-    # A row needs a token and, unless its line ends the piece, a break: two
-    # characters.  A piece's lines but its last end at breaks starting below
-    # _CHUNK (see _pieces), so they hold at most _CHUNK // 2 rows, and the
-    # last line one more.
-    block = None if lib is None else np.empty(3 * (_CHUNK // 2 + 1), dtype=np.int64)
     found, lineno = [], 0
     for pos, piece in _pieces(text, _CHUNK):
-        rows = None
-        if lib is not None and piece.isascii():
-            rows = _read_ascii(lib.read_piece, piece, tag, limit, block)
-        bulk, values, others, spans, breaks = rows or _read_piece(piece, tag, limit)
+        bulk, values, others, spans, breaks = _read_piece(piece, tag, limit)
         found.append(((bulk + lineno).astype(index), values.astype(value),
                       (others + lineno).astype(index), (spans + pos).astype(index)))
         lineno += breaks
     return [np.concatenate(column) for column in zip(*found)]
-
-
-def _read_ascii(reader: Any, piece: str, tag: str, limit: int, block: np.ndarray):
-    """_read_piece's results for an ASCII piece from one call of the compiled
-    reader, as views of `block` (int64, three per row it holds).  None when
-    a value token is not plain digits and needs int()'s rules, or when the
-    piece has more rows than the block holds."""
-    raw = piece.encode("ascii")
-    at = (ctypes.c_int64 * 3)()  # breaks, bulk rows, other rows
-    cap = len(block) // 3
-    if reader(raw, len(raw), _ASCII_CLASS, ord(tag), limit, at, cap, block.ctypes.data) < 0:
-        return None
-    breaks, nbulk, nother = at
-    lines, pairs = block[:cap], block[cap:].reshape(cap, 2)
-    # bulk rows fill the block from the front, the others from the back
-    return (lines[:nbulk], pairs[:nbulk], lines[cap - nother:][::-1],
-            pairs[cap - nother:][::-1], breaks)
 
 
 def _read_piece(piece: str, tag: str, limit: int):
@@ -728,7 +702,7 @@ def _line(text: str, lineno: int) -> str:
 def _f_problem(raw: str, d: int) -> str:
     """What is wrong with the 'f' line `raw` inside a block, checked in
     order: its fields, its integers, its range, else a repeated pair."""
-    fields = raw.split()
+    fields = raw.split(None, 3)  # a fourth field is one too many, however long
     if len(fields) != 3:
         return f"expected 'f <value_a> <value_b>', got {raw!r}"
     try:
@@ -740,6 +714,54 @@ def _f_problem(raw: str, d: int) -> str:
     return f"disallowed pair ({va},{vb}) repeats in its constraint"
 
 
+def _one_pass_header(text: str, word: bytes, count: int):
+    """(lib, raw, start, values) when the compiled `read_header` reads the
+    first line of `text` with tokens, comments aside, as 'p <word>' and
+    `count` plain numbers: the kernel, the text as bytes, the offset after
+    the header and the numbers.  None when the kernel is not loaded, the
+    text is not ASCII or the header is refused."""
+    lib = _native.kernel()
+    if lib is None or not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    values = (ctypes.c_int64 * count)()
+    start = lib.read_header(raw, len(raw), word, count, values)
+    return None if start < 0 else (lib, raw, start, list(values))
+
+
+def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assignment]]]:
+    """loads_csp's result from one compiled pass over the text into the
+    instance's arrays, or None when the pass refuses it (see `read_csp`)."""
+    found = _one_pass_header(text, b"bcsp", 3)
+    if found is None:
+        return None
+    lib, raw, start, (n, d, m) = found
+    try:
+        check_size(n, d, m)
+    except ValueError:
+        return None
+    if n < 1 or d < 1:
+        return None
+    # sized from the r bytes after the header as well as from it: a 'k' line
+    # takes at least 8 of them, an 'f' line 6 and the 's' line 2 a value,
+    # the last line one less; d <= 4472 under check_size, so codes are int32
+    r = len(raw) - start + 1
+    mcap = min(m, r // 8)
+    con_a, con_b = np.empty(mcap, dtype=np.int32), np.empty(mcap, dtype=np.int32)
+    pair_start = np.empty(mcap + 1, dtype=np.int64)
+    codes = np.empty(min(m * d * d, r // 6), dtype=np.int32)
+    solution = np.empty(min(n, r // 2), dtype=np.int64)
+    seen = (ctypes.c_int64 * 1)()
+    used = lib.read_csp(raw, len(raw), start, n, d, m, con_a.ctypes.data, con_b.ctypes.data,
+                        pair_start.ctypes.data, mcap, codes.ctypes.data, len(codes),
+                        solution.ctypes.data, len(solution), seen)
+    if used < 0:
+        return None
+    codes.resize(used, refcheck=False)  # the buffer is ours alone
+    instance = CspInstance._from_arrays(n, d, con_a, con_b, pair_start, codes)
+    return instance, Assignment(solution, np.ones(n, dtype=bool)) if seen[0] else None
+
+
 def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     """Parse the native CSP text format.
 
@@ -748,10 +770,18 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     input, and on a header beyond the size caps of `check_size` before
     anything proportional to the header is allocated.
 
-    The 'f' lines are read in bulk by `_read`, then checked and sorted as
-    arrays.  The few other lines are checked one by one in a loop that knows
-    how many 'f' lines lie between them.
+    An ASCII text is read in one compiled pass straight into the instance's
+    arrays (`_loads_in_one_pass`) when the pass can prove it valid.  Any
+    other text, and every text when the kernel is not loaded, takes the
+    Python path, which raises every error: the 'f' lines are read in bulk
+    by `_read`, then checked and sorted as arrays, and the few other lines
+    are checked one by one in a loop that knows how many 'f' lines lie
+    between them.  So a text the pass refuses costs time, never a
+    different result.
     """
+    parsed = _loads_in_one_pass(text)
+    if parsed is not None:
+        return parsed
     # values are clamped to a bound on d: an accepted header has n >= 1 and
     # so d(d−1)/2 <= MAX_CLIQUE_EDGES
     f_lines, pairs, at_lines, spans = _read(text, "f", isqrt(2 * MAX_CLIQUE_EDGES) + 1)

@@ -13,6 +13,7 @@ that is how such benchmarks are distributed.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _native
-from .core import CspInstance, _line, _read, _write, check_size
+from .core import CspInstance, _line, _one_pass_header, _read, _write, check_size
 
 # A graph's vertices are int64 and 'e' values are read in int64, clamped to
 # MAX_VERTICES + 1; a header beyond this is refused (any real graph is
@@ -277,8 +278,10 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
                             count.ctypes.data, mask.ctypes.data, con_a.ctypes.data,
                             con_b.ctypes.data, pair_start.ctypes.data, codes.ctypes.data)
     _check_cliques(inner, d)
-    return CspInstance._from_arrays(n, d, con_a[:m], con_b[:m], pair_start[:m + 1],
-                                    codes[:pair_start[m]])
+    codes.resize(pair_start[m], refcheck=False)  # in place: these buffers are ours alone
+    for array, size in ((con_a, m), (con_b, m), (pair_start, m + 1)):
+        array.resize(size, refcheck=False)
+    return CspInstance._from_arrays(n, d, con_a, con_b, pair_start, codes)
 
 
 def _check_cliques(counts: np.ndarray, d: int) -> None:
@@ -336,7 +339,7 @@ def _read_header(raw: str) -> tuple[int, int]:
 def _e_problem(raw: str, num_vertices: int) -> str:
     """What is wrong with the 'e' line `raw` after the header, checked in
     order: its fields, its integers, its range, else a self-loop."""
-    fields = raw.split()
+    fields = raw.split(None, 3)  # a fourth field is one too many, however long
     if len(fields) != 3:
         return f"expected 'e <u> <v>', got {raw!r}"
     try:
@@ -348,6 +351,31 @@ def _e_problem(raw: str, num_vertices: int) -> str:
     return f"self-loop on vertex {u}"
 
 
+def _parse_in_one_pass(text: str) -> Optional[tuple[int, int, np.ndarray]]:
+    """(V, E, pairs) of the text's header and distinct edges, as rows of the
+    graph's `pairs`, from one compiled pass, or None when the pass refuses
+    the text (see `read_dimacs`) or it repeats an edge."""
+    found = _one_pass_header(text, b"edge", 2)
+    if found is None:
+        return None
+    lib, raw, start, (num_vertices, declared_edges) = found
+    # an 'e' line takes at least 6 of the bytes after the header, the last
+    # line 5; a text of more edges than declared goes to Python, which warns
+    pairs = np.empty((min(declared_edges, (len(raw) - start + 1) // 6), 2), dtype=np.int64)
+    ascending = (ctypes.c_int64 * 1)()
+    used = lib.read_dimacs(raw, len(raw), start, num_vertices, pairs.ctypes.data, len(pairs),
+                           ascending)
+    if used < 0:
+        return None
+    del raw, found
+    pairs.resize((used, 2), refcheck=False)  # the buffer is ours alone
+    if not ascending[0]:
+        pairs, repeats = _canonical(pairs)
+        if repeats.size:
+            return None
+    return num_vertices, declared_edges, pairs
+
+
 def parse_dimacs(text: str) -> MisGraph:
     """Parse DIMACS ascii graph format (1-indexed `e` lines, `c` comments).
 
@@ -356,10 +384,22 @@ def parse_dimacs(text: str) -> MisGraph:
     Lines, fields and numbers are read as by `loads_csp`, and a malformed
     text is refused with the number of its first bad line.
 
-    The 'e' lines are read in bulk by `core._read`, as `loads_csp` reads
-    'f' lines, and one lexsort orders them and finds the duplicates, unless
-    they are already in order.  The few other lines are checked one by one.
+    As in `loads_csp`, an ASCII text is read in one compiled pass straight
+    into the graph's rows (`_parse_in_one_pass`) when the pass can prove it
+    valid and free of repeated edges.  Any other text, and every text when
+    the kernel is not loaded, takes the Python path, which raises every
+    error and names the line of every dropped duplicate: the 'e' lines are
+    read in bulk by `core._read`, as `loads_csp` reads 'f' lines, and one
+    lexsort orders them and finds the duplicates, unless they are already
+    in order.  The few other lines are checked one by one.
     """
+    parsed = _parse_in_one_pass(text)
+    if parsed is not None:
+        num_vertices, declared_edges, pairs = parsed
+        if len(pairs) != declared_edges:
+            warnings.warn(f"header declares {declared_edges} edges, found {len(pairs)}",
+                          stacklevel=2)
+        return MisGraph._from_pairs(num_vertices, pairs)
     e_lines, ends, at_lines, spans = _read(text, "e", MAX_VERTICES + 1)
 
     # the first bad line of each kind as (lineno, message); the earliest is reported

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pickle
 import random
@@ -411,6 +412,23 @@ class TestArrayInstance:
         assert inst.pair_start.tolist() == [0, 2, 3]
         assert inst.codes.tolist() == [1, 3, 2]  # a·d + b, ascending per constraint
         assert not inst.codes.flags.writeable
+
+    def test_from_arrays_keeps_the_arrays_it_is_handed(self):
+        # arrays of the kept dtypes are handed over, not copied, and made
+        # read-only; an array of another dtype is copied, and __setstate__
+        # keeps copies of its own
+        handed = (np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.int32),
+                  np.array([0, 1, 3], dtype=np.int64), np.array([3, 0, 2], dtype=np.int32))
+        inst = CspInstance._from_arrays(3, 2, *handed)
+        for name, arr in zip(core._ARRAYS, handed):
+            assert getattr(inst, name) is arr and not arr.flags.writeable
+        wide = np.array([3, 0, 2], dtype=np.int64)
+        other = CspInstance._from_arrays(3, 2, *handed[:3], wide)
+        assert other == inst and not np.shares_memory(other.codes, wide) and wide.flags.writeable
+        for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+            assert twin == inst
+            assert not any(np.shares_memory(getattr(twin, k), getattr(inst, k))
+                           for k in core._ARRAYS)
 
     def test_lazy_view_equals_the_given_constraints(self, rng):
         inst = random_instance(rng, n=6, d=4, m=12)

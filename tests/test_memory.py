@@ -57,14 +57,17 @@ def test_loads_csp_peak_n40():
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_loads_csp_peak_n100(n100, end):
-    # 3.9 MB; the whole-text tokenizer took 67 MB.  Pieces end at any line
-    # break, so a text without '\n' is read in pieces too
+    # a 3.9 MB text: the one-pass reader's ASCII copy and arrays peak at
+    # 6.5 MB; the whole-text tokenizer took 67 MB.  The Python path's pieces
+    # end at any line break, so a text without '\n' is read in pieces too
     text = n100[0].replace("\n", end)
     assert traced_peak_mb(loads_csp, text) <= 30
 
 
 def test_parse_dimacs_peak_n100(n100):
-    _, dimacs = n100  # 6.6 MB, 573k edges; the line-by-line parser took 108 MB
+    # 6.6 MB, 573k edges: 15.7 MB with the one-pass reader, the text's
+    # ASCII copy and a row per edge; the line-by-line parser took 108 MB
+    _, dimacs = n100
     assert traced_peak_mb(parse_dimacs, dimacs) <= 50
 
 
@@ -97,13 +100,13 @@ def test_csp_to_mis_peak_n100(n100):
 
 
 def test_mis_to_csp_peak_n100(n100):
-    # 4.4 MB: a code per edge, 2.3 MB, and the instance's copy of the 2.0 MB
-    # of codes kept; the numpy recovery's sorted int64 key per cross edge
-    # took 31.7 MB
+    # 2.4 MB: a code per edge, 2.3 MB, trimmed in place to the 2.0 MB the
+    # instance keeps; copying the kept codes took 4.4 MB, and the numpy
+    # recovery's sorted int64 key per cross edge 31.7 MB
     if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     graph = parse_dimacs(n100[1])
-    assert traced_peak_mb(mis_to_csp, graph, 40) <= 8
+    assert traced_peak_mb(mis_to_csp, graph, 40) <= 4
 
 
 def test_reader_transient_does_not_grow_with_the_text(n100):

@@ -1,13 +1,15 @@
-"""The compiled text reader: the same results as `core._read_piece`, and a
-silent fallback to it.
+"""The compiled one-pass readers of `loads_csp` and `parse_dimacs`: the same
+instance, graph, errors and warnings as the Python path, which takes every
+text they refuse, and refusals only of the kinds they document.
 
-Each check reads a text or a piece twice, once with the compiled reader and
-once with `_native._lib` set to None, which makes `_read` take every piece
-through the Python reference, a loop over `str.splitlines()`,
-`str.split()` and `int()`, and compares the results field by field.  The
-compiled reader reads a piece in one call into a block that `_read` sizes
-from `_CHUNK`; the checks below show that every piece fits it, and that a
-piece with more rows than its block is left to the Python reader.
+Each check parses a text twice, once with the kernel loaded and once with
+`_native._lib` set to None, which sends every text down the Python path: a
+loop over `str.splitlines()`, `str.split()` and `int()` a piece of `_CHUNK`
+characters at a time.  It compares the results, or the exception class and
+message, and the warnings.  `accepts` states independently which texts the
+one-pass readers must accept: the valid ASCII texts whose numbers are plain
+digits, whose blocks list their pairs in ascending order and whose graphs
+repeat no edge and hold no more edges than their header declares.
 """
 
 from __future__ import annotations
@@ -24,69 +26,109 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbcsp import _native, core, misbridge
-from rbcsp.core import dumps_csp, loads_csp
-from rbcsp.misbridge import MAX_VERTICES, csp_to_mis, emit_dimacs, parse_dimacs
+from rbcsp.core import CspFormatError, dumps_csp, loads_csp
+from rbcsp.misbridge import DimacsFormatError, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
+
+from conftest import assignment_of, random_instance, random_values
 
 # every ASCII space and break byte, NUL and DEL
 ODD_BYTES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00\x7f"
 ALPHABET = "fecpk0123456789" + ODD_BYTES
-LIMIT = 4473  # loads_csp's bound on 'f' values
+PARSERS = (loads_csp, parse_dimacs)
+# a small valid document of each format, and the offsets of its line starts
+DOCUMENTS = {
+    loads_csp: "c a comment\np bcsp 3 5 2\nk 0 1 2\nf 1 2\nf 3 4\nk 2 1 1\nf 4 0\ns 1 0 2\n",
+    parse_dimacs: "c a comment\np edge 6 4\ne 1 2\ne 2 5\ne 3 4\ne 6 1\n",
+}
 
 
 @pytest.fixture
-def reader():
+def kernel():
     lib = _native.kernel()
     if lib is None:
         pytest.skip("the compiled kernel could not be built here")
-    return lib.read_piece
+    return lib
 
 
-def same(fast, slow) -> None:
-    assert len(fast) == len(slow)
-    for a, b in zip(fast, slow):
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        else:
-            assert a == b
+def line_starts(text: str) -> list[int]:
+    return [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
 
 
-def python_read(monkeypatch, text: str, tag: str, limit: int):
+def documents(parse, text: str, rows=None):
+    """The text alone, and put into the small document of its format at each
+    line start, or at the line start numbered `rows`; for graphs, its 'f'
+    tags become 'e' tags."""
+    if parse is parse_dimacs:
+        text = text.replace("f", "e")
+    doc = DOCUMENTS[parse]
+    starts = line_starts(doc)
+    at = starts if rows is None else [starts[min(rows, len(starts) - 1)]]
+    return [text] + [doc[:i] + text + doc[i:] for i in at]
+
+
+def outcome(parse, text: str):
+    """What parsing does: ('ok', result) or (exception class, message),
+    with the messages of the warnings issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", parse(text))
+        except (CspFormatError, DimacsFormatError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def python_outcome(monkeypatch, parse, text: str, chunk: int = core._CHUNK):
     with monkeypatch.context() as m:
         m.setattr(_native, "_lib", None)
-        return core._read(text, tag, limit)
+        m.setattr(core, "_CHUNK", chunk)
+        return outcome(parse, text)
 
 
-def plain_values(piece: str, tag: str) -> bool:
-    """Whether every value token of the piece's bulk lines of three tokens
-    is at most _MAX_DIGITS ASCII digits: the tokens the compiled reader
-    reads itself."""
-    for line in piece.splitlines():
-        fields = line.split()
-        if len(fields) == 3 and fields[0] == tag:
-            if not all(f.isdigit() and len(f) <= core._MAX_DIGITS for f in fields[1:]):
-                return False
+def one_pass(m) -> None:
+    """Make the Python path raise: only the one-pass readers may parse."""
+    for module in (core, misbridge):
+        m.setattr(module, "_read", mock.Mock(side_effect=AssertionError("the Python path")))
+
+
+def took_one_pass(parse, text: str) -> bool:
+    return (core._loads_in_one_pass if parse is loads_csp
+            else misbridge._parse_in_one_pass)(text) is not None
+
+
+def accepts(parse, text: str, valid: bool) -> bool:
+    """Whether the one-pass reader must accept the text, which the Python
+    path accepts if `valid`: it is ASCII, every token but a line's first is
+    at most 18 ASCII digits or the header's word, each block's pairs ascend,
+    and a graph's edges are distinct and no more than its header declares."""
+    if not valid or not text.isascii():
+        return False
+    rows = [line.split() for line in text.splitlines()]
+    rows = [fields for fields in rows if fields and fields[0] != "c"]
+    for fields in rows:
+        numbers = fields[2:] if fields[0] == "p" else fields[1:]
+        if not all(f.isdigit() and len(f) <= 18 for f in numbers):
+            return False
+    body = [tuple(map(int, fields[1:])) for fields in rows if fields[0] in "ef"]
+    if parse is parse_dimacs:
+        edges = [(min(e), max(e)) for e in body]
+        return len(set(edges)) == len(edges) <= int(rows[0][3])
+    tags = [fields[0] for fields in rows if fields[0] in "kf"]
+    codes = iter(body)
+    for block in "".join(tags).split("k")[1:]:
+        pairs = [next(codes) for _ in block]
+        if pairs != sorted(set(pairs)):
+            return False
     return True
 
 
-def block(rows: int) -> np.ndarray:
-    return np.empty(3 * rows, dtype=np.int64)
-
-
-def check_piece(reader, piece: str, tag: str, limit: int) -> None:
-    # the block _read allocates, and one of exactly the piece's rows, give
-    # _read_piece's results; a block one row short gives None, and the
-    # piece is then left to _read_piece
-    slow = core._read_piece(piece, tag, limit)
-    rows = len(slow[0]) + len(slow[2])
-    for size in (core._CHUNK // 2 + 1, rows):
-        fast = core._read_ascii(reader, piece, tag, limit, block(size))
-        if fast is None:  # left for int()
-            assert not plain_values(piece, tag)
-            return
-        same(fast, slow)
-    if rows:
-        assert core._read_ascii(reader, piece, tag, limit, block(rows - 1)) is None
+def check_alike(monkeypatch, parse, text: str, chunk: int = core._CHUNK) -> None:
+    """The text parses alike on both paths, and takes the one-pass path
+    exactly when `accepts` says it must."""
+    fast = outcome(parse, text)
+    assert fast == python_outcome(monkeypatch, parse, text, chunk)
+    assert took_one_pass(parse, text) == accepts(parse, text, fast[0][0] == "ok")
 
 
 PIECES = [
@@ -108,33 +150,32 @@ PIECES = [
     f"f {'1' * 20} 2\n", f"f 2 {'9' * 25}\n", f"f {'7' * 70_000} 3\n",
     # near misses of the plain line '<tag> <digits> <digits>\n'
     "f 1 2 \n", "f 1 2\t\n", "f  1 2\n", "f 1 2\x0b", "f 1 2\r\n", " f 1 2\n",
-    "f 01 0004473\n", "f\t1 2\n",
+    "f 01 0004\n", "f\t1 2\n",
     "f 3 4\nf 1 2",  # no final break after plain lines
-    "e 1 2\ne 30 40\nf 5 6\n",  # read with tag 'f' as well as 'e'
+    "k 0 2 1\nf 0 0\ne 1 3\n",  # a block and an edge, read as both formats
 ]
 
 
 @pytest.mark.parametrize("piece", PIECES, ids=[f"piece{i}" for i in range(len(PIECES))])
-def test_pieces_read_alike(reader, piece):
-    for tag in "fe":
-        check_piece(reader, piece, tag, LIMIT)
-    check_piece(reader, piece, "e", MAX_VERTICES + 1)
+def test_pieces_read_alike(kernel, monkeypatch, piece):
+    for parse in PARSERS:
+        for text in documents(parse, piece):
+            check_alike(monkeypatch, parse, text)
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet=ALPHABET + "+-_x", max_size=200),
+@given(text=st.text(alphabet=ALPHABET + "+-_xs", max_size=200),
        cuts=st.lists(st.integers(0, 200), max_size=6))
 def test_random_pieces_read_alike(text, cuts):
-    # any slice is a piece here, so a '\r\n' or a token may be split
-    # across a piece end
-    lib = _native.kernel()
-    if lib is None:
+    # the random text alone, and spliced into each document at places that
+    # may split a token or a '\r\n'
+    if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
-    fn = lib.read_piece
-    bounds = sorted({0, len(text), *(min(c, len(text)) for c in cuts)})
-    for start, end in zip(bounds, bounds[1:]):
-        for limit in (9, LIMIT, MAX_VERTICES + 1):
-            check_piece(fn, text[start:end], "f", limit)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for parse in PARSERS:
+            doc = DOCUMENTS[parse]
+            for text_ in [text] + [doc[:c] + text + doc[c:] for c in cuts]:
+                check_alike(monkeypatch, parse, text_)
 
 
 TEXTS = [
@@ -143,119 +184,143 @@ TEXTS = [
     "f 1 2",
     "c\r\np bcsp 2 3 1\r\nk 0 1 1\r\nf 2 1\r",
     "".join(f"f {i} {i * 7}{ODD_BYTES[i % len(ODD_BYTES)]}" for i in range(300)),
-    "f 1 2\nf 1_000 3\nf 4 5\n" * 20,  # one piece or many left for int()
+    "f 1 2\nf 1_000 3\nf 4 5\n" * 20,  # many lines left for int()
     "y" * 100_000 + "\nf 1 2\n",
 ]
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
 @pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
-def test_texts_read_alike(reader, monkeypatch, text, chunk):
-    with mock.patch.object(core, "_CHUNK", chunk):
-        for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
-            same(core._read(text, tag, limit), python_read(monkeypatch, text, tag, limit))
+def test_texts_read_alike(kernel, monkeypatch, text, chunk):
+    # the Python path reads the text a piece of `chunk` characters at a time
+    for parse in PARSERS:
+        for doc in documents(parse, text):
+            check_alike(monkeypatch, parse, doc, chunk)
+
+
+# headers at the size caps (check_size, MAX_VERTICES) that take 18 digits or fewer
+CAPPED = {
+    loads_csp: ["p bcsp 100000 3 9999\n", "p bcsp 2 4472 1\n", "p bcsp 1 4472 26\n"],
+    parse_dimacs: ["p edge 999999999999999999 999999999999999999\n"],
+}
+
+
+def traced_peak(fn, *args) -> int:
+    """The traced peak while fn(*args) runs, an exception included."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                fn(*args)
+            except (CspFormatError, DimacsFormatError):
+                pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
 @pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
-def test_texts_fit_the_block(reader, monkeypatch, text, chunk):
-    # only a piece with non-ASCII text or a value token for int() reaches
-    # the Python reader: no piece has more rows than the block
-    seen, read_piece = [], core._read_piece
-
-    def recording(piece, tag, limit):
-        seen.append((piece, tag))
-        return read_piece(piece, tag, limit)
-
-    monkeypatch.setattr(core, "_CHUNK", chunk)
-    monkeypatch.setattr(core, "_read_piece", recording)
-    for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
-        core._read(text, tag, limit)
-    assert all(not piece.isascii() or not plain_values(piece, tag) for piece, tag in seen)
+def test_texts_fit_the_block(kernel, monkeypatch, text, chunk):
+    # under a header declaring the most its caps allow, the arrays the
+    # one-pass readers fill are sized by the text that follows, as is what
+    # the Python path holds: nothing is sized from the header alone
+    for parse, headers in CAPPED.items():
+        for header in headers:
+            doc = header + (text.replace("f", "e") if parse is parse_dimacs else text)
+            check_alike(monkeypatch, parse, doc, chunk)
+            for lib in (kernel, None):
+                with monkeypatch.context() as m:
+                    m.setattr(_native, "_lib", lib)
+                    assert traced_peak(parse, doc) <= 16 * len(doc) + 200_000
 
 
-def small_block(m, rows: int) -> list:
-    """Has _read hand the compiled reader one block of `rows` rows, reused
-    for every piece, and returns the (piece, tag, limit, read) of each call,
-    where read is False if the call returned None."""
-    calls, read_ascii, shared = [], core._read_ascii, block(rows)
-
-    def with_small_block(reader, piece, tag, limit, _):
-        found = read_ascii(reader, piece, tag, limit, shared)
-        calls.append((piece, tag, limit, found is not None))
-        return found
-
-    m.setattr(core, "_read_ascii", with_small_block)
-    return calls
-
-
-def check_calls(calls, rows: int) -> None:
-    # a piece of more rows than the block is refused, and any other one
-    # only for a value token left for int()
-    for piece, tag, limit, read in calls:
-        bulk, _, others, _, _ = core._read_piece(piece, tag, limit)
-        if len(bulk) + len(others) > rows:
-            assert not read
-        elif not read:
-            assert not plain_values(piece, tag)
+def refused_at(text: str, rows: int) -> str:
+    """The text with the first number of its first 'f' or 'e' line at or
+    after line `rows`, else of its last one, padded to 19 digits: only
+    int() reads it."""
+    lines = text.splitlines(True)
+    bulk = [i for i, line in enumerate(lines) if line[:2] in ("f ", "e ")]
+    i = next((i for i in bulk if i >= rows), bulk[-1])
+    fields = lines[i].split(" ")
+    fields[1] = fields[1].zfill(19)
+    lines[i] = " ".join(fields)
+    return "".join(lines)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
 @pytest.mark.parametrize("chunk", [1, 5, 40, core._CHUNK])
 @pytest.mark.parametrize("text", TEXTS, ids=[f"text{i}" for i in range(len(TEXTS))])
-def test_texts_resume_alike(reader, monkeypatch, text, chunk, rows):
-    # a block of a few rows fills mid-piece, after bulk lines, other lines
-    # or before a final line with no break: the compiled call returns -1,
-    # _read_piece reads the piece from its start, and the next piece reuses
-    # the block the refused call left rows in
-    monkeypatch.setattr(core, "_CHUNK", chunk)
-    for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
-        slow = python_read(monkeypatch, text, tag, limit)
-        with monkeypatch.context() as m:
-            calls = small_block(m, rows)
-            same(core._read(text, tag, limit), slow)
-        check_calls(calls, rows)
+def test_texts_resume_alike(kernel, monkeypatch, text, chunk, rows):
+    # the text put into each document at line `rows`, and that document
+    # with a number at or after that line the one-pass readers refuse: the
+    # Python path reads it from its start, with the same results
+    for parse in PARSERS:
+        for doc in documents(parse, text, rows):
+            check_alike(monkeypatch, parse, doc, chunk)
+        refused = refused_at(DOCUMENTS[parse], rows)
+        assert not took_one_pass(parse, refused)
+        check_alike(monkeypatch, parse, refused, chunk)
+        assert outcome(parse, refused) == outcome(parse, DOCUMENTS[parse])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-def test_frb_texts_resume_alike(reader, monkeypatch, rows):
-    # every piece of the n=40 texts is refused by a block this small and
-    # read by _read_piece, with the same results
+def test_frb_texts_resume_alike(kernel, rows):
+    # the n=40 texts with a number at or after line `rows` the one-pass
+    # readers refuse: the Python path reads the text again from its start
     instance, hidden = generate_forced(phase_transition_params(40), 2)
     text = dumps_csp(instance, hidden)
     dimacs = emit_dimacs(csp_to_mis(instance))
     for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e"), dimacs):
-        tag, limit = ("e", MAX_VERTICES + 1) if body is dimacs else ("f", LIMIT)
-        slow = python_read(monkeypatch, body, tag, limit)
-        with monkeypatch.context() as m:
-            calls = small_block(m, rows)
-            same(core._read(body, tag, limit), slow)
-        assert calls and not any(read for *_, read in calls)
-        check_calls(calls, rows)
+        parse = parse_dimacs if body is dimacs else loads_csp
+        refused = refused_at(body.replace("\x1e", "\n"), rows).replace(
+            "\n", "\x1e" if "\x1e" in body else "\n")
+        assert not took_one_pass(parse, refused)
+        assert outcome(parse, refused) == outcome(parse, body)
 
 
-# texts of two characters a row, the most rows a piece can hold
-DENSEST = ["f\n", "f\x1c", "x\r\n", "\nf\n", "f 1 2\n"]
+def dense(unit: int, size: int) -> tuple:
+    """A valid text of about `size` characters, or more, whose lines are as
+    short as their kind allows, so that it fills the arrays sized from it."""
+    if unit == 0:  # repeated constraints of one pair each
+        m = size // 14 + 1
+        return loads_csp, f"p bcsp 2 1 {m}\n" + "k 0 1 1\nf 0 0\n" * m
+    if unit == 1:  # one block of single-digit pairs, with no final break
+        pairs = [f"f {a} {b}" for a in range(10) for b in range(10)][:size // 6 + 1]
+        return loads_csp, f"p bcsp 2 10 1\nk 0 1 {len(pairs)}\n" + "\n".join(pairs)
+    if unit == 2:  # the longest 's' line of single digits
+        n = min(size // 2 + 1, core.MAX_VARIABLES)
+        return loads_csp, f"p bcsp {n} 1 0\ns" + " 0" * n
+    # edges in ascending order, the single-digit ones first; '\r\n' breaks in unit 4
+    num_vertices = 9
+    while num_vertices * (num_vertices - 1) // 2 * 6 < size:
+        num_vertices *= 2
+    edges = [f"e {u} {v}" for u in range(1, num_vertices + 1)
+             for v in range(u + 1, num_vertices + 1)][:size // 6 + 1]
+    end = "\r\n" if unit == 4 else "\n"
+    return parse_dimacs, f"p edge {num_vertices} {len(edges)}{end}" + end.join(edges)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 40, core._CHUNK])
-@pytest.mark.parametrize("unit", DENSEST, ids=[f"dense{i}" for i in range(len(DENSEST))])
-def test_densest_texts_read_in_c(reader, monkeypatch, unit, chunk):
-    text = unit * (3 * chunk // len(unit) + 10)
-    with mock.patch.object(core, "_CHUNK", chunk):
-        for tag, limit in (("f", LIMIT), ("e", MAX_VERTICES + 1)):
-            slow = python_read(monkeypatch, text, tag, limit)
-            with mock.patch.object(core, "_read_piece", side_effect=AssertionError(unit)):
-                same(core._read(text, tag, limit), slow)
+@pytest.mark.parametrize("unit", range(5), ids=[f"dense{i}" for i in range(5)])
+def test_densest_texts_read_in_c(kernel, monkeypatch, unit, chunk):
+    parse, text = dense(unit, 3 * chunk + 10)
+    expected = python_outcome(monkeypatch, parse, text, chunk)
+    assert expected[0][0] == "ok"
+    with monkeypatch.context() as m:
+        one_pass(m)
+        assert outcome(parse, text) == expected
 
 
-def test_frb_texts_read_alike(reader, monkeypatch):
+def test_frb_texts_read_alike(kernel, monkeypatch):
     # the n=40 CSP text at three line ends and its DIMACS text are written
-    # and read by the compiled kernel alone, with the Python reader's results:
+    # and read by the compiled kernel alone, with the Python path's results:
     # the Python reader and writers are made to raise meanwhile
     def compiled_only(m):
-        for module, name in ((core, "_read_piece"), (core, "_blocks"),
-                             (misbridge, "_edge_slices")):
+        one_pass(m)
+        for module, name in ((core, "_blocks"), (misbridge, "_edge_slices")):
             m.setattr(module, name, mock.Mock(side_effect=AssertionError(name)))
 
     instance, hidden = generate_forced(phase_transition_params(40), 2)
@@ -264,18 +329,132 @@ def test_frb_texts_read_alike(reader, monkeypatch):
         text = dumps_csp(instance, hidden)
         dimacs = emit_dimacs(csp_to_mis(instance))
     for body in (text, text.replace("\n", "\r\n"), text.replace("\n", "\x1e"), dimacs):
-        tag, limit = ("e", MAX_VERTICES + 1) if body is dimacs else ("f", LIMIT)
-        slow = python_read(monkeypatch, body, tag, limit)
+        parse = parse_dimacs if body is dimacs else loads_csp
+        slow = python_outcome(monkeypatch, parse, body)
         with monkeypatch.context() as m:
             compiled_only(m)
-            same(core._read(body, tag, limit), slow)
+            assert outcome(parse, body) == slow
+
+
+def reformat(r: random.Random, lines: list[str]) -> str:
+    """The lines in a layout valid files may have: runs of spaces and tabs,
+    indentation, trailing whitespace, leading zeros, comment and blank lines
+    anywhere, '\\n' or '\\r\\n' line ends, and no final break."""
+    out = []
+    for line in lines:
+        fields = [f.zfill(len(f) + r.choice([0, 0, 1, 3])) if f.isdigit() else f
+                  for f in line.split(" ")]
+        seps = [r.choice([" ", "\t", "  ", " \t "]) for _ in fields[1:]] + [""]
+        out.append(r.choice(["", " ", "\t"]) + "".join(map("".join, zip(fields, seps)))
+                   + r.choice(["", " ", "\t "]))
+        out += [r.choice(["", "  ", "c", "c a comment", "\tc x y"])
+                for _ in range(r.choice([0, 0, 0, 1, 2]))]
+    text = "".join(line + r.choice(["\n", "\r\n"]) for line in out)
+    return text.rstrip("\r\n") if r.random() < 0.3 else text
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**30))
+def test_formatting_variants_read_alike(seed):
+    # generated instances and their graphs in those layouts, with the 's'
+    # line between blocks and the edges shuffled and turned: the one-pass
+    # readers accept every one, with the Python path's arrays, solution
+    # and graph
+    if _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    r = random.Random(seed)
+    instance = random_instance(r, n=r.randint(2, 14), d=r.randint(2, 12), m=r.randint(0, 8),
+                               max_pairs=20)
+    solution = assignment_of(random_values(r, instance.n, instance.d)) if r.random() < 0.5 else None
+    lines = dumps_csp(instance, solution, comments=["made by the test"]).splitlines()
+    if solution is not None:
+        s_line = lines.pop()
+        blocks = [i for i, line in enumerate(lines) if line[0] == "k"]
+        lines.insert(r.choice(blocks + [len(lines)]), s_line)
+    graph = csp_to_mis(instance)
+    header, *edges = emit_dimacs(graph).splitlines()
+    edges = [f"e {v} {u}" if r.random() < 0.5 else f"e {u} {v}"
+             for _, u, v in map(str.split, edges)]
+    r.shuffle(edges)
+    csp, dimacs = reformat(r, lines), reformat(r, [header] + edges)
+    with pytest.MonkeyPatch.context() as m:
+        one_pass(m)
+        fast = loads_csp(csp), parse_dimacs(dimacs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "_lib", None)
+        assert fast == (loads_csp(csp), parse_dimacs(dimacs))
+    assert fast[0] == (instance, solution)
+    assert np.array_equal(fast[1].pairs, graph.pairs)
+
+
+@pytest.mark.parametrize("d", [2, 64, 65, 129])
+@pytest.mark.parametrize("n", [12, 40, 100])
+def test_written_texts_take_the_one_pass_path(kernel, monkeypatch, n, d):
+    # what dumps_csp and emit_dimacs write, comments and a solution included,
+    # is read back by the one-pass readers alone
+    r = random.Random(n * 1000 + d)
+    instance = random_instance(r, n=n, d=d, m=n, max_pairs=40)
+    solution = assignment_of(random_values(r, n, d))
+    text = dumps_csp(instance, solution, comments=["one\ntwo"])
+    graph = csp_to_mis(instance)
+    dimacs = emit_dimacs(graph, comments=["a graph"])
+    with monkeypatch.context() as m:
+        one_pass(m)
+        assert loads_csp(text) == (instance, solution)
+        assert loads_csp(dumps_csp(instance)) == (instance, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = parse_dimacs(dimacs)
+        assert parsed.num_vertices == graph.num_vertices
+        assert np.array_equal(parsed.pairs, graph.pairs)
+
+
+def test_one_pass_spaces_and_breaks_are_the_ascii_ones(kernel, monkeypatch):
+    # each ASCII byte as a field separator and as a line end: the one-pass
+    # reader takes it exactly when str.split() and str.splitlines() do, as
+    # the tables of core, checked against them, say
+    for c in map(chr, range(128)):
+        space = ord(c) in core._SPACES and ord(c) not in core._BREAKS
+        for text, ok in ((f"p bcsp 2 2 1\nk 0 1 1\nf{c}1 0\n", space),
+                         (f"p bcsp 2 2 1{c}k 0 1 1\nf 1 0\n", ord(c) in core._BREAKS)):
+            assert took_one_pass(loads_csp, text) == ok
+            check_alike(monkeypatch, loads_csp, text)
+
+
+HOSTILE = [
+    "p bcsp 2 2 1\nk 0 1 1\nf 1234567890123456789 1\n",  # a 19-digit token
+    "p bcsp 2 2 1\nk 0 1 1\nf 0000000000000000001 1\n",  # 19 digits, valid
+    "p edge 3 1\ne 1 0000000000000000003\n",
+    "p bcsp 2 2 1\nk 0 1 1\nf\x00 1 1\n", "p bcsp 2 2 1\nk 0 1 1\nf 1 1\x00\n",
+    "p bcsp 2 2 1\nk 0 1 1\nf 1 1\x7f\n", "p edge 3 1\ne 1 2\x7f\n",
+    "c \x00\x7f\np bcsp 2 2 1\nk 0 1 1\nf 1 1\n",  # in a comment: valid
+    "p bcsp 2 2 1\nk 0 1 1\nf 1", "p bcsp 2 2 1\nk 0 1", "p bcsp 2 2", "p edge 3 1\ne 1",
+    "p bcsp 2 2 1\nk 0 1 2\nf 1 1\n",  # cut mid-block
+    "p bcsp 2 2 1\nk 0 1 1\nf" + " 1" * 2_000_000,  # a 4 MB line
+    "p edge 3 1\ne" + " 1" * 2_000_000,
+    "f" + " 1" * 2_000_000,
+    # each check of a block, valid but for it: a loop, a repeated pair, pairs
+    # out of order, an 's' line inside a block, a block left short, a value
+    # out of range, and the same block valid
+    "p bcsp 2 2 1\nk 1 1 1\nf 0 0\n", "p bcsp 2 2 1\nk 0 1 2\nf 1 1\nf 1 1\n",
+    "p bcsp 2 2 1\nk 0 1 2\nf 1 1\nf 0 0\n", "p bcsp 2 2 1\nk 0 1 2\nf 0 0\ns 0 0\nf 1 1\n",
+    "p bcsp 2 2 2\nk 0 1 2\nf 0 0\nk 1 0 1\nf 0 1\n", "p bcsp 2 2 1\nk 0 1 1\nf 0 2\n",
+    "p bcsp 2 2 1\nk 0 1 2\nf 0 0\nf 1 1\ns 0 0\n",
+]
+
+
+@pytest.mark.parametrize("text", HOSTILE, ids=[f"hostile{i}" for i in range(len(HOSTILE))])
+def test_hostile_texts_parse_alike(kernel, monkeypatch, text):
+    for parse in PARSERS:
+        check_alike(monkeypatch, parse, text)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
 def test_long_line_takes_memory_of_its_results(monkeypatch, compiled):
-    # a hostile text: one 4 MB line of 2M tokens.  The compiled reader takes
-    # the piece's ASCII copy and results sized by its lines; the Python one
-    # splits off the first three tokens and leaves the tail in one string
+    # a hostile text: one 4 MB line of 2M tokens.  The one-pass reader takes
+    # the text's ASCII copy and refuses it at its first token; the Python
+    # reader splits off the first three tokens and leaves the tail in one
+    # string
     if compiled and _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     if not compiled:
@@ -284,12 +463,14 @@ def test_long_line_takes_memory_of_its_results(monkeypatch, compiled):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        bulk, values, others, spans = core._read(text, "f", LIMIT)
+        with pytest.raises(CspFormatError, match="^line 1: 'f' line before 'p bcsp' header$"):
+            loads_csp(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert bulk.tolist() == [0] and values.tolist() == [[-1, -1]] and len(others) == 0
     assert peak <= 1.5 * len(text)
+    bulk, values, others, spans = core._read(text, "f", 4473)
+    assert bulk.tolist() == [0] and values.tolist() == [[-1, -1]] and len(others) == 0
 
 
 def test_compile_failure_reads_alike_silently(monkeypatch, capfd):
@@ -316,21 +497,16 @@ def test_compile_failure_reads_alike_silently(monkeypatch, capfd):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_mutated_documents_fail_alike(reader, monkeypatch, seed):
+def test_mutated_documents_fail_alike(kernel, monkeypatch, seed):
     # a few bytes of a valid document swapped for odd ones: the same
-    # instance or the same error, with or without the compiled reader
+    # instance or graph, or the same error, and the same warnings (a
+    # duplicate edge, a count off the header's), with or without the kernel
     r = random.Random(seed)
-    text = dumps_csp(*generate_forced(phase_transition_params(12), seed))
-    for _ in range(60):
-        chars = list(text)
-        for _ in range(r.randint(1, 4)):
-            chars[r.randrange(len(chars))] = r.choice(ALPHABET + "+-_")
-        mutated = "".join(chars)
-        outcomes = []
-        for lib in (_native.kernel(), None):
-            monkeypatch.setattr(_native, "_lib", lib)
-            try:
-                outcomes.append(loads_csp(mutated))
-            except core.CspFormatError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+    instance, hidden = generate_forced(phase_transition_params(12), seed)
+    for parse, text in ((loads_csp, dumps_csp(instance, hidden)),
+                        (parse_dimacs, emit_dimacs(csp_to_mis(instance)))):
+        for _ in range(60):
+            chars = list(text)
+            for _ in range(r.randint(1, 4)):
+                chars[r.randrange(len(chars))] = r.choice(ALPHABET + "+-_")
+            check_alike(monkeypatch, parse, "".join(chars))
