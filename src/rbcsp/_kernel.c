@@ -411,15 +411,17 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * `rbcsp.core.loads_csp` and `rbcsp.misbridge.parse_dimacs` in one pass,
  * straight into the arrays those functions return.  They accept a text only
  * when they can prove it valid, and return -1 for any other, after which
- * the caller reads it with its Python reference; so every error and every
- * warning comes from Python.  Lines end at each byte of class BREAK and
- * tokens are the runs of bytes of no class, as `str.splitlines()` and
- * `str.split()` find them in ASCII text, the only text the callers pass.
+ * the caller reads it with its Python reference; so every error comes from
+ * Python.  The callers pass the text as UTF-8 with no line break beyond
+ * ASCII.  Lines end at each byte of class BREAK and tokens are the runs of
+ * bytes of no class, as `str.splitlines()` and `str.split()` find them in
+ * such a text: a byte of 0x80 or above, part of a character beyond ASCII,
+ * is a token byte, which a comment line skips and any other line refuses.
  * A line break is a space too, and "\r\n" reads as a break and an empty
  * line, which needs no line number here.  Blank lines and lines whose first
  * token is "c" may stand anywhere.
- * Numbers are plain tokens of at most MAX_DIGITS ASCII digits; a sign, an
- * underscore or a longer token is left to Python's `int()`.
+ * Numbers are tokens of at most MAX_DIGITS ASCII digits after an optional
+ * '+'; a '-', an underscore or a longer token is left to Python's `int()`.
  *
  * `read_header` skips the comment and blank lines before the first other
  * line, which must be "p <word> <v[0]> .. <v[nv-1]>", and returns the offset
@@ -432,20 +434,23 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * and differing and va and vb below d, and at most one 's' line of n values
  * below d, standing outside a block.  It writes constraint i's endpoints to
  * con_a[i] and con_b[i] and its first code's place to pair_start[i], for
- * m constraints, and each pair's code va * d + vb to codes; the codes of a
- * block must ascend, so that they are distinct and in the order
- * `rbcsp.core.CspInstance` keeps, and a text whose block repeats a pair or
- * lists pairs out of order is left to Python.  Under `rbcsp.core.check_size`
- * d <= 4472, so a code fits in an int32.  It returns the number of codes, and
- * sets *seen when it wrote an 's' line to solution.  con_a and con_b hold
- * mcap entries, pair_start mcap + 1, codes fcap and solution scap.
+ * m constraints, and each pair's code va * d + vb to codes, in text order.
+ * *ascending is set when the codes of every block ascend strictly, as in a
+ * written file, so that they are in the order `rbcsp.core.CspInstance` keeps
+ * and hold no repeat; else the caller sorts them and leaves a text whose
+ * block repeats a pair to Python.  Under `rbcsp.core.check_size` d <= 4472,
+ * so a code fits in an int32.  It returns the number of codes, and sets
+ * *seen when it wrote an 's' line to solution.  con_a and con_b hold mcap
+ * entries, pair_start mcap + 1, codes fcap and solution scap.
  *
  * `read_dimacs` reads the body after the "p edge V E" header: 'e u v' lines
  * with u and v in 1..V and differing.  It writes each edge as the 0-based row
- * (min, max) of pairs, in text order, and returns the number of rows; more
- * than cap rows, which the caller sets to at most E, are left to Python.
- * *ascending is set when the rows ascend strictly, as in a written file, so
- * that they need no sort and hold no repeat.
+ * (min, max) of pairs, in text order, and returns the number of rows, or -2
+ * once a line finds all cap rows written.  *ascending is set when the rows
+ * ascend strictly, as in a written file, so that they need no sort and hold
+ * no repeat.  Unless offsets is NULL, it also writes the offset of each
+ * row's 'e' to offsets, so that the caller can name the lines of repeated
+ * edges.
  */
 
 #define SPACE 1
@@ -453,7 +458,7 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
 #define MAX_DIGITS 18 /* any 18 digits fit in int64 */
 
 /* the ASCII whitespace of str.split() and line breaks of str.splitlines(),
- * rbcsp.core._SPACES and _BREAKS below 0x80 */
+ * rbcsp.core._SPACES and _BREAKS below 0x80; every other byte is a token's */
 static const uint8_t CLASS[256] = {
     ['\t'] = SPACE, [' '] = SPACE, [0x1f] = SPACE,
     ['\n'] = SPACE | BREAK, ['\v'] = SPACE | BREAK, ['\f'] = SPACE | BREAK,
@@ -482,6 +487,8 @@ static inline int64_t skip_line(const uint8_t *s, int64_t i, int64_t len)
 static inline int number(const uint8_t *s, int64_t *i, int64_t len, int64_t *v)
 {
     int64_t j = skip_spaces(s, *i, len);
+    if (j < len && s[j] == '+')
+        j++;
     const int64_t start = j;
     uint64_t x = 0;
     unsigned digit;
@@ -549,10 +556,12 @@ int64_t read_header(const uint8_t *s, int64_t len, const char *word, int64_t nv,
 
 int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d, int64_t m,
                  int32_t *con_a, int32_t *con_b, int64_t *pair_start, int64_t mcap,
-                 int32_t *codes, int64_t fcap, int64_t *solution, int64_t scap, int64_t *seen)
+                 int32_t *codes, int64_t fcap, int64_t *solution, int64_t scap, int64_t *seen,
+                 int64_t *ascending)
 {
     int64_t k = 0, nf = 0, want = 0, got = 0, a, b, c;
     *seen = 0;
+    *ascending = 1;
     for (int t; (t = tag(s, &i, len)) >= 0;) {
         if (t == 'f') {
             if (got == want || nf == fcap || !number(s, &i, len, &a) || a >= d
@@ -560,7 +569,7 @@ int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d,
                 return -1;
             const int64_t code = a * d + b;
             if (got++ && code <= codes[nf - 1])
-                return -1;
+                *ascending = 0;
             codes[nf++] = (int32_t)code;
         } else if (t == 'k') {
             if (got < want || k == mcap || !number(s, &i, len, &a) || a >= n
@@ -592,14 +601,19 @@ int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d,
 }
 
 int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_t *pairs,
-                    int64_t cap, int64_t *ascending)
+                    int64_t cap, int64_t *ascending, int64_t *offsets)
 {
     int64_t e = 0, u, v;
     *ascending = 1;
     for (int t; (t = tag(s, &i, len)) >= 0;) {
-        if (t != 'e' || e == cap || !number(s, &i, len, &u) || u < 1 || u > nv
+        const int64_t at = i - 1;
+        if (t != 'e' || !number(s, &i, len, &u) || u < 1 || u > nv
             || !number(s, &i, len, &v) || v < 1 || v > nv || u == v || !line_end(s, &i, len))
             return -1;
+        if (e == cap)
+            return -2;
+        if (offsets)
+            offsets[e] = at;
         int64_t *row = pairs + 2 * e++;
         row[0] = (u < v ? u : v) - 1;
         row[1] = (u < v ? v : u) - 1;

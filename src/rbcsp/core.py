@@ -146,19 +146,19 @@ class CspInstance:
                      codes) -> "CspInstance":
         """An instance from arrays laid out as the class doc says and known to
         be valid: endpoints in [0, n) that differ, and nonempty, ascending,
-        distinct codes below d² per constraint.  An array of the dtype the
-        instance keeps is kept as it is, and made read-only, so the caller
-        hands it over; any other is copied."""
+        distinct codes below d² per constraint.  A contiguous array of the
+        dtype the instance keeps is kept as it is, and made read-only, so the
+        caller hands it over; any other is copied."""
         instance = cls.__new__(cls)
-        instance._init(n, d, con_a, con_b, pair_start, codes, copy=None)
+        instance._init(n, d, con_a, con_b, pair_start, codes, handed=True)
         return instance
 
-    def _init(self, n, d, con_a, con_b, pair_start, codes, copy=True) -> None:
+    def _init(self, n, d, con_a, con_b, pair_start, codes, handed=False) -> None:
         # a code a·d + b < d² takes 4 bytes unless d² does not fit in them
-        arrays = []
+        arrays, take = [], np.ascontiguousarray if handed else np.array
         for x, t in zip((con_a, con_b, pair_start, codes),
                         (np.int32, np.int32, np.int64, np.int32 if d * d < 2**31 else np.int64)):
-            arr = np.array(x, dtype=t, copy=copy)
+            arr = take(x, dtype=t)
             arr.flags.writeable = False
             arrays.append(arr if arr.ndim == 1 else arr.reshape(-1))
         self.__dict__.update(n=int(n), d=int(d), **dict(zip(_ARRAYS, arrays)))
@@ -609,6 +609,7 @@ _SPACES = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA
            0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 _BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
 _BREAK_CHARS = "".join(map(chr, _BREAKS))
+_WIDE_BREAKS = "".join(c for c in _BREAK_CHARS if not c.isascii())
 _PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
 _CHUNK = 1 << 15  # characters read at a time
 
@@ -717,13 +718,18 @@ def _f_problem(raw: str, d: int) -> str:
 def _one_pass_header(text: str, word: bytes, count: int):
     """(lib, raw, start, values) when the compiled `read_header` reads the
     first line of `text` with tokens, comments aside, as 'p <word>' and
-    `count` plain numbers: the kernel, the text as bytes, the offset after
+    `count` plain numbers: the kernel, the text as UTF-8, the offset after
     the header and the numbers.  None when the kernel is not loaded, the
-    text is not ASCII or the header is refused."""
+    text holds a line break beyond ASCII or a lone surrogate, or the header
+    is refused.  Beyond ASCII, the one-pass readers accept characters in
+    comment lines only (see the text readers of _kernel.c)."""
     lib = _native.kernel()
-    if lib is None or not text.isascii():
+    if lib is None or not text.isascii() and any(c in text for c in _WIDE_BREAKS):
         return None
-    raw = text.encode("ascii")
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
     values = (ctypes.c_int64 * count)()
     start = lib.read_header(raw, len(raw), word, count, values)
     return None if start < 0 else (lib, raw, start, list(values))
@@ -751,13 +757,22 @@ def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assign
     pair_start = np.empty(mcap + 1, dtype=np.int64)
     codes = np.empty(min(m * d * d, r // 6), dtype=np.int32)
     solution = np.empty(min(n, r // 2), dtype=np.int64)
-    seen = (ctypes.c_int64 * 1)()
+    seen, ascending = (ctypes.c_int64 * 1)(), (ctypes.c_int64 * 1)()
     used = lib.read_csp(raw, len(raw), start, n, d, m, con_a.ctypes.data, con_b.ctypes.data,
                         pair_start.ctypes.data, mcap, codes.ctypes.data, len(codes),
-                        solution.ctypes.data, len(solution), seen)
+                        solution.ctypes.data, len(solution), seen, ascending)
     if used < 0:
         return None
     codes.resize(used, refcheck=False)  # the buffer is ours alone
+    if not ascending[0]:
+        # each block's codes sorted, as keys block·d² + code; a block that
+        # repeats a pair is left to the Python path, which names its line
+        keys = np.repeat(np.arange(m, dtype=np.int64) * (d * d), np.diff(pair_start))
+        keys += codes
+        keys.sort(kind="stable")  # about one pass over nearly sorted keys
+        if (keys[1:] == keys[:-1]).any():
+            return None
+        codes[:] = keys % (d * d)
     instance = CspInstance._from_arrays(n, d, con_a, con_b, pair_start, codes)
     return instance, Assignment(solution, np.ones(n, dtype=bool)) if seen[0] else None
 
@@ -770,9 +785,11 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     input, and on a header beyond the size caps of `check_size` before
     anything proportional to the header is allocated.
 
-    An ASCII text is read in one compiled pass straight into the instance's
-    arrays (`_loads_in_one_pass`) when the pass can prove it valid.  Any
-    other text, and every text when the kernel is not loaded, takes the
+    A text is read in one compiled pass straight into the instance's arrays
+    (`_loads_in_one_pass`) when the pass can prove it valid: its lines are
+    ASCII, comments aside, and its numbers are digits after an optional '+',
+    18 at most; blocks whose pairs are out of order are sorted after it.
+    Any other text, and every text when the kernel is not loaded, takes the
     Python path, which raises every error: the 'f' lines are read in bulk
     by `_read`, then checked and sorted as arrays, and the few other lines
     are checked one by one in a loop that knows how many 'f' lines lie

@@ -14,21 +14,27 @@ that is how such benchmarks are distributed.
 from __future__ import annotations
 
 import ctypes
+import re
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
+from math import isqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import _native
-from .core import CspInstance, _line, _one_pass_header, _read, _write, check_size
+from .core import _BREAKS, CspInstance, _line, _one_pass_header, _read, _write, check_size
 
 # A graph's vertices are int64 and 'e' values are read in int64, clamped to
 # MAX_VERTICES + 1; a header beyond this is refused (any real graph is
 # orders of magnitude below)
 MAX_VERTICES = 1 << 62
 _EMIT_SLICE = 1 << 16  # edges emit_dimacs writes at a time
+# the bytes that end a line of a text `read_dimacs` accepts, and its 'e'
+# lines, whose spaces are the ASCII ones that break no line
+_ASCII_BREAK = np.isin(np.arange(256), [c for c in _BREAKS if c < 0x80])
+_E_LINE = re.compile(rb"e[\t\x1f ]+\+?([0-9]+)[\t\x1f ]+\+?([0-9]+)")
 
 
 class DimacsFormatError(ValueError):
@@ -156,18 +162,25 @@ class MisGraph:
 
 
 def _canonical(pairs: np.ndarray):
-    """Sort the rows of an (E, 2) int64 array of (u < v) rows in place, and
-    return its distinct rows and the ascending positions, from before the
-    sort, of the rows that repeat an earlier row.  Rows already strictly
-    ascending, as in an emitted file, come back as they are."""
+    """The distinct rows, sorted, of an (E, 2) int64 array of (u < v) rows,
+    and the ascending positions of the rows that repeat an earlier row.
+    Rows already strictly ascending, as in an emitted file, come back as
+    they are."""
     u, v = pairs[:, 0], pairs[:, 1]
     if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
         return pairs, np.empty(0, dtype=np.intp)
-    order = np.lexsort((v, u))  # stable: a row's first copy leads
-    pairs[:] = pairs[order]
+    # stable: a row's first copy leads.  The keys u·span + v, when they fit
+    # in int64, sort as the rows do, and a stable sort of nearly ordered
+    # keys runs in about one pass
+    span = int(v.max()) + 1
+    order = (np.argsort(u * span + v, kind="stable") if span <= isqrt(2**63 - 1)
+             else np.lexsort((v, u)))
+    pairs = np.take(pairs, order, axis=0)  # take and compress copy rows faster than indexing
+    su, sv = pairs[:, 0], pairs[:, 1]
     first = np.ones(len(pairs), dtype=bool)
-    np.any(pairs[1:] != pairs[:-1], axis=1, out=first[1:])
-    return pairs[first], np.sort(order[~first])
+    np.not_equal(su[1:], su[:-1], out=first[1:])
+    first[1:] |= sv[1:] != sv[:-1]
+    return np.compress(first, pairs, axis=0), np.sort(order[~first])
 
 
 def csp_to_mis(instance: CspInstance) -> MisGraph:
@@ -351,55 +364,61 @@ def _e_problem(raw: str, num_vertices: int) -> str:
     return f"self-loop on vertex {u}"
 
 
-def _parse_in_one_pass(text: str) -> Optional[tuple[int, int, np.ndarray]]:
-    """(V, E, pairs) of the text's header and distinct edges, as rows of the
-    graph's `pairs`, from one compiled pass, or None when the pass refuses
-    the text (see `read_dimacs`) or it repeats an edge."""
+def _parse_in_one_pass(text: str):
+    """(V, E, pairs, dropped) of the text's header, distinct edges, as rows
+    of the graph's `pairs`, and dropped duplicates, as (line, u, v), from
+    one compiled pass, or None when the pass refuses the text (see
+    `read_dimacs`)."""
     found = _one_pass_header(text, b"edge", 2)
     if found is None:
         return None
     lib, raw, start, (num_vertices, declared_edges) = found
     # an 'e' line takes at least 6 of the bytes after the header, the last
-    # line 5; a text of more edges than declared goes to Python, which warns
-    pairs = np.empty((min(declared_edges, (len(raw) - start + 1) // 6), 2), dtype=np.int64)
+    # line 5; a text of more edges than declared is read again to that bound
+    fits = (len(raw) - start + 1) // 6
     ascending = (ctypes.c_int64 * 1)()
-    used = lib.read_dimacs(raw, len(raw), start, num_vertices, pairs.ctypes.data, len(pairs),
-                           ascending)
+    for cap in (min(declared_edges, fits), fits):
+        pairs = np.empty((cap, 2), dtype=np.int64)
+        used = lib.read_dimacs(raw, len(raw), start, num_vertices, pairs.ctypes.data, cap,
+                               ascending, None)
+        if used != -2:
+            break
     if used < 0:
         return None
     del raw, found
     pairs.resize((used, 2), refcheck=False)  # the buffer is ours alone
+    dropped = []
     if not ascending[0]:
         pairs, repeats = _canonical(pairs)
         if repeats.size:
-            return None
-    return num_vertices, declared_edges, pairs
+            dropped = _repeated_lines(lib, text.encode("utf-8"), start, num_vertices, repeats)
+    return num_vertices, declared_edges, pairs, dropped
 
 
-def parse_dimacs(text: str) -> MisGraph:
-    """Parse DIMACS ascii graph format (1-indexed `e` lines, `c` comments).
+def _repeated_lines(lib, raw: bytes, start: int, num_vertices: int,
+                    repeats: np.ndarray) -> list[tuple[int, int, int]]:
+    """(line, u, v) of the 'e' lines at the ascending positions `repeats`
+    among those of the text `raw` that `read_dimacs` accepted, read again by
+    it up to the last of them; lines are counted 1-based, and u and v are
+    in the line's order."""
+    rows = int(repeats[-1]) + 1
+    at, scratch = np.empty(rows, dtype=np.int64), np.empty((rows, 2), dtype=np.int64)
+    lib.read_dimacs(raw, len(raw), start, num_vertices, scratch.ctypes.data, rows,
+                    (ctypes.c_int64 * 1)(), at.ctypes.data)
+    at = at[repeats]
+    # a line starts after each ASCII break, but for the '\n' of a '\r\n'
+    head = np.frombuffer(raw, dtype=np.uint8, count=int(at[-1]))
+    breaks = np.flatnonzero(head < 0x20)  # where every ASCII break lies
+    breaks = breaks[_ASCII_BREAK[head[breaks]]]
+    breaks = breaks[~((head[breaks] == 10) & (breaks > 0) & (head[breaks - 1] == 13))]
+    linenos = np.searchsorted(breaks, at) + 1
+    return [(lineno, *map(int, _E_LINE.match(raw, pos).groups()))
+            for lineno, pos in zip(linenos.tolist(), at.tolist())]
 
-    Self-loops are rejected; duplicate edges are dropped with a warning; an
-    edge count differing from the header is warned about but tolerated.
-    Lines, fields and numbers are read as by `loads_csp`, and a malformed
-    text is refused with the number of its first bad line.
 
-    As in `loads_csp`, an ASCII text is read in one compiled pass straight
-    into the graph's rows (`_parse_in_one_pass`) when the pass can prove it
-    valid and free of repeated edges.  Any other text, and every text when
-    the kernel is not loaded, takes the Python path, which raises every
-    error and names the line of every dropped duplicate: the 'e' lines are
-    read in bulk by `core._read`, as `loads_csp` reads 'f' lines, and one
-    lexsort orders them and finds the duplicates, unless they are already
-    in order.  The few other lines are checked one by one.
-    """
-    parsed = _parse_in_one_pass(text)
-    if parsed is not None:
-        num_vertices, declared_edges, pairs = parsed
-        if len(pairs) != declared_edges:
-            warnings.warn(f"header declares {declared_edges} edges, found {len(pairs)}",
-                          stacklevel=2)
-        return MisGraph._from_pairs(num_vertices, pairs)
+def _parse_in_python(text: str):
+    """`_parse_in_one_pass`'s results for any text, from `core._read`;
+    raises DimacsFormatError for the first bad line."""
     e_lines, ends, at_lines, spans = _read(text, "e", MAX_VERTICES + 1)
 
     # the first bad line of each kind as (lineno, message); the earliest is reported
@@ -435,9 +454,33 @@ def parse_dimacs(text: str) -> MisGraph:
     np.maximum(u, v, out=pairs[:, 1])
     pairs -= 1
     pairs, repeats = _canonical(pairs)
-    for i in repeats.tolist():
-        warnings.warn(f"line {e_lines[i] + 1}: duplicate edge ({u[i]},{v[i]}) dropped",
-                      stacklevel=2)
+    dropped = list(zip((e_lines[repeats] + 1).tolist(), u[repeats].tolist(),
+                       v[repeats].tolist()))
+    return num_vertices, declared_edges, pairs, dropped
+
+
+def parse_dimacs(text: str) -> MisGraph:
+    """Parse DIMACS ascii graph format (1-indexed `e` lines, `c` comments).
+
+    Self-loops are rejected; duplicate edges are dropped with a warning; an
+    edge count differing from the header is warned about but tolerated.
+    Lines, fields and numbers are read as by `loads_csp`, and a malformed
+    text is refused with the number of its first bad line.
+
+    As in `loads_csp`, a text is read in one compiled pass straight into the
+    graph's rows (`_parse_in_one_pass`) when the pass can prove it valid;
+    edges out of order are sorted after it, and the lines of repeated ones
+    found by a second pass up to the last of them.  Any other text, and
+    every text when the kernel is not loaded, takes the Python path
+    (`_parse_in_python`), which raises every error: the 'e' lines are read
+    in bulk by `core._read`, as `loads_csp` reads 'f' lines, and one sort
+    orders them and finds the duplicates, unless they are already in order.
+    The few other lines are checked one by one.
+    """
+    num_vertices, declared_edges, pairs, dropped = (_parse_in_one_pass(text)
+                                                    or _parse_in_python(text))
+    for lineno, u, v in dropped:
+        warnings.warn(f"line {lineno}: duplicate edge ({u},{v}) dropped", stacklevel=2)
     if len(pairs) != declared_edges:
         warnings.warn(f"header declares {declared_edges} edges, found {len(pairs)}",
                       stacklevel=2)

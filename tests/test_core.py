@@ -414,9 +414,9 @@ class TestArrayInstance:
         assert not inst.codes.flags.writeable
 
     def test_from_arrays_keeps_the_arrays_it_is_handed(self):
-        # arrays of the kept dtypes are handed over, not copied, and made
-        # read-only; an array of another dtype is copied, and __setstate__
-        # keeps copies of its own
+        # contiguous arrays of the kept dtypes are handed over, not copied,
+        # and made read-only; an array of another dtype or a strided one is
+        # copied, and __setstate__ keeps copies of its own
         handed = (np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.int32),
                   np.array([0, 1, 3], dtype=np.int64), np.array([3, 0, 2], dtype=np.int32))
         inst = CspInstance._from_arrays(3, 2, *handed)
@@ -425,6 +425,9 @@ class TestArrayInstance:
         wide = np.array([3, 0, 2], dtype=np.int64)
         other = CspInstance._from_arrays(3, 2, *handed[:3], wide)
         assert other == inst and not np.shares_memory(other.codes, wide) and wide.flags.writeable
+        strided = np.array([0, 9, 2, 9], dtype=np.int32)[::2]
+        other = CspInstance._from_arrays(3, 2, strided, *handed[1:])
+        assert other == inst and other.con_a.flags.c_contiguous and strided.flags.writeable
         for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
             assert twin == inst
             assert not any(np.shares_memory(getattr(twin, k), getattr(inst, k))

@@ -7,14 +7,15 @@ Each check parses a text twice, once with the kernel loaded and once with
 loop over `str.splitlines()`, `str.split()` and `int()` a piece of `_CHUNK`
 characters at a time.  It compares the results, or the exception class and
 message, and the warnings.  `accepts` states independently which texts the
-one-pass readers must accept: the valid ASCII texts whose numbers are plain
-digits, whose blocks list their pairs in ascending order and whose graphs
-repeat no edge and hold no more edges than their header declares.
+one-pass readers must accept: the valid texts with no line break beyond
+ASCII, whose lines are ASCII but for comment lines, and whose numbers are
+plain digits after an optional '+'.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import subprocess
 import tracemalloc
 import warnings
@@ -35,6 +36,8 @@ from conftest import assignment_of, random_instance, random_values
 # every ASCII space and break byte, NUL and DEL
 ODD_BYTES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00\x7f"
 ALPHABET = "fecpk0123456789" + ODD_BYTES
+# characters beyond ASCII: a letter, a snowman, a space and the line breaks
+WIDE = "é☃\xa0\x85\u2028\u2029"
 PARSERS = (loads_csp, parse_dimacs)
 # a small valid document of each format, and the offsets of its line starts
 DOCUMENTS = {
@@ -97,30 +100,29 @@ def took_one_pass(parse, text: str) -> bool:
             else misbridge._parse_in_one_pass)(text) is not None
 
 
-def accepts(parse, text: str, valid: bool) -> bool:
+# a comment line as the one-pass readers see one: 'c' after ASCII spaces,
+# then an ASCII space or the line's end
+COMMENT = re.compile("[\t\x1f ]*c([\t\x1f ]|$)")
+NUMBER = re.compile("[+]?[0-9]{1,18}")
+
+
+def accepts(text: str, valid: bool) -> bool:
     """Whether the one-pass reader must accept the text, which the Python
-    path accepts if `valid`: it is ASCII, every token but a line's first is
-    at most 18 ASCII digits or the header's word, each block's pairs ascend,
-    and a graph's edges are distinct and no more than its header declares."""
-    if not valid or not text.isascii():
+    path accepts if `valid`: it holds no line break beyond ASCII and no lone
+    surrogate, every line but a comment line is ASCII, and every token but a
+    line's first is at most 18 ASCII digits after an optional '+' or the
+    header's word."""
+    if not valid or any(c in text for c in "\x85\u2028\u2029") or not all(
+            c < "\ud800" or c > "\udfff" for c in text):
         return False
-    rows = [line.split() for line in text.splitlines()]
-    rows = [fields for fields in rows if fields and fields[0] != "c"]
-    for fields in rows:
-        numbers = fields[2:] if fields[0] == "p" else fields[1:]
-        if not all(f.isdigit() and len(f) <= 18 for f in numbers):
-            return False
-    body = [tuple(map(int, fields[1:])) for fields in rows if fields[0] in "ef"]
-    if parse is parse_dimacs:
-        edges = [(min(e), max(e)) for e in body]
-        return len(set(edges)) == len(edges) <= int(rows[0][3])
-    tags = [fields[0] for fields in rows if fields[0] in "kf"]
-    codes = iter(body)
-    for block in "".join(tags).split("k")[1:]:
-        pairs = [next(codes) for _ in block]
-        if pairs != sorted(set(pairs)):
-            return False
-    return True
+    rows = []
+    for line in text.splitlines():
+        if not COMMENT.match(line):
+            if not line.isascii():
+                return False
+            rows.append(line.split())
+    return all(NUMBER.fullmatch(f) for fields in rows if fields
+               for f in fields[2 if fields[0] == "p" else 1:])
 
 
 def check_alike(monkeypatch, parse, text: str, chunk: int = core._CHUNK) -> None:
@@ -128,7 +130,7 @@ def check_alike(monkeypatch, parse, text: str, chunk: int = core._CHUNK) -> None
     exactly when `accepts` says it must."""
     fast = outcome(parse, text)
     assert fast == python_outcome(monkeypatch, parse, text, chunk)
-    assert took_one_pass(parse, text) == accepts(parse, text, fast[0][0] == "ok")
+    assert took_one_pass(parse, text) == accepts(text, fast[0][0] == "ok")
 
 
 PIECES = [
@@ -153,6 +155,12 @@ PIECES = [
     "f 01 0004\n", "f\t1 2\n",
     "f 3 4\nf 1 2",  # no final break after plain lines
     "k 0 2 1\nf 0 0\ne 1 3\n",  # a block and an edge, read as both formats
+    # beyond ASCII: in a comment, as a comment's space, as a field's space
+    # or in one, as a break in a comment, and a lone surrogate
+    "c made by José ☃\n", "\tc é", "c\xa0é\n", "\xa0c é\n", "f 1 2\xa0\n", "f 1\u30002\n",
+    "f 1é 2\n", "f ٣ 2\n", "c é\x85f 1 2\n", "c é\u2028f 1 2\n", "c \u2029\n", "c \ud800\n",
+    # repeated edges, and the same pair twice in a block
+    "f 1 2\nf 2 1\nf 1 2\n", "f 3 4\r\n\x0bf 1 2\x1ef 3 4\rf 4 3\n",
 ]
 
 
@@ -164,7 +172,7 @@ def test_pieces_read_alike(kernel, monkeypatch, piece):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet=ALPHABET + "+-_xs", max_size=200),
+@given(text=st.text(alphabet=ALPHABET + WIDE + "+-_xs", max_size=200),
        cuts=st.lists(st.integers(0, 200), max_size=6))
 def test_random_pieces_read_alike(text, cuts):
     # the random text alone, and spliced into each document at places that
@@ -338,28 +346,43 @@ def test_frb_texts_read_alike(kernel, monkeypatch):
 
 def reformat(r: random.Random, lines: list[str]) -> str:
     """The lines in a layout valid files may have: runs of spaces and tabs,
-    indentation, trailing whitespace, leading zeros, comment and blank lines
-    anywhere, '\\n' or '\\r\\n' line ends, and no final break."""
+    indentation, trailing whitespace, leading zeros and '+' signs, comment
+    lines, also beyond ASCII, and blank lines anywhere, '\\n' or '\\r\\n'
+    line ends, and no final break."""
     out = []
     for line in lines:
-        fields = [f.zfill(len(f) + r.choice([0, 0, 1, 3])) if f.isdigit() else f
-                  for f in line.split(" ")]
+        fields = [r.choice(["", "", "+"]) + f.zfill(len(f) + r.choice([0, 0, 1, 3]))
+                  if f.isdigit() else f for f in line.split(" ")]
         seps = [r.choice([" ", "\t", "  ", " \t "]) for _ in fields[1:]] + [""]
         out.append(r.choice(["", " ", "\t"]) + "".join(map("".join, zip(fields, seps)))
                    + r.choice(["", " ", "\t "]))
-        out += [r.choice(["", "  ", "c", "c a comment", "\tc x y"])
+        out += [r.choice(["", "  ", "c", "c a comment", "\tc x y", "c made by José ☃"])
                 for _ in range(r.choice([0, 0, 0, 1, 2]))]
     text = "".join(line + r.choice(["\n", "\r\n"]) for line in out)
     return text.rstrip("\r\n") if r.random() < 0.3 else text
 
 
+def shuffled_blocks(r: random.Random, lines: list[str]) -> list[str]:
+    """The lines with each block's 'f' lines in a random order."""
+    out, block = [], []
+    for line in lines + [""]:
+        if line[:1] == "f":
+            block.append(line)
+            continue
+        r.shuffle(block)
+        out += block + [line]
+        block = []
+    return out[:-1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**30))
 def test_formatting_variants_read_alike(seed):
-    # generated instances and their graphs in those layouts, with the 's'
-    # line between blocks and the edges shuffled and turned: the one-pass
-    # readers accept every one, with the Python path's arrays, solution
-    # and graph
+    # generated instances and their graphs in those layouts, with each
+    # block's pairs shuffled and the 's' line between blocks, and the edges
+    # shuffled, turned, some repeated and more than the header declares: the
+    # one-pass readers accept every one, with the Python path's arrays,
+    # solution, graph and warnings
     if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     r = random.Random(seed)
@@ -371,20 +394,23 @@ def test_formatting_variants_read_alike(seed):
         s_line = lines.pop()
         blocks = [i for i, line in enumerate(lines) if line[0] == "k"]
         lines.insert(r.choice(blocks + [len(lines)]), s_line)
+    if r.random() < 0.5:
+        lines = shuffled_blocks(r, lines)
     graph = csp_to_mis(instance)
     header, *edges = emit_dimacs(graph).splitlines()
+    edges += r.choices(edges, k=r.choice([0, 0, 1, 5]))
     edges = [f"e {v} {u}" if r.random() < 0.5 else f"e {u} {v}"
              for _, u, v in map(str.split, edges)]
     r.shuffle(edges)
     csp, dimacs = reformat(r, lines), reformat(r, [header] + edges)
     with pytest.MonkeyPatch.context() as m:
         one_pass(m)
-        fast = loads_csp(csp), parse_dimacs(dimacs)
+        fast = outcome(loads_csp, csp), outcome(parse_dimacs, dimacs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(_native, "_lib", None)
-        assert fast == (loads_csp(csp), parse_dimacs(dimacs))
-    assert fast[0] == (instance, solution)
-    assert np.array_equal(fast[1].pairs, graph.pairs)
+        assert fast == (outcome(loads_csp, csp), outcome(parse_dimacs, dimacs))
+    assert fast[0] == (("ok", (instance, solution)), [])
+    assert np.array_equal(fast[1][0][1].pairs, graph.pairs)
 
 
 @pytest.mark.parametrize("d", [2, 64, 65, 129])
@@ -395,9 +421,9 @@ def test_written_texts_take_the_one_pass_path(kernel, monkeypatch, n, d):
     r = random.Random(n * 1000 + d)
     instance = random_instance(r, n=n, d=d, m=n, max_pairs=40)
     solution = assignment_of(random_values(r, n, d))
-    text = dumps_csp(instance, solution, comments=["one\ntwo"])
+    text = dumps_csp(instance, solution, comments=["one\ntwo", "made by José ☃"])
     graph = csp_to_mis(instance)
-    dimacs = emit_dimacs(graph, comments=["a graph"])
+    dimacs = emit_dimacs(graph, comments=["a graph from Zürich"])
     with monkeypatch.context() as m:
         one_pass(m)
         assert loads_csp(text) == (instance, solution)
@@ -433,13 +459,16 @@ HOSTILE = [
     "p bcsp 2 2 1\nk 0 1 1\nf" + " 1" * 2_000_000,  # a 4 MB line
     "p edge 3 1\ne" + " 1" * 2_000_000,
     "f" + " 1" * 2_000_000,
-    # each check of a block, valid but for it: a loop, a repeated pair, pairs
-    # out of order, an 's' line inside a block, a block left short, a value
-    # out of range, and the same block valid
+    # each check of a block, valid but for it: a loop, a repeated pair, an
+    # 's' line inside a block, a block left short, a value out of range, and
+    # valid blocks, with pairs out of order and in order
     "p bcsp 2 2 1\nk 1 1 1\nf 0 0\n", "p bcsp 2 2 1\nk 0 1 2\nf 1 1\nf 1 1\n",
     "p bcsp 2 2 1\nk 0 1 2\nf 1 1\nf 0 0\n", "p bcsp 2 2 1\nk 0 1 2\nf 0 0\ns 0 0\nf 1 1\n",
     "p bcsp 2 2 2\nk 0 1 2\nf 0 0\nk 1 0 1\nf 0 1\n", "p bcsp 2 2 1\nk 0 1 1\nf 0 2\n",
     "p bcsp 2 2 1\nk 0 1 2\nf 0 0\nf 1 1\ns 0 0\n",
+    # repeated edges, more edges than declared, and both cut mid-line
+    "p edge 3 1\ne 1 2\ne 2 1\n", "p edge 3 1\ne 1 2\ne 2 3\n", "p edge 3 2\r\ne 1 2\r\ne 2 1\re 1",
+    "p edge 3 0\ne 1 2\n\ne +2 01\x1ee 3 1\x0be 1 2",
 ]
 
 
@@ -447,6 +476,35 @@ HOSTILE = [
 def test_hostile_texts_parse_alike(kernel, monkeypatch, text):
     for parse in PARSERS:
         check_alike(monkeypatch, parse, text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x1e"])
+def test_repeated_edges_read_in_one_pass(kernel, monkeypatch, end):
+    # a graph's text with 30 edges repeated, some turned or padded, among
+    # comment lines beyond ASCII and blank lines, at each line end: the
+    # one-pass reader names every dropped line as the Python path does
+    r = random.Random(len(end))
+    lines = emit_dimacs(csp_to_mis(generate_forced(phase_transition_params(12), 1)[0])).splitlines()
+    for _ in range(30):
+        _, u, v = r.choice(lines[1:]).split()
+        lines.insert(r.randrange(1, len(lines) + 1),
+                     r.choice([f"e {u} {v}", f"e {v} {u}", f"e  +{v}\t0{u} "]))
+        if r.random() < 0.3:
+            lines.insert(r.randrange(len(lines) + 1), r.choice(["", "c é ☃"]))
+    text = end.join(lines)
+    # each edge's first line keeps it; the later ones are named in order
+    seen, dropped = set(), []
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), 1):
+        if fields[:1] == ["e"]:
+            u, v = int(fields[1]), int(fields[2])
+            if (min(u, v), max(u, v)) in seen:
+                dropped.append(f"line {lineno}: duplicate edge ({u},{v}) dropped")
+            seen.add((min(u, v), max(u, v)))
+    slow = python_outcome(monkeypatch, parse_dimacs, text)
+    assert slow[0][0] == "ok" and slow[1] == dropped and len(dropped) == 30
+    with monkeypatch.context() as m:
+        one_pass(m)
+        assert outcome(parse_dimacs, text) == slow
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
@@ -508,5 +566,5 @@ def test_mutated_documents_fail_alike(kernel, monkeypatch, seed):
         for _ in range(60):
             chars = list(text)
             for _ in range(r.randint(1, 4)):
-                chars[r.randrange(len(chars))] = r.choice(ALPHABET + "+-_")
+                chars[r.randrange(len(chars))] = r.choice(ALPHABET + WIDE + "+-_")
             check_alike(monkeypatch, parse, "".join(chars))
