@@ -1,7 +1,7 @@
 /* The package's compiled kernel: ULSA's start and step loop, the build of
  * the packed search tables, the one-pass readers of the CSP and DIMACS
- * texts, the text writers and the conversions between a CSP and its
- * independent-set graph.
+ * texts, the text writers, the conversions between a CSP and its
+ * independent-set graph, and the Model RB sampler.
  *
  * -- the step loop ------------------------------------------------------------
  *
@@ -942,4 +942,101 @@ int64_t mis_constraints(const int64_t *pairs, int64_t num_edges, int64_t n, int6
     }
     pair_start[k] = total;
     return k;
+}
+
+
+/* -- Model RB sampling --------------------------------------------------------
+ *
+ * `rb_sample` runs the loop of `rbcsp.modelrb._sample` on the run's numpy
+ * bit generator gen, drawing what numpy 2.x's `Generator` methods draw from
+ * it, in the same order, so that an instance comes out byte for byte as
+ * the numpy loop writes it.  With hidden not NULL it first draws the n
+ * hidden values, as `rng.integers(0, d, size=n)` does.  Then for each of
+ * the m constraints it draws the variable pair as `_draw_pair` does, two
+ * calls of `rng.integers`, and writes its low end to con_a and its high end
+ * to con_b; then it draws the first q entries of `rng.permutation(d * d)`,
+ * drawn afresh, while the hidden values' pair is among them, and writes
+ * them in ascending order to codes[i * q .. i * q + q - 1].  Under
+ * `rbcsp.core.check_size` n <= 100,000 and d <= 4,472, so every draw takes
+ * the 32-bit paths below and a code fits in an int32.  perm and js hold
+ * d * d entries of scratch, and mark d * d zero bytes, zero again on
+ * return.
+ */
+
+/* `rng.integers(rng + 1)` for rng < 2^32 - 1: numpy's
+ * buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941), which draws
+ * nothing when the range holds one value */
+static uint32_t bounded(bitgen_t *gen, uint32_t rng)
+{
+    if (rng == 0)
+        return 0;
+    const uint32_t excl = rng + 1;
+    uint64_t v = (uint64_t)gen->next_uint32(gen->state) * excl;
+    if ((uint32_t)v < excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % excl;
+        while ((uint32_t)v < threshold)
+            v = (uint64_t)gen->next_uint32(gen->state) * excl;
+    }
+    return (uint32_t)(v >> 32);
+}
+
+/* `rng.permutation(D)`: perm becomes 0 .. D-1, then for i from D-1 down to
+ * 1 swaps entries i and j, j drawn as numpy's random_interval(i) does:
+ * next_uint32 under the least mask of ones that covers i, redrawn while
+ * above i.  The draws come first, into js, with no branch on a draw's
+ * value: each is written to js[i], and i moves on only when it is at most
+ * i, so js[i] keeps the last draw for i; then the swaps run */
+static void permute(bitgen_t *gen, int32_t *perm, uint32_t *js, int64_t D)
+{
+    uint32_t mask = (uint32_t)(D - 1);
+    for (int s = 1; s < 32; s <<= 1)
+        mask |= mask >> s;
+    for (int64_t i = D - 1; i > 0;) {
+        mask >>= (mask >> 1) >= i; /* i fell to a power of two less one */
+        const uint32_t j = gen->next_uint32(gen->state) & mask;
+        js[i] = j;
+        i -= j <= i;
+    }
+    for (int64_t k = 0; k < D; k++)
+        perm[k] = (int32_t)k;
+    for (int64_t i = D - 1; i > 0; i--) {
+        const int32_t t = perm[i];
+        perm[i] = perm[js[i]];
+        perm[js[i]] = t;
+    }
+}
+
+void rb_sample(bitgen_t *gen, int64_t n, int64_t d, int64_t m, int64_t q, int64_t *hidden,
+               int32_t *con_a, int32_t *con_b, int32_t *codes, int32_t *perm, uint32_t *js,
+               uint8_t *mark)
+{
+    const int64_t D = d * d;
+    if (hidden)
+        for (int64_t v = 0; v < n; v++)
+            hidden[v] = bounded(gen, (uint32_t)(d - 1));
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t a = bounded(gen, (uint32_t)(n - 1));
+        int64_t b = bounded(gen, (uint32_t)(n - 2));
+        b += b >= a;
+        con_a[i] = (int32_t)(a < b ? a : b);
+        con_b[i] = (int32_t)(a < b ? b : a);
+        const int64_t hit = hidden ? hidden[con_a[i]] * d + hidden[con_b[i]] : -1;
+        for (;;) {
+            permute(gen, perm, js, D);
+            for (int64_t k = 0; k < q; k++)
+                mark[perm[k]] = 1;
+            if (hit < 0 || !mark[hit])
+                break;
+            for (int64_t k = 0; k < q; k++)
+                mark[perm[k]] = 0;
+        }
+        /* the marked codes, ascending: each code is written at the next
+         * place and kept there when marked, so no write passes the q-th */
+        int32_t *out = codes + i * q;
+        for (int64_t c = 0, k = 0; k < q; c++) {
+            out[k] = (int32_t)c;
+            k += mark[c];
+            mark[c] = 0;
+        }
+    }
 }

@@ -1,5 +1,6 @@
 """The compiled kernel, _kernel.c: ULSA's start and step loop, the table
-build, the one-pass text readers, the text writers and the MIS conversions.
+build, the one-pass text readers, the text writers, the MIS conversions and
+the Model RB sampler.
 
 The source is built with the local C compiler on first use and cached per
 user.  `kernel` opens the library once per process and gives every exported
@@ -93,6 +94,7 @@ _SIGNATURES = {
     "write_edges": ([_P, _I, _P, _I], _I),
     "mis_edges": ([_P] * 5 + [_I] * 3 + [_P] * 3, _I),
     "mis_constraints": ([_P, _I, _I, _I] + [_P] * 7, _I),
+    "rb_sample": ([_P] + [_I] * 4 + [_P] * 7, None),
 }
 
 _lib: Any = ...  # the library once opened, None if unavailable, ... until tried

@@ -7,7 +7,12 @@ the instances sit at the satisfiability phase transition, which is where the
 frbX-Y benchmark family lives (X variables, domain size Y).
 
 All randomness flows through numpy's PCG64 so that (params, seed) pins the
-generated instance byte for byte.
+generated instance byte for byte.  The compiled kernel's `rb_sample` draws
+the instance from the generator's bit stream by the algorithms of numpy
+2.x's `Generator.integers` and `Generator.permutation`, straight into the
+arrays the instance keeps; the numpy loop `_sample_in_python`, which calls
+those methods, is the fallback without the kernel and the reference the
+tests hold it to.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _native
 from .core import Assignment, CspInstance, check_size
 
 PHASE_ALPHA = 0.8
@@ -134,11 +140,33 @@ def _sample(params: ModelRbParams, seed: int,
 
     Forced: a uniform hidden assignment is drawn first, and any disallowed
     set that hits its value pair is fully redrawn (keeping the variable pair).
+    The kernel's `rb_sample` runs the loop when it is loaded, drawing from the
+    same generator into the arrays the instance keeps; `_sample_in_python`
+    is the fallback and the reference.
     """
     check_sample_size(params)
     n, d, m = params.n, params.d, params.m_constraints
     q = params.forbidden_per_constraint
     rng = np.random.Generator(np.random.PCG64(seed))
+    lib = _native.kernel()
+    if lib is None:
+        return _sample_in_python(rng, n, d, m, q, forced)
+    hidden = np.empty(n, dtype=np.int64) if forced else None
+    con_a, con_b = np.empty(m, dtype=np.int32), np.empty(m, dtype=np.int32)
+    codes = np.empty(m * q, dtype=np.int32)
+    perm, js = np.empty(d * d, dtype=np.int32), np.empty(d * d, dtype=np.uint32)
+    mark = np.zeros(d * d, dtype=np.uint8)
+    lib.rb_sample(rng.bit_generator.ctypes.bit_generator, n, d, m, q,
+                  None if hidden is None else hidden.ctypes.data,
+                  con_a.ctypes.data, con_b.ctypes.data, codes.ctypes.data,
+                  perm.ctypes.data, js.ctypes.data, mark.ctypes.data)
+    return CspInstance._from_arrays(n, d, con_a, con_b, np.arange(m + 1) * q,
+                                    codes), hidden
+
+
+def _sample_in_python(rng: np.random.Generator, n: int, d: int, m: int, q: int,
+                      forced: bool) -> tuple[CspInstance, Optional[np.ndarray]]:
+    """`_sample`'s loop in numpy: its fallback, and the reference of `rb_sample`."""
     hidden = rng.integers(0, d, size=n) if forced else None
     ends = np.empty((m, 2), dtype=np.int64)
     codes = np.empty((m, q), dtype=np.int64)

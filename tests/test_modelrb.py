@@ -1,14 +1,17 @@
-"""Generator tests: derived counts, determinism, distribution, forcing."""
+"""Generator tests: derived counts, determinism, distribution, forcing, and
+the compiled sampler against the numpy loop."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
 import pytest
 from scipy import stats
 
-from rbcsp.core import conflict_count
+from rbcsp import _native
+from rbcsp.core import conflict_count, dumps_csp
 from rbcsp.modelrb import (
     PHASE_R,
     ModelRbParams,
@@ -122,3 +125,65 @@ class TestGenerateForced:
         inst_a, hid_a = generate_forced(params, seed=11)
         inst_b, hid_b = generate_forced(params, seed=11)
         assert inst_a == inst_b and hid_a.as_list() == hid_b.as_list()
+
+
+# phase-transition sizes from n = 2, where `integers(n - 1)` holds one value
+# and draws nothing, to n = 183 (d = 65); then d = 2 (d² = 4, a power of
+# two), q = d² − 1, where nearly every forced disallowed set is redrawn, d²
+# just above a power of two (9, 529 and 1089), the masks' edge, and many
+# constraints on few variables
+SAMPLER_GRID = [phase_transition_params(n) for n in (2, 3, 5, 12, 40, 100, 183)] + [
+    ModelRbParams.from_counts(6, 2, 12, 3),
+    ModelRbParams.from_counts(12, 5, 40, 24),
+    ModelRbParams.from_counts(10, 3, 30, 8),
+    ModelRbParams.from_counts(9, 23, 30, 132),
+    ModelRbParams.from_counts(9, 33, 20, 272),
+    ModelRbParams.from_counts(10, 3, 10_000, 2),
+]
+
+
+def sampled(params, seed, forced):
+    """The instance and the hidden values, as a list, of one sample."""
+    if forced:
+        instance, hidden = generate_forced(params, seed)
+        return instance, hidden.as_list()
+    return generate(params, seed), None
+
+
+class TestCompiledSampler:
+    """`rb_sample` re-states numpy's `integers` and `permutation` on the
+    generator's bit stream; the numpy loop is the reference."""
+
+    @pytest.mark.parametrize(
+        "params", SAMPLER_GRID,
+        ids=lambda p: f"n{p.n}-d{p.d}-m{p.m_constraints}-q{p.forbidden_per_constraint}")
+    def test_same_instances_as_the_numpy_loop(self, params, monkeypatch):
+        if _native.kernel() is None:
+            pytest.skip("the compiled kernel could not be built here")
+        for seed in range(10):
+            for forced in (False, True):
+                instance, hidden = sampled(params, seed, forced)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_native, "_lib", None)
+                    reference, reference_hidden = sampled(params, seed, forced)
+                # both texts from the compiled writer, the Python one's twin;
+                # compared as a bool, as a diff of two texts of megabytes is slow
+                same_text = dumps_csp(instance) == dumps_csp(reference)
+                assert same_text, (seed, forced)
+                assert hidden == reference_hidden, (seed, forced)
+
+    @pytest.mark.parametrize("n, seed, forced, digest", [
+        (40, 15, True, "dcf778ae872237e89a0a3e81a0158baec881b68e678bd6021ad45f5eb6363767"),
+        (100, 1, True, "a152c27d221b25bba49acc954b5d0225f5e568dd837f67489a4cc83c87501471"),
+        (100, 1, False, "78f5577c5926a466f34f9b95b1f497ea24f73246c16c3c959e89f9a31948d8c5"),
+        (183, 1, True, "2d2080c083cee6b004599efb223052d3010473238f6cc8b389c01ffe8afe69f3"),
+    ])
+    def test_pinned_instance_texts(self, n, seed, forced, digest):
+        # the texts `dumps_csp` writes, with the hidden values' `s` line when
+        # forced; pinned from the numpy loop under numpy 2.4
+        params = phase_transition_params(n)
+        if forced:
+            text = dumps_csp(*generate_forced(params, seed))
+        else:
+            text = dumps_csp(generate(params, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
