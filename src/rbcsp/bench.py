@@ -40,6 +40,8 @@ def run_many(
     """num_runs independent runs with seeds base_seed+i, ordered by seed."""
     if num_runs < 1:
         raise ValueError(f"need at least one run, got {num_runs}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     # a process pool forks all its workers at the first submit
     workers = min(workers, num_runs)
     one = partial(run, instance, config, track_best=track_best)

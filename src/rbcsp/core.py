@@ -568,6 +568,12 @@ def dumps_csp(
     is available; else, or if they overrun the buffer sized for them, by
     `_blocks`, the reference the writer is tested against."""
     n, d, m = instance.n, instance.d, instance.num_constraints
+    if solution is not None:
+        if not solution.is_complete or len(solution) != n:
+            raise ValueError("recorded solution must assign every variable")
+        # a negative value wraps to beyond any d, so one comparison checks both ends
+        if (solution.values.astype(np.uint64) >= d).any():
+            raise ValueError(f"recorded solution has a value outside domain [0,{d})")
     parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
     parts.append(f"p bcsp {n} {d} {m}\n")
     lib, text = _native.kernel(), None
@@ -581,8 +587,6 @@ def dumps_csp(
                       instance.codes.ctypes.data, instance.codes.itemsize == 8, d)
     parts += _blocks(instance) if text is None else [text]
     if solution is not None:
-        if not solution.is_complete or len(solution) != instance.n:
-            raise ValueError("recorded solution must assign every variable")
         parts.append("s " + " ".join(str(int(v)) for v in solution.values) + "\n")
     return "".join(parts)
 

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from rbcsp import cli
 from rbcsp.cli import main
-from rbcsp.core import loads_csp
+from rbcsp.core import CspInstance, loads_csp
 from rbcsp.misbridge import csp_to_mis, mis_to_csp, parse_dimacs
+from rbcsp.ulsa import UlsaConfig, run
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+FENCE = re.compile(r"^ *```(\w*)\n(.*?)^ *```", re.M | re.S)
 
 
 def run_cli(args, capsys):
@@ -170,6 +179,16 @@ class TestBench:
         with open(hist_out) as f:
             assert list(csv.reader(f)) == [["conflicts", "runs"], ["0", "4"]]
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        path = tmp_path / "a.csp"
+        path.write_text("p bcsp 3 2 1\nk 0 1 1\nf 0 0\n")
+        code, out, err = run_cli(
+            ["bench", "--in", str(path), "--runs", "2", "--base-seed", "1",
+             "--workers", workers], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: need at least one worker, got {workers}\n"
+
     def test_summary_to_stdout_by_default(self, tmp_path, capsys):
         path = tmp_path / "a.csp"
         run_cli(["gen", "--n", "10", "--forced", "--seed", "8",
@@ -305,3 +324,39 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "rbcsp" in result.stdout and "PCG64" in result.stdout
+
+
+class TestReadme:
+    """README's promises that can drift from the code it describes."""
+
+    def test_every_example_command_parses(self):
+        text = README.read_text()
+        commands = [words[1:] for lang, body in FENCE.findall(text) if lang == "sh"
+                    for line in body.replace("\\\n", " ").splitlines()
+                    for words in [shlex.split(line, comments=True)] if words[:1] == ["rbcsp"]]
+        assert {words[0] for words in commands} == {"gen", "solve", "bench", "convert", "recover"}
+        parser = cli.build_parser()
+        for words in commands:
+            try:
+                parser.parse_args(words)
+            except SystemExit:
+                pytest.fail(f"README's example does not parse: rbcsp {shlex.join(words)}")
+
+    def test_section_references_name_headings(self):
+        headings = set(re.findall(r"^#+ (.+?)\s*$", FENCE.sub("", README.read_text()), re.M))
+        files = [ROOT / "pyproject.toml", *(ROOT / ".github").rglob("*.yml"),
+                 *(ROOT / "src").rglob("*.py"), *(ROOT / "src").rglob("*.c"),
+                 *(ROOT / "tests").rglob("*.py")]
+        # [ ] keeps this line from reading as a reference itself
+        cited = {(name, path.relative_to(ROOT).as_posix()) for path in files
+                 for name in re.findall(r'README[ ]"([^"]+)"', path.read_text())}
+        assert cited, "no file cites a README section"
+        assert {(name, path) for name, path in cited if name not in headings} == set()
+
+    def test_solve_schema_lists_the_record_keys(self):
+        listed = re.search(r"`solve` JSON: `([^`]+)`", README.read_text()).group(1)
+        keys = [(name, re.split(r",\s*", inner) if inner else None)
+                for name, inner in re.findall(r"(\w+)(?:\{([^}]*)\})?", listed)]
+        record = cli._record_json(run(CspInstance(2, 2), UlsaConfig(), 0), "a.csp")
+        assert keys == [(name, list(value) if isinstance(value, dict) else None)
+                        for name, value in record.items()]

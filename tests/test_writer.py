@@ -63,6 +63,19 @@ def test_one_variable_one_value(writers, monkeypatch):
     assert loads_csp(text)[0] == CspInstance(1, 1)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 99, -2**63])
+def test_a_solution_outside_the_domain_is_refused(bad):
+    # loads_csp refuses an 's' value outside [0, d), so dumps_csp may not write one
+    instance = CspInstance(5, 4, (Constraint(0, 1, ((0, 0),)),))
+    for at in (0, 4):
+        values = [3, 0, 1, 2, 3]
+        values[at] = bad
+        with pytest.raises(ValueError, match=r"outside domain \[0,4\)"):
+            dumps_csp(instance, Assignment.from_values(values))
+    edge = Assignment.from_values([0, 3, 0, 3, 3])
+    assert loads_csp(dumps_csp(instance, edge)) == (instance, edge)
+
+
 def test_wide_codes(writers, monkeypatch):
     # d² ≥ 2³¹ stores the codes as int64; only the API builds such an
     # instance, since check_size refuses its header
