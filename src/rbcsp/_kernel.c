@@ -637,6 +637,22 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
  * Each writes its text into the caller's buffer of cap bytes at out, in one
  * pass, and returns its length; if the text does not fit, it returns -1,
  * having written nothing beyond cap bytes.
+ *
+ * The numbers of the 'f' and 'e' lines are copied from a digit table that
+ * each call builds with `digit_table` in scratch allocated by the caller,
+ * `rbcsp.core._write`, as `rbcsp.modelrb` allocates `rb_sample`'s: 9 * ntab
+ * bytes at table, the word of k at table + 8k, " <k>" padded with zero
+ * bytes to 8, and the lengths of the words, a byte each, at table + 8 * ntab.  So the kernel keeps no state between calls,
+ * and concurrent calls share nothing.  `write_blocks` looks up the values
+ * 0 .. d-1, `write_edges` the vertex numbers 1 .. V (entry 0 unused).  A
+ * word holds a space and 7 digits, so ntab <= 10^7; the caller passes
+ * ntab = 0 when there would be more entries than the text has lines, as
+ * the table would then cost more than it saves.  A line whose numbers are
+ * both below ntab is its tag, two unaligned 8-byte stores, each advanced
+ * by its word's length, and '\n': 18 bytes at most are touched, so it is
+ * written that way only with 18 bytes of room before cap.  Any other line,
+ * every 'k' line, and a line nearer cap, is written by `put_line`, which
+ * divides out each digit and writes exactly its line.
  */
 
 /* the number of decimal digits of v */
@@ -677,12 +693,48 @@ put_line(char *p, const char *end, char tag, int nv, const uint64_t *v)
     return p;
 }
 
+/* the digit table: " <k>" padded with zero bytes at word + 8k, and its
+ * length at len[k], for k = 0 .. count-1 */
+static void digit_table(int64_t count, char *word, uint8_t *len)
+{
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t n = count_digits((uint64_t)k);
+        char *w = word + 8 * k;
+        memset(w, 0, 8);
+        w[0] = ' ';
+        put_uint(w + 1, n, (uint64_t)k);
+        len[k] = (uint8_t)(n + 1);
+    }
+}
+
+/* the line "<tag> <a> <b>\n" written at p; returns its end, or NULL, writing
+ * nothing, if it does not fit in end - p bytes.  From the digit table when
+ * a and b are in it and 18 bytes are free, else by `put_line` */
+static inline __attribute__((always_inline)) char *
+put_pair(char *p, const char *end, char tag, uint64_t a, uint64_t b, const char *word,
+         const uint8_t *len, uint64_t ntab)
+{
+    if (a < ntab && b < ntab && end - p >= 18) {
+        *p++ = tag;
+        memcpy(p, word + 8 * a, 8);
+        p += len[a];
+        memcpy(p, word + 8 * b, 8);
+        p += len[b];
+        *p++ = '\n';
+        return p;
+    }
+    const uint64_t v[2] = {a, b};
+    return put_line(p, end, tag, 2, v);
+}
+
 int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
-                     int64_t m, const void *codes, int64_t wide, int64_t d, char *out,
-                     int64_t cap)
+                     int64_t m, const void *codes, int64_t wide, int64_t d, char *table,
+                     int64_t ntab, char *out, int64_t cap)
 {
     const int32_t *narrow_codes = codes;
     const int64_t *wide_codes = codes;
+    uint8_t *len = (uint8_t *)table + 8 * ntab;
+    digit_table(ntab, table, len);
     char *p = out;
     for (int64_t i = 0; i < m; i++) {
         const uint64_t k[3] = {(uint64_t)con_a[i], (uint64_t)con_b[i],
@@ -698,20 +750,23 @@ int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *
                 a = code / d;
                 base = a * d;
             }
-            const uint64_t f[2] = {(uint64_t)a, (uint64_t)(code - base)};
-            if (!(p = put_line(p, out + cap, 'f', 2, f)))
+            if (!(p = put_pair(p, out + cap, 'f', (uint64_t)a, (uint64_t)(code - base), table,
+                               len, (uint64_t)ntab)))
                 return -1;
         }
     }
     return p - out;
 }
 
-int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *out, int64_t cap)
+int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *table, int64_t ntab,
+                    char *out, int64_t cap)
 {
+    uint8_t *len = (uint8_t *)table + 8 * ntab;
+    digit_table(ntab, table, len);
     char *p = out;
     for (int64_t i = 0; i < num_edges; i++) {
-        const uint64_t e[2] = {(uint64_t)pairs[2 * i] + 1, (uint64_t)pairs[2 * i + 1] + 1};
-        if (!(p = put_line(p, out + cap, 'e', 2, e)))
+        if (!(p = put_pair(p, out + cap, 'e', (uint64_t)pairs[2 * i] + 1,
+                           (uint64_t)pairs[2 * i + 1] + 1, table, len, (uint64_t)ntab)))
             return -1;
     }
     return p - out;

@@ -37,7 +37,7 @@ from .modelrb import (
     generate,
     generate_forced,
 )
-from .target import TargetSpec
+from .target import TargetSpec, check_conflict_cap
 from .ulsa import RunRecord, UlsaConfig, run
 
 PRNG_ID = "numpy PCG64 (seeded via SeedSequence)"
@@ -90,6 +90,7 @@ def _cmd_gen(args) -> int:
 
 
 def _build_config(args, n: int) -> UlsaConfig:
+    check_conflict_cap(args.conflict_cap)  # a bad cap exits 1 with or without a target
     target = None
     if args.target is not None:
         target = TargetSpec(size=args.target, conflict_cap=args.conflict_cap)

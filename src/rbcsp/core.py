@@ -574,21 +574,20 @@ def dumps_csp(
         # a negative value wraps to beyond any d, so one comparison checks both ends
         if (solution.values.astype(np.uint64) >= d).any():
             raise ValueError(f"recorded solution has a value outside domain [0,{d})")
-    parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
-    parts.append(f"p bcsp {n} {d} {m}\n")
+    head = "".join([f"c {line}\n" for text in comments for line in text.splitlines()]
+                   + [f"p bcsp {n} {d} {m}\n"])
+    tail = "" if solution is None else "s " + " ".join(map(str, solution.values.tolist())) + "\n"
     lib, text = _native.kernel(), None
     if lib is not None:
         # a 'k' line holds two variables below n and a count of at most d²,
-        # an 'f' line two values below d
-        size = (m * (5 + 2 * len(str(n)) + len(str(d * d)))
-                + len(instance.codes) * (4 + 2 * len(str(d))))
-        text = _write(lib.write_blocks, size, instance.con_a.ctypes.data,
-                      instance.con_b.ctypes.data, instance.pair_start.ctypes.data, m,
-                      instance.codes.ctypes.data, instance.codes.itemsize == 8, d)
-    parts += _blocks(instance) if text is None else [text]
-    if solution is not None:
-        parts.append("s " + " ".join(str(int(v)) for v in solution.values) + "\n")
-    return "".join(parts)
+        # an 'f' line two values below d, looked up in a table of d entries
+        lines = len(instance.codes)
+        size = m * (5 + 2 * len(str(n)) + len(str(d * d))) + lines * (4 + 2 * len(str(d)))
+        text = _write(lib.write_blocks, head, size, tail, d, m + lines,
+                      instance.con_a.ctypes.data, instance.con_b.ctypes.data,
+                      instance.pair_start.ctypes.data, m, instance.codes.ctypes.data,
+                      instance.codes.itemsize == 8, d)
+    return "".join([head, *_blocks(instance), tail]) if text is None else text
 
 
 def _blocks(instance: CspInstance) -> Iterator[str]:
@@ -599,12 +598,28 @@ def _blocks(instance: CspInstance) -> Iterator[str]:
                                                for c in codes[s:e].tolist()])
 
 
-def _write(writer: Any, size: int, *args) -> Optional[str]:
-    """The ASCII text a compiled writer writes for `args` in one pass into a
-    buffer of `size` bytes, decoded once; None if it does not fit."""
-    buf = bytearray(size)
-    used = writer(*args, (ctypes.c_char * size).from_buffer(buf), size)
-    return None if used < 0 else str(memoryview(buf)[:used], "ascii")
+_TABLE_MAX = 10**7  # a compiled writer's table word holds a space and 7 digits
+
+
+def _write(writer: Any, head: str, size: int, tail: str, entries: int, lines: int,
+           *args) -> Optional[str]:
+    """`head`, then the text a compiled writer writes for `args` into the
+    `size` bytes after it, then `tail`: one buffer, decoded once; None if
+    the writer's text does not fit.  The writer gets scratch for a digit
+    table of `entries` words, or none when they would outnumber the text's
+    `lines` or _TABLE_MAX."""
+    ntab = entries if entries <= min(lines, _TABLE_MAX) else 0
+    table = np.empty(9 * ntab, np.uint8)
+    # surrogatepass: a comment may hold any code point, and decodes to itself
+    head_b, tail_b = (t.encode("utf-8", "surrogatepass") for t in (head, tail))
+    buf = np.empty(len(head_b) + size + len(tail_b), np.uint8)  # not zeroed: written before read
+    buf[:len(head_b)] = np.frombuffer(head_b, np.uint8)
+    used = writer(*args, table.ctypes.data, ntab, buf.ctypes.data + len(head_b), size)
+    if used < 0:
+        return None
+    end = len(head_b) + used
+    buf[end:end + len(tail_b)] = np.frombuffer(tail_b, np.uint8)
+    return str(memoryview(buf)[:end + len(tail_b)], "utf-8", "surrogatepass")
 
 
 # The whitespace of str.split() and the line breaks of str.splitlines(); all

@@ -493,14 +493,15 @@ def emit_dimacs(graph: MisGraph, comments: Iterable[str] = ()) -> str:
     'e' lines are written by the compiled writer when it is available, into
     a buffer sized for two vertices of at most V a line; else, or if they
     overrun it, by `_edge_slices`, the reference it is tested against."""
-    parts = [f"c {line}\n" for text in comments for line in text.splitlines()]
-    parts.append(f"p edge {graph.num_vertices} {graph.num_edges}\n")
+    nv, ne = graph.num_vertices, graph.num_edges
+    head = "".join([f"c {line}\n" for text in comments for line in text.splitlines()]
+                   + [f"p edge {nv} {ne}\n"])
     lib, text = _native.kernel(), None
     if lib is not None:
-        text = _write(lib.write_edges, graph.num_edges * (4 + 2 * len(str(graph.num_vertices))),
-                      graph.pairs.ctypes.data, graph.num_edges)
-    parts += _edge_slices(graph.pairs) if text is None else [text]
-    return "".join(parts)
+        # a table indexed by vertex number, entries 0 .. V
+        text = _write(lib.write_edges, head, ne * (4 + 2 * len(str(nv))), "", nv + 1, ne,
+                      graph.pairs.ctypes.data, ne)
+    return "".join([head, *_edge_slices(graph.pairs)]) if text is None else text
 
 
 def _edge_slices(pairs: np.ndarray) -> Iterator[str]:

@@ -17,6 +17,11 @@ import numpy as np
 from .core import CspInstance, SearchState, _count_violated
 
 
+def check_conflict_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError(f"conflict cap must be >= 1, got {cap}")
+
+
 @dataclass(frozen=True)
 class TargetSpec:
     """A required subset size plus the conflict cap gating the check.
@@ -31,8 +36,7 @@ class TargetSpec:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError(f"target size must be positive, got {self.size}")
-        if self.conflict_cap < 1:
-            raise ValueError(f"conflict cap must be >= 1, got {self.conflict_cap}")
+        check_conflict_cap(self.conflict_cap)
 
     def removal_budget(self, n: int) -> int:
         if self.size > n:

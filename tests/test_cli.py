@@ -103,6 +103,18 @@ class TestSolve:
         assert record["success"] is True
         assert len(record["subset"]) == 14
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_conflict_cap_below_one_exit_1(self, tmp_path, capsys, command, cap):
+        # with no --target the cap gates nothing, and is still refused
+        path = tmp_path / "a.csp"
+        path.write_text("p bcsp 3 2 1\nk 0 1 1\nf 0 0\n")
+        seed = ["--seed", "0"] if command == "solve" else ["--runs", "2", "--base-seed", "0"]
+        code, out, err = run_cli([command, "--in", str(path), *seed, "--conflict-cap", cap],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: conflict cap must be >= 1, got {cap}\n"
+
 
 class TestBench:
     def test_outputs_all_files(self, tmp_path, capsys):

@@ -5,17 +5,21 @@ Each check writes an instance or a graph twice, once with the compiled
 writer and once with `_native._lib` set to None, which makes `dumps_csp` and
 `emit_dimacs` format each line with an f-string in `core._blocks` and
 `misbridge._edge_slices`.  The compiled writers write into a buffer that
-their callers size from n, d and V; the checks at digit boundaries show the
-text fits it, and a buffer a byte short is refused without being overrun.
+their callers size from n, d and V, copying the numbers of dense texts from
+a digit table; the checks at digit boundaries show the text fits it, on the
+table and off it, and a buffer short of the text is refused without being
+overrun.
 """
 
 from __future__ import annotations
 
 import ctypes
 import subprocess
-from itertools import product
+from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +80,21 @@ def test_a_solution_outside_the_domain_is_refused(bad):
     assert loads_csp(dumps_csp(instance, edge)) == (instance, edge)
 
 
+def test_comments_of_any_code_point(writers, monkeypatch):
+    # the compiled path encodes the comments into its buffer and decodes
+    # them back, lone and paired surrogates included
+    comments = ("caf\xe9 \u2603 \U0001f600", "\ud800 alone", "\ud83d\ude00 split", "\x00")
+    instance, hidden = generate_forced(phase_transition_params(10), 1)
+    text = dumps_csp(instance, hidden, comments)
+    dimacs = emit_dimacs(csp_to_mis(instance), comments)
+    assert text.startswith("".join(f"c {c}\n" for c in comments))
+    assert dimacs.startswith("".join(f"c {c}\n" for c in comments))
+    with monkeypatch.context() as m:
+        m.setattr(_native, "_lib", None)
+        assert dumps_csp(instance, hidden, comments) == text
+        assert emit_dimacs(csp_to_mis(instance), comments) == dimacs
+
+
 def test_wide_codes(writers, monkeypatch):
     # d² ≥ 2³¹ stores the codes as int64; only the API builds such an
     # instance, since check_size refuses its header
@@ -107,13 +126,31 @@ def test_frb_scale(writers, monkeypatch):
         graph.num_vertices, graph.pairs)
 
 
-def compiled(monkeypatch, write, *args) -> str:
+class _Spy:
+    """The kernel library, recording the table size each writer is given."""
+
+    def __init__(self, lib):
+        self.lib, self.ntabs = lib, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.lib, name)
+
+        def call(*args):  # a writer's: (…, table, ntab, out, cap)
+            self.ntabs.append(args[-3])
+            return fn(*args)
+        return call
+
+
+def compiled(monkeypatch, write, *args) -> tuple[str, list[int]]:
     """write(*args) with the Python writers made to raise: a text that only
-    the compiled writer wrote, so _write returned it rather than None."""
+    the compiled writer wrote, so _write returned it rather than None; and
+    the size of the digit table the writer was given."""
+    spy = _Spy(_native.kernel())
     with monkeypatch.context() as m:
+        m.setattr(_native, "_lib", spy)
         m.setattr(core, "_blocks", mock.Mock(side_effect=AssertionError("_blocks")))
         m.setattr(misbridge, "_edge_slices", mock.Mock(side_effect=AssertionError("_edge_slices")))
-        return write(*args)
+        return write(*args), spy.ntabs
 
 
 def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
@@ -122,41 +159,79 @@ def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
     for n, d in product((9, 10, 99, 100), repeat=2):
         instance = CspInstance(n, d, (Constraint(n - 1, n - 2, tuple(product(range(d), repeat=2))),
                                       Constraint(0, n - 1, ((d - 1, 0),))))
-        assert compiled(monkeypatch, dumps_csp, instance, None, COMMENTS) == both_csp(
-            monkeypatch, instance)
+        # d² + 1 'f' lines: the table of the d values is taken
+        assert compiled(monkeypatch, dumps_csp, instance, None, COMMENTS) == (
+            both_csp(monkeypatch, instance), [d])
     pairs = ((0, 1), (12345, 0), (46340, 46341), (49999, 0), (49999, 49999))
     wide = CspInstance(3, 50000, (Constraint(0, 1, pairs), Constraint(2, 0, pairs[3:])))
-    assert compiled(monkeypatch, dumps_csp, wide, None, COMMENTS) == both_csp(monkeypatch, wide)
+    assert compiled(monkeypatch, dumps_csp, wide, None, COMMENTS) == (
+        both_csp(monkeypatch, wide), [0])
     for size in (9, 10, 99, 100, 2**62):
+        # three edges, fewer than the vertex numbers: no table
         graph = MisGraph(size, [(0, size - 1), (size - 2, size - 1), (0, 1)])
-        assert compiled(monkeypatch, emit_dimacs, graph, COMMENTS) == both_dimacs(
-            monkeypatch, graph)
+        assert compiled(monkeypatch, emit_dimacs, graph, COMMENTS) == (
+            both_dimacs(monkeypatch, graph), [0])
+    for size in (9, 10, 99, 100, 999, 1000, 9999, 10000):
+        # a star and a path, 2V - 3 edges: the table of 1 .. V is taken,
+        # and its last entries are written
+        graph = MisGraph(size, [(0, v) for v in range(1, size)]
+                         + [(v, v + 1) for v in range(1, size - 1)])
+        assert compiled(monkeypatch, emit_dimacs, graph, COMMENTS) == (
+            both_dimacs(monkeypatch, graph), [size + 1])
 
 
 def test_a_buffer_short_of_the_text_is_refused(writers):
     # at every cap below the text's length the writer returns -1 and
-    # writes no byte at or beyond the cap
+    # writes no byte at or beyond the cap, off the digit table (d = 10 for 3
+    # 'f' lines, V = 2⁴⁰) and on it (d = 4 for 17 'f' lines, K₁₂), where a
+    # line's two 8-byte stores take 18 bytes of room
     lib = _native.kernel()
-    instance = CspInstance(12, 10, (Constraint(11, 0, ((9, 9), (0, 3))),
-                                    Constraint(1, 2, ((5, 0),))))
-    graph = MisGraph(2**40, [(0, 2**40 - 1), (9, 10)])
-    cases = [
-        (lib.write_blocks, (instance.con_a.ctypes.data, instance.con_b.ctypes.data,
-                            instance.pair_start.ctypes.data, instance.num_constraints,
-                            instance.codes.ctypes.data, instance.codes.itemsize == 8, instance.d),
-         "".join(core._blocks(instance))),
-        (lib.write_edges, (graph.pairs.ctypes.data, graph.num_edges),
-         "".join(misbridge._edge_slices(graph.pairs))),
-    ]
-    for writer, args, text in cases:
+
+    def blocks(instance, ntab):
+        return (lib.write_blocks, (instance.con_a.ctypes.data, instance.con_b.ctypes.data,
+                                   instance.pair_start.ctypes.data, instance.num_constraints,
+                                   instance.codes.ctypes.data, instance.codes.itemsize == 8,
+                                   instance.d),
+                ntab, "".join(core._blocks(instance)))
+
+    def edges(graph, ntab):
+        return (lib.write_edges, (graph.pairs.ctypes.data, graph.num_edges),
+                ntab, "".join(misbridge._edge_slices(graph.pairs)))
+
+    sparse = CspInstance(12, 10, (Constraint(11, 0, ((9, 9), (0, 3))),
+                                  Constraint(1, 2, ((5, 0),))))
+    dense = CspInstance(12, 4, (Constraint(11, 0, tuple(product(range(4), repeat=2))),
+                                Constraint(1, 2, ((3, 0),))))
+    huge = MisGraph(2**40, [(0, 2**40 - 1), (9, 10)])
+    k12 = MisGraph(12, list(combinations(range(12), 2)))
+    for writer, args, ntab, text in (blocks(sparse, 0), blocks(dense, 4), edges(huge, 0),
+                                     edges(k12, 13)):
         size = len(text)
-        buf = bytearray(size + 16)
+        table = np.zeros(9 * ntab, np.uint8)
+        buf = bytearray(size + 18)
         out = (ctypes.c_char * len(buf)).from_buffer(buf)
-        assert writer(*args, out, size) == size and buf[:size] == text.encode()
+        assert writer(*args, table.ctypes.data, ntab, out, size) == size
+        assert buf[:size] == text.encode()
+        words, lengths = table[:8 * ntab].tobytes(), table[8 * ntab:].tolist()
+        assert [words[8 * k:8 * k + lengths[k]] for k in range(ntab)] == [
+            f" {k}".encode() for k in range(ntab)]
         for cap in range(size):
             buf[:] = b"#" * len(buf)
-            assert writer(*args, out, cap) == -1
+            assert writer(*args, table.ctypes.data, ntab, out, cap) == -1
             assert buf[cap:] == b"#" * (len(buf) - cap)
+
+
+def test_concurrent_writes_are_independent(writers):
+    # ctypes releases the GIL during a call, so two writers run at once;
+    # each call builds its digit table in scratch of its own
+    jobs = []
+    for seed, n in ((1, 30), (2, 40)):
+        instance, hidden = generate_forced(phase_transition_params(n), seed)
+        jobs += [(dumps_csp, instance, hidden, COMMENTS), (emit_dimacs, csp_to_mis(instance))]
+    serial = [write(*args) for write, *args in jobs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(4):
+            assert list(pool.map(lambda job: job[0](*job[1:]), jobs * 3)) == serial * 3
 
 
 @st.composite
