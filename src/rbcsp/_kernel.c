@@ -25,16 +25,37 @@
  * endpoint holds w and v holds u, so word k of a row holds the values
  * 64k .. 64k+63.
  *
- * The step loop reads no row of bits for a gather: the run's row cache cur
- * holds, at cur[s * W], slot s's row under the current value of its other
- * endpoint, so the rows of a variable lie in order, one after another.  The
- * caller fills cur for each state it hands over (`rbcsp.ulsa._KernelRun`);
- * `apply` keeps it current, refreshing the rows at the far end of every slot
- * of the variable it changes.  Counts are kept in bit planes, one word at a
- * time.  The field order of `ulsa_run` matches `rbcsp._native._RunStruct`.
+ * The step loop takes one of two paths, with the same trajectory, and keeps
+ * the path's cache in the run's buffer `cache`:
+ *
+ * - The count path keeps the count table counts, n rows of 64 bytes: byte
+ *   counts[v * 64 + u] is the number of conflicts v would have at value u
+ *   under its neighbours' current values, the sum of flag u over the rows of
+ *   v's slots.  A gather is one scan of v's row; a change of var from old to
+ *   value takes, at the far end o = rev[s] of each slot s, the row
+ *   bits[o * d + old] from its endpoint's counts and adds bits[o * d + value].
+ *   A step takes it when the host has AVX-512BW, d <= 64, so that a row of
+ *   counts is one vector, and no variable has more than 255 slots, so that
+ *   no count overflows its byte.
+ * - The bit-plane path, everywhere else, keeps the row cache cur: cur[s * W]
+ *   holds slot s's row under the current value of its other endpoint, so the
+ *   rows of a variable lie in order, one after another.  A gather counts
+ *   them in bit planes, one word at a time; a change refreshes the rows at
+ *   the far end of its slots.
+ *
+ * The caller sets `fresh` whenever it hands over a state the cache does not
+ * hold (`rbcsp.ulsa._KernelRun`): the first call and every restart.  The
+ * kernel then chooses the path, writes it to `counted`, and fills the cache
+ * from x.  The field order of `ulsa_run` matches `rbcsp._native._RunStruct`.
  */
 #include <stdint.h>
 #include <string.h>
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define COUNT_PATH 1
+#else
+#define COUNT_PATH 0
+#endif
 
 /* numpy's bitgen_t, as in numpy/random/bitgen.h */
 typedef struct {
@@ -49,9 +70,11 @@ typedef struct {
     /* tables, read only */
     const uint64_t *bits;
     const int32_t *inc_start, *slot_other, *slot_cid, *rev, *con_a, *con_b;
-    int64_t d;
-    /* search state, updated in place: the row cache, 2m rows of W words */
-    uint64_t *cur;
+    int64_t n, d;
+    /* search state, updated in place: the path's cache, 64-byte aligned, of
+     * 2m rows of W words or n rows of 64 bytes, whichever is larger */
+    uint64_t *cache;
+    int64_t fresh, counted;
     int64_t *x, *t;
     int32_t *ids, *pos;
     int64_t nviol, n_iter;
@@ -106,7 +129,7 @@ static inline __attribute__((always_inline)) const uint64_t *
 row_of(const ulsa_run *r, int64_t W, int32_t s, int live)
 {
     if (!live)
-        return r->cur + (int64_t)s * W;
+        return r->cache + (int64_t)s * W;
     return r->bits + ((int64_t)s * r->d + r->x[r->slot_other[s]]) * W;
 }
 
@@ -212,13 +235,15 @@ static inline __attribute__((always_inline)) int64_t value_at(const moves *mv, i
     return 64 * w + __builtin_ctzll(mask);
 }
 
-/* constraint cid enters the violated set if now is set, and leaves it by a
- * swap with the last member otherwise, without a branch: its flag has just
- * changed, so it is a member exactly when now is clear */
-static inline __attribute__((always_inline)) void toggle(ulsa_run *r, int32_t cid, int now)
+/* constraint cid, whose flag has just changed, enters the violated set if it
+ * is not a member, and leaves it by a swap with the last member otherwise,
+ * without a branch */
+static inline __attribute__((always_inline)) void toggle(ulsa_run *r, int32_t cid)
 {
+    const int32_t at = r->pos[cid];
+    const int now = at < 0;
     const int64_t tail = r->nviol - 1 + now;  /* the new end, or the last member */
-    const int32_t last = r->ids[tail], at = r->pos[cid];
+    const int32_t last = r->ids[tail];
     const int32_t moved = now ? cid : last, p = now ? (int32_t)tail : at;
     r->ids[p] = moved;
     r->pos[moved] = p;
@@ -229,42 +254,171 @@ static inline __attribute__((always_inline)) void toggle(ulsa_run *r, int32_t ci
 /* the slots of var listed, at most CHANGED at a time */
 #define CHANGED 64
 
-/* SearchState._apply_with_cols: slots whose flag differs between the old and
- * the new value enter or leave the violated set, in slot order.  The flags
- * are read from the row cache, and the row at the far end of each slot is
- * refreshed for the new value; the slots whose flag changes are listed first
- * and then toggled */
-static inline __attribute__((always_inline)) void apply(ulsa_run *r, int64_t W, int64_t var,
-                                                        int64_t value)
+/* the bit-plane path's listing for slots c0 .. c1-1 of var: the slots whose
+ * flag differs between old and value, read from the row cache, go to
+ * changed, and the row at the far end of each slot is refreshed for value;
+ * returns how many were listed */
+static inline __attribute__((always_inline)) int
+list_rows(ulsa_run *r, int64_t W, int64_t old, int64_t value, int32_t c0, int32_t c1,
+          int32_t *changed)
 {
     /* locals, as a store to cur could otherwise alias the struct's fields */
-    uint64_t *const cur = r->cur;
+    uint64_t *const cur = r->cache;
     const uint64_t *const bits = r->bits;
     const int32_t *const rev = r->rev;
-    const int64_t old = r->x[var], d = r->d;
+    const int64_t d = r->d;
+    int n = 0;
+    for (int32_t s = c0; s < c1; s++) {
+        const uint64_t *row = cur + (int64_t)s * W;
+        changed[n] = s;
+        n += flag(row, W, value) != flag(row, W, old);
+        const int64_t o = rev[s];
+        const uint64_t *fresh = bits + (o * d + value) * W;
+        for (int64_t k = 0; k < W; k++)
+            cur[o * W + k] = fresh[k];
+    }
+    return n;
+}
+
+/* the bit-plane path's cache filled from x: row s of cur is slot s's row under
+ * the current value of its other endpoint */
+static void fill_rows(ulsa_run *r, int64_t W)
+{
+    for (int64_t s = 0; s < r->inc_start[r->n]; s++)
+        memcpy(r->cache + s * W, r->bits + (s * r->d + r->x[r->slot_other[s]]) * W,
+               (size_t)W * sizeof(uint64_t));
+}
+
+#if COUNT_PATH
+/* the count path, in functions of their own, as GCC inlines no function
+ * compiled for AVX-512 into one that is not; the row of counts of v is
+ * counts + 64 v, a vector whose byte u is v's count at value u */
+#define COUNTS_TARGET __attribute__((target("avx512f,avx512bw,popcnt")))
+
+/* the count path's cache filled from x: v's row sums the rows of its slots
+ * under their other endpoints' current values */
+static COUNTS_TARGET void fill_counts(ulsa_run *r)
+{
+    uint8_t *const counts = (uint8_t *)r->cache;
+    const __m512i one = _mm512_set1_epi8(1);
+    for (int64_t v = 0; v < r->n; v++) {
+        __m512i c = _mm512_setzero_si512();
+        for (int32_t s = r->inc_start[v]; s < r->inc_start[v + 1]; s++)
+            c = _mm512_mask_add_epi8(c, r->bits[s * r->d + r->x[r->slot_other[s]]], c, one);
+        _mm512_store_si512(counts + 64 * v, c);
+    }
+}
+
+/* `gather` on the count path: v's count at x[v], the least count at another
+ * of the d values, and those that reach it, all read from v's row */
+static COUNTS_TARGET void scan_counts(const ulsa_run *r, int64_t v, moves *mv)
+{
+    const uint8_t *row = (const uint8_t *)r->cache + 64 * v;
+    const int64_t xv = r->x[v];
+    const __mmask64 values = (r->d == 64 ? ~0ULL : (1ULL << r->d) - 1) & ~(1ULL << xv);
+    const __m512i c = _mm512_load_si512(row);
+    /* the least byte over values: the others read 255, no less than any count */
+    const __m512i m = _mm512_mask_blend_epi8(values, _mm512_set1_epi8(-1), c);
+    const __m256i h = _mm256_min_epu8(_mm512_castsi512_si256(m),
+                                      _mm512_extracti64x4_epi64(m, 1));
+    __m128i q = _mm_min_epu8(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
+    q = _mm_min_epu8(q, _mm_srli_epi16(q, 8));  /* each 16-bit lane its pair's least */
+    const int32_t min = _mm_cvtsi128_si32(_mm_minpos_epu16(q)) & 0xffff;
+    const uint64_t at = _mm512_mask_cmpeq_epi8_mask(values, c, _mm512_set1_epi8((char)min));
+    mv->cur = row[xv];
+    mv->min = min;
+    mv->mask[0] = at;
+    mv->n = __builtin_popcountll(at);
+}
+
+/* the count path's listing for slots c0 .. c1-1 of var: with a and b the far
+ * end's rows under old and under value, the slot's flag changes where a and
+ * b differ at the other endpoint's value, and the other endpoint's counts
+ * lose a and gain b; returns how many were listed */
+static COUNTS_TARGET int list_counts(ulsa_run *r, int64_t old, int64_t value, int32_t c0,
+                                     int32_t c1, int32_t *changed)
+{
+    uint8_t *const counts = (uint8_t *)r->cache;
+    const uint64_t *const bits = r->bits;
+    const int32_t *const rev = r->rev, *const other = r->slot_other;
+    const int64_t *const x = r->x, d = r->d;
+    const __m512i one = _mm512_set1_epi8(1);
+    int n = 0;
+    for (int32_t s = c0; s < c1; s++) {
+        const int64_t o = rev[s], w = other[s];
+        const uint64_t a = bits[o * d + old], b = bits[o * d + value];
+        changed[n] = s;
+        n += (a ^ b) >> x[w] & 1;
+        uint8_t *row = counts + 64 * w;
+        __m512i c = _mm512_load_si512(row);
+        c = _mm512_mask_sub_epi8(c, a, c, one);
+        _mm512_store_si512(row, _mm512_mask_add_epi8(c, b, c, one));
+    }
+    return n;
+}
+
+/* the count path serves the run when this host has AVX-512BW, d <= 64 and
+ * no variable has more than 255 slots */
+static int use_counts(const ulsa_run *r)
+{
+    __builtin_cpu_init();
+    if (r->d > 64 || !__builtin_cpu_supports("avx512bw"))
+        return 0;
+    for (int64_t v = 0; v < r->n; v++)
+        if (r->inc_start[v + 1] - r->inc_start[v] > 255)
+            return 0;
+    return 1;
+}
+#else
+/* off x86-64 the count path is never taken */
+static int use_counts(const ulsa_run *r) { (void)r; return 0; }
+static void fill_counts(ulsa_run *r) { (void)r; __builtin_unreachable(); }
+static void scan_counts(const ulsa_run *r, int64_t v, moves *mv)
+{
+    (void)r, (void)v, (void)mv;
+    __builtin_unreachable();
+}
+static int list_counts(ulsa_run *r, int64_t old, int64_t value, int32_t c0, int32_t c1,
+                       int32_t *changed)
+{
+    (void)r, (void)old, (void)value, (void)c0, (void)c1, (void)changed;
+    __builtin_unreachable();
+}
+#endif
+
+/* SearchState._apply_with_cols: slots whose flag differs between the old and
+ * the new value enter or leave the violated set, in slot order.  The path
+ * keeps its cache current as it lists them, and then they are toggled */
+static inline __attribute__((always_inline)) void apply(ulsa_run *r, int64_t W, int counted,
+                                                        int64_t var, int64_t value)
+{
+    const int64_t old = r->x[var];
     const int32_t s1 = r->inc_start[var + 1];
     int32_t changed[CHANGED];
     for (int32_t c0 = r->inc_start[var]; c0 < s1; c0 += CHANGED) {
         const int32_t c1 = s1 - c0 < CHANGED ? s1 : c0 + CHANGED;
-        int n = 0;
-        for (int32_t s = c0; s < c1; s++) {
-            const uint64_t *row = cur + (int64_t)s * W;
-            changed[n] = s;
-            n += flag(row, W, value) != flag(row, W, old);
-            const int64_t o = rev[s];
-            const uint64_t *fresh = bits + (o * d + value) * W;
-            for (int64_t k = 0; k < W; k++)
-                cur[o * W + k] = fresh[k];
-        }
+        const int n = counted ? list_counts(r, old, value, c0, c1, changed)
+                              : list_rows(r, W, old, value, c0, c1, changed);
         for (int k = 0; k < n; k++)
-            toggle(r, r->slot_cid[changed[k]], flag(cur + (int64_t)changed[k] * W, W, value));
+            toggle(r, r->slot_cid[changed[k]]);
     }
     r->x[var] = value;
     r->t[var] = ++r->n_iter;
 }
 
-/* the step loop for rows of W words; mask holds 2W words, W for each endpoint */
-static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W,
+/* v's moves on the run's path */
+static inline __attribute__((always_inline)) void moves_of(const ulsa_run *r, int64_t W,
+                                                           int counted, int64_t v, moves *mv)
+{
+    if (counted)
+        scan_counts(r, v, mv);
+    else
+        gather(r, W, v, 0, mv);
+}
+
+/* the step loop for rows of W words, on the count path if counted is set;
+ * mask holds 2W words, W for each endpoint */
+static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W, int counted,
                                                           uint64_t *mask)
 {
     for (;;) {
@@ -276,7 +430,7 @@ static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W
             i = b, j = a;
 
         moves mi = {.mask = mask}, mj = {.mask = mask + W};
-        gather(r, W, i, 0, &mi);
+        moves_of(r, W, counted, i, &mi);
         int expanded = mi.min > mi.cur && r->t[j] != r->n_iter;
         int64_t var, value, delta;
         if (!expanded) {
@@ -284,7 +438,7 @@ static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W
             value = value_at(&mi, W, (int64_t)(uniform(r) * (double)mi.n));
             delta = mi.min - mi.cur;
         } else {
-            gather(r, W, j, 0, &mj);
+            moves_of(r, W, counted, j, &mj);
             int64_t delta_i = mi.min - mi.cur, delta_j = mj.min - mj.cur;
             delta = delta_i < delta_j ? delta_i : delta_j;
             int64_t ni = delta_i == delta ? mi.n : 0;
@@ -294,7 +448,7 @@ static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W
             value = pick < ni ? value_at(&mi, W, pick) : value_at(&mj, W, pick - ni);
         }
 
-        apply(r, W, var, value);
+        apply(r, W, counted, var, value);
         r->iterations++;
         r->expansions += expanded;
         r->worsening += delta > 0;
@@ -306,16 +460,29 @@ static inline __attribute__((always_inline)) void advance(ulsa_run *r, int64_t W
     }
 }
 
-/* one copy of the loop with W fixed at 1, and one for any W */
+/* a fresh state chooses the path and fills its cache; then one copy of the
+ * loop runs for the count path, one for the bit planes with W fixed at 1, and
+ * one for any W */
 void ulsa_advance(ulsa_run *r)
 {
     const int64_t W = (r->d + 63) / 64;
-    if (W == 1) {
+    if (r->fresh) {
+        r->counted = use_counts(r);
+        if (r->counted)
+            fill_counts(r);
+        else
+            fill_rows(r, W);
+        r->fresh = 0;
+    }
+    if (r->counted) {
         uint64_t mask[2];
-        advance(r, 1, mask);
+        advance(r, 1, 1, mask);
+    } else if (W == 1) {
+        uint64_t mask[2];
+        advance(r, 1, 0, mask);
     } else {
         uint64_t mask[2 * W];
-        advance(r, W, mask);
+        advance(r, W, 0, mask);
     }
 }
 

@@ -74,8 +74,9 @@ class _RunStruct(ctypes.Structure):
 
     _fields_ = [
         ("bits", _P), ("inc_start", _P), ("slot_other", _P), ("slot_cid", _P), ("rev", _P),
-        ("con_a", _P), ("con_b", _P), ("d", _I),
-        ("cur", _P), ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
+        ("con_a", _P), ("con_b", _P), ("n", _I), ("d", _I),
+        ("cache", _P), ("fresh", _I), ("counted", _I),
+        ("x", _P), ("t", _P), ("ids", _P), ("pos", _P), ("nviol", _I), ("n_iter", _I),
         ("iterations", _I), ("expansions", _I), ("worsening", _I),
         ("u", _P), ("nu", _I), ("upos", _I), ("gen", _P),
         ("best", _I), ("cap", _I), ("budget", _I), ("interval", _I),

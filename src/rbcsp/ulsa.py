@@ -13,9 +13,10 @@ The per-iteration work is one or two gathers of a variable's incident
 relation rows plus bookkeeping over the changed variable's slots.  `run`
 takes its steps in a compiled kernel (_kernel.c) when one can be built, and
 in `_step`, the Python reference, otherwise; both follow the same
-trajectory.  The kernel keeps each slot's current row in a per-run cache, so
-a gather reads one contiguous run of words and a change refreshes the rows
-at the far end of its slots (see `_KernelRun`).
+trajectory.  The kernel keeps a per-run cache that a change updates at the
+far end of its slots: every variable's conflict count at every value where
+the host and the instance allow it, and each slot's current row otherwise
+(see `_KernelRun`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import _native
-from .core import Assignment, CspInstance, SearchState
+from .core import Assignment, CspInstance, SearchState, conflict_count
 from .target import TargetSpec, check_target, subset_conflicts
 
 _MASK = 1 << 30  # bigger than any conflict count; hides the current value
@@ -256,11 +257,18 @@ class _KernelRun:
     kernel owns the block of uniforms and its cursor, and refills the block
     from the run's generator.
 
-    The run also holds the kernel's row cache `cur`, allocated once: row s
-    is slot s's packed row of `bits` under the current value of its other
-    endpoint, 2m·W words in all.  It is filled from the state whenever the
-    struct is pointed at a new one, and the kernel keeps it current from
-    then on, so nothing but the kernel may change that state's `x`.
+    The run also holds the buffer of the kernel's cache, allocated once and
+    64-byte aligned; the kernel chooses a step path for each state it is
+    handed, writes it to the struct's `counted`, and fills the cache from
+    the state's `x`:
+    - the count table, on hosts with AVX-512BW when d <= 64 and no variable
+      has more than 255 incident slots: byte u of v's 64-byte row is the
+      number of conflicts v would have at value u;
+    - the row cache otherwise: row s is slot s's packed row of `bits` under
+      the current value of its other endpoint, 2m·W words in all.
+    `advance` sets `fresh` whenever the struct is pointed at a new state,
+    and the kernel keeps the cache current from then on, so nothing but the
+    kernel may change that state's `x`.
     """
 
     def __init__(self, lib: Any, instance: CspInstance, uniforms: _Uniforms,
@@ -271,11 +279,14 @@ class _KernelRun:
         self.budget = budget
         # kept alive with the struct pointing into them
         self.flat, self.uniforms = flat, uniforms
-        self.cur = np.empty((len(flat.slot_cid), flat.bits.shape[1]), dtype=np.uint64)
+        words = max(len(flat.slot_cid) * flat.bits.shape[1], 8 * instance.n)
+        buf = np.empty(words + 8, dtype=np.uint64)
+        skip = -buf.ctypes.data % 64 // 8
+        self.cache = buf[skip:skip + words]
         self.c = _native._RunStruct(
             flat.bits.ctypes.data, flat.inc_start.ctypes.data, flat.slot_other.ctypes.data,
             flat.slot_cid.ctypes.data, flat.rev.ctypes.data, flat.con_a.ctypes.data,
-            flat.con_b.ctypes.data, instance.d, self.cur.ctypes.data,
+            flat.con_b.ctypes.data, instance.n, instance.d, self.cache.ctypes.data,
             iterations=stats.iterations, expansions=stats.expansions,
             worsening=stats.worsening, u=uniforms.block.ctypes.data,
             nu=len(uniforms.block), upos=uniforms.pos,
@@ -291,8 +302,7 @@ class _KernelRun:
             self.state = state
             c.x, c.t = state.x.ctypes.data, state.t.ctypes.data
             c.ids, c.pos = violated._ids.ctypes.data, violated.pos.ctypes.data
-            flat = self.flat
-            flat.bits.take(flat.base + state.x.take(flat.slot_other), axis=0, out=self.cur)
+            c.fresh = 1
         c.nviol, c.n_iter = violated.n, state.n_iter
         c.best = best
         c.budget = stats.iterations + _SLICE
@@ -366,8 +376,9 @@ def run(instance: CspInstance, config: UlsaConfig, seed: int,
     success = state.num_conflicts == 0 or subset is not None
     assignment = state.x.tolist() if success else None
     if success:  # a recount over the instance's sorted pairs, independent of SearchState
-        checked = range(instance.n) if subset is None else subset
-        if subset_conflicts(instance, assignment, checked) != 0:
+        left = (conflict_count(instance, Assignment.from_values(assignment)) if subset is None
+                else subset_conflicts(instance, assignment, subset))
+        if left != 0:
             raise AssertionError("success witness fails the independent recount")
     return RunRecord(
         seed=seed,

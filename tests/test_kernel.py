@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import platform
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,11 +192,13 @@ def snapshot(state, stats) -> dict:
                 pos=pos, stats=dataclasses.astuple(stats))
 
 
-@pytest.mark.parametrize("d, m", [pytest.param(3, 40, id="d3"), pytest.param(65, 60, id="d65")])
+@pytest.mark.parametrize("d, m", [pytest.param(3, 40, id="d3"), pytest.param(40, 60, id="d40"),
+                                  pytest.param(65, 60, id="d65")])
 def test_kernel_steps_the_state_arrays_as_python_does(kernel, d, m):
     # k kernel steps leave the state's own arrays as k Python steps do,
     # before and after a switch to a fresh state, as on a restart, which
-    # rebuilds the kernel's row cache, of two words a row at d = 65; no
+    # refills the kernel's cache: the count table at d = 3 and 40 where the
+    # host has AVX-512BW, the row cache, of two words a row, at d = 65; no
     # solution exists, so every step runs
     instance = random_instance(random.Random(2), n=8, d=d, m=m)
     sides = []
@@ -262,6 +266,16 @@ BOUNDARY_CASES = [
     pytest.param(lambda: hub(200, 5, 12), UlsaConfig(max_iterations=3000), id="hub200"),
     pytest.param(lambda: hub(600, 4, 8), UlsaConfig(max_iterations=3000,
                                                 restart_interval=500), id="hub600"),
+    # degree 255 is the most a byte of the count table holds, and degree 256
+    # keeps the run on bit planes
+    pytest.param(lambda: hub(255, 4, 15), UlsaConfig(max_iterations=3000,
+                                                 restart_interval=700), id="hub255"),
+    pytest.param(lambda: hub(256, 4, 15), UlsaConfig(max_iterations=3000), id="hub256"),
+    # value 1 of variable 0 conflicts with all 255 neighbours: a count of
+    # 255, the top of a byte, is the least other count while 0 holds 0
+    pytest.param(lambda: CspInstance(256, 2, [Constraint(0, v, ((1, 0), (1, 1), (0, v % 2)))
+                                              for v in range(1, 256)]),
+                 UlsaConfig(max_iterations=3000), id="byte-top"),
 ]
 
 
@@ -274,6 +288,38 @@ def test_boundary_record_equals_python_record(kernel, monkeypatch, make, config)
         fast = run(instance, config, seed, track_best=True)
         slow = python_run(monkeypatch, instance, config, seed, track_best=True)
         assert fields(fast) == fields(slow), seed
+
+
+def avx512bw() -> bool:
+    """Whether this host has AVX-512BW, which the count path needs."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        pytest.skip("this host does not list its CPU flags in /proc/cpuinfo")
+    return "avx512bw" in flags
+
+
+@pytest.mark.parametrize("make, counted", [
+    pytest.param(lambda: random_instance(random.Random(3), n=8, d=64, m=30), True, id="d64"),
+    pytest.param(lambda: random_instance(random.Random(4), n=8, d=65, m=30), False, id="d65"),
+    pytest.param(lambda: hub(255, 4, 15), True, id="hub255"),
+    pytest.param(lambda: hub(256, 4, 15), False, id="hub256"),
+])
+def test_step_path(kernel, make, counted):
+    # the count path where the host has AVX-512BW, d <= 64 and no degree
+    # is over 255, the bit planes elsewhere, on the first state and a fresh one
+    instance = make()
+    rng = np.random.Generator(np.random.PCG64(0))
+    stats = StepStats()
+    fast = ulsa._KernelRun(_native.kernel(), instance, ulsa._Uniforms(rng), stats, -1, 0, None)
+    for budget in (50, 100):
+        fast.budget = budget
+        fast.advance(ulsa.init_state(instance, rng), 0)
+        assert stats.iterations == budget
+        assert fast.c.counted == (counted and avx512bw())
+        assert not fast.c.fresh
 
 
 @pytest.mark.parametrize("d", [64, 65, 128, 129])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from rbcsp import ulsa
 from rbcsp.core import Constraint, CspInstance, SearchState, conflict_count
 from rbcsp.modelrb import ModelRbParams, generate_forced, phase_transition_params
 from rbcsp.target import TargetSpec, subset_conflicts
@@ -266,6 +267,21 @@ class TestRun:
         cfg = UlsaConfig(target=TargetSpec(size=9, conflict_cap=3))
         with pytest.raises(ValueError):
             run(inst, cfg, seed=0)
+
+    @pytest.mark.parametrize("targeted", [False, True])
+    def test_witness_with_conflicts_fails_the_recount(self, monkeypatch, targeted):
+        # a false success at the start, which has conflicts: a state that
+        # reports none, or a target check that returns every variable
+        inst = generate_forced(phase_transition_params(20), seed=4)[0]
+        assert init_state(inst, rng_for(0)).num_conflicts > 0
+        target = None
+        if targeted:
+            target = TargetSpec(size=inst.n, conflict_cap=inst.num_constraints)
+            monkeypatch.setattr(ulsa, "check_target", lambda state, spec: list(range(spec.size)))
+        else:
+            monkeypatch.setattr(SearchState, "num_conflicts", property(lambda state: 0))
+        with pytest.raises(AssertionError, match="independent recount"):
+            run(inst, UlsaConfig(target=target), seed=0)
 
     def test_track_best_snapshots_lowest_state(self):
         params = phase_transition_params(15)
