@@ -618,6 +618,22 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * no repeat.  Unless offsets is NULL, it also writes the offset of each
  * row's 'e' to offsets, so that the caller can name the lines of repeated
  * edges.
+ *
+ * On a host with AVX-512BW, VBMI and VBMI2 and BMI2, chosen at run time,
+ * `read_csp` and `read_dimacs` (when offsets is NULL) first try, at each
+ * line start with at least 64 bytes left, `window_lines`: one 64-byte load
+ * that reads the canonical lines "f <a> <b>\n" or "e <u> <v>\n" at its
+ * start, a and b, u and v of 1 to 4 ASCII digits with single spaces.  It
+ * returns their numbers, and each reader checks and stores them with the
+ * same checks as its line-by-line code.  It declines, returning 0 lines,
+ * at the first line of any other form: a 'k', 's' or comment line, a blank
+ * line, a '+', a tab, a '\r', a trailing space, a number of 5 or more
+ * digits, or a line that ends past the window.  That line and every line
+ * in the text's last 63 bytes are read by `tag` and `number` as before.  It
+ * reads at most room lines: want - got and fcap - nf for `read_csp`, so a
+ * block's last pair and the codes' capacity stop it, and cap - e for
+ * `read_dimacs`.  The line past those bounds is then read line by line, so
+ * -1 and -2 come at the same line as without the window.
  */
 
 #define SPACE 1
@@ -704,6 +720,107 @@ static inline int tag(const uint8_t *s, int64_t *i, int64_t len)
     }
 }
 
+#if COUNT_PATH
+/* every host with AVX-512 has POPCNT too */
+#define WINDOW_TARGET \
+    __attribute__((target("avx512f,avx512bw,avx512vbmi,avx512vbmi2,bmi2,popcnt")))
+
+/* the canonical lines "<t> <a> <b>\n", a and b of 1 to 4 digits, that start
+ * the 64 bytes at *i, at most room >= 0 of them: their numbers go to num, a
+ * then b for each, 32 entries at most, *i moves past them, and their count
+ * is returned.  Every byte is a digit or not; the bytes that are not, in
+ * order, must read t, ' ', ' ', '\n' line after line, and a line is cut at
+ * the first byte that breaks the rule: a digit after a byte that is neither
+ * a digit nor a space, a space before a byte that is no digit, or a fifth
+ * digit in a row.  Each run of digits takes its value at its end, from
+ * copies of the digits moved down by one, two and three bytes within the
+ * run.  Needs 64 bytes at *i */
+static WINDOW_TARGET int window_lines(const uint8_t *s, int64_t *i, uint8_t t, int64_t room,
+                                      uint16_t *num)
+{
+    const __m512i v = _mm512_loadu_si512(s + *i);
+    const __m512i dv = _mm512_sub_epi8(v, _mm512_set1_epi8('0'));
+    const uint64_t dg = _mm512_cmplt_epu8_mask(dv, _mm512_set1_epi8(10));
+    const uint64_t sp = _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(' '));
+    const uint64_t nl = _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8('\n'));
+    const __m512i form = _mm512_set1_epi32((int)(t | ' ' << 8 | ' ' << 16 | '\n' << 24));
+    const uint64_t same = _mm512_cmpeq_epi8_mask(_mm512_maskz_compress_epi8(~dg, v), form);
+    const int64_t matched = (~same ? __builtin_ctzll(~same) : 64) / 4;
+    const uint64_t bad = (dg & ~((dg | sp) << 1)) | (sp & ~(dg >> 1))
+                         | (dg & dg >> 1 & dg >> 2 & dg >> 3 & dg >> 4);
+    /* the breaks of the lines before the first bad byte, at most room of
+     * them and none past the matched lines */
+    const uint64_t ends = _pdep_u64(_bzhi_u64(~0ULL, (unsigned)(room < matched ? room : matched)),
+                                    nl & (bad - 1) & ~bad);
+    if (!ends)
+        return 0;
+    const unsigned size = 64 - (unsigned)__builtin_clzll(ends);
+    /* the last digit of each run; the digits one, two and three before it in
+     * its run, else zero */
+    const uint64_t last = _bzhi_u64(dg & ~(dg >> 1), size), c1 = dg & dg << 1,
+                   c2 = c1 & dg << 2, c3 = c2 & dg << 3;
+    const __m512i at = _mm512_set_epi64(0x3f3e3d3c3b3a3938, 0x3736353433323130,
+                                        0x2f2e2d2c2b2a2928, 0x2726252423222120,
+                                        0x1f1e1d1c1b1a1918, 0x1716151413121110,
+                                        0x0f0e0d0c0b0a0908, 0x0706050403020100);
+    const __m512i one = _mm512_set1_epi8(1);
+    const __m512i at1 = _mm512_sub_epi8(at, one), at2 = _mm512_sub_epi8(at1, one),
+                  at3 = _mm512_sub_epi8(at2, one);
+    const __m512i d1 = _mm512_maskz_permutexvar_epi8(c1, at1, dv),
+                  d2 = _mm512_maskz_permutexvar_epi8(c2, at2, dv),
+                  d3 = _mm512_maskz_permutexvar_epi8(c3, at3, dv);
+    /* 10x as 8x + 2x in 16-bit lanes: x <= 9, so no bit crosses into the next byte */
+#define TEN(x) _mm512_add_epi8(_mm512_slli_epi16(x, 3), _mm512_slli_epi16(x, 1))
+    const __m512i low = _mm512_add_epi8(dv, TEN(d1)), high = _mm512_add_epi8(d2, TEN(d3));
+#undef TEN
+    const __m512i lo = _mm512_cvtepu8_epi16(
+        _mm512_castsi512_si256(_mm512_maskz_compress_epi8(last, low)));
+    const __m512i hi = _mm512_cvtepu8_epi16(
+        _mm512_castsi512_si256(_mm512_maskz_compress_epi8(last, high)));
+    _mm512_storeu_si512(num, _mm512_add_epi16(lo, _mm512_mullo_epi16(hi, _mm512_set1_epi16(100))));
+    *i += size;
+    return (int)__builtin_popcountll(ends);
+}
+
+/* the window serves a reader when this host has AVX-512BW, VBMI and VBMI2
+ * and BMI2 */
+static int use_window(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vbmi")
+           && __builtin_cpu_supports("avx512vbmi2") && __builtin_cpu_supports("bmi2");
+}
+#else
+/* off x86-64 the window is never taken */
+static int use_window(void) { return 0; }
+static int window_lines(const uint8_t *s, int64_t *i, uint8_t t, int64_t room, uint16_t *num)
+{
+    (void)s, (void)i, (void)t, (void)room, (void)num;
+    __builtin_unreachable();
+}
+#endif
+
+/* a block's next code at codes[*nf], with *got counting the block's codes;
+ * *ascending is cleared unless it is above the block's last */
+static inline void put_code(int64_t code, int32_t *codes, int64_t *nf, int64_t *got,
+                            int64_t *ascending)
+{
+    if ((*got)++ && code <= codes[*nf - 1])
+        *ascending = 0;
+    codes[(*nf)++] = (int32_t)code;
+}
+
+/* the edge (u, v) as the 0-based row (min, max) of pairs at *e; *ascending is
+ * cleared unless it is above the last row */
+static inline void put_edge(int64_t u, int64_t v, int64_t *pairs, int64_t *e, int64_t *ascending)
+{
+    int64_t *row = pairs + 2 * (*e)++;
+    row[0] = (u < v ? u : v) - 1;
+    row[1] = (u < v ? v : u) - 1;
+    if (*e > 1 && (row[-2] > row[0] || (row[-2] == row[0] && row[-1] >= row[1])))
+        *ascending = 0;
+}
+
 int64_t read_header(const uint8_t *s, int64_t len, const char *word, int64_t nv, int64_t *v)
 {
     int64_t i = 0;
@@ -727,17 +844,27 @@ int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d,
                  int64_t *ascending)
 {
     int64_t k = 0, nf = 0, want = 0, got = 0, a, b, c;
+    const int window = use_window();
+    uint16_t num[32];
     *seen = 0;
     *ascending = 1;
-    for (int t; (t = tag(s, &i, len)) >= 0;) {
+    for (int t;;) {
+        const int64_t room = want - got < fcap - nf ? want - got : fcap - nf;
+        const int lines = window && len - i >= 64 ? window_lines(s, &i, 'f', room, num) : 0;
+        for (int j = 0; j < lines; j++) {
+            if (num[2 * j] >= d || num[2 * j + 1] >= d)
+                return -1;
+            put_code(num[2 * j] * d + num[2 * j + 1], codes, &nf, &got, ascending);
+        }
+        if (lines)
+            continue;
+        if ((t = tag(s, &i, len)) < 0)
+            break;
         if (t == 'f') {
             if (got == want || nf == fcap || !number(s, &i, len, &a) || a >= d
                 || !number(s, &i, len, &b) || b >= d || !line_end(s, &i, len))
                 return -1;
-            const int64_t code = a * d + b;
-            if (got++ && code <= codes[nf - 1])
-                *ascending = 0;
-            codes[nf++] = (int32_t)code;
+            put_code(a * d + b, codes, &nf, &got, ascending);
         } else if (t == 'k') {
             if (got < want || k == mcap || !number(s, &i, len, &a) || a >= n
                 || !number(s, &i, len, &b) || b >= n || a == b
@@ -771,8 +898,21 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
                     int64_t cap, int64_t *ascending, int64_t *offsets)
 {
     int64_t e = 0, u, v;
+    const int window = use_window() && !offsets;
+    uint16_t num[32];
     *ascending = 1;
-    for (int t; (t = tag(s, &i, len)) >= 0;) {
+    for (int t;;) {
+        const int lines = window && len - i >= 64 ? window_lines(s, &i, 'e', cap - e, num) : 0;
+        for (int j = 0; j < lines; j++) {
+            u = num[2 * j], v = num[2 * j + 1];
+            if (u < 1 || u > nv || v < 1 || v > nv || u == v)
+                return -1;
+            put_edge(u, v, pairs, &e, ascending);
+        }
+        if (lines)
+            continue;
+        if ((t = tag(s, &i, len)) < 0)
+            break;
         const int64_t at = i - 1;
         if (t != 'e' || !number(s, &i, len, &u) || u < 1 || u > nv
             || !number(s, &i, len, &v) || v < 1 || v > nv || u == v || !line_end(s, &i, len))
@@ -781,11 +921,7 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
             return -2;
         if (offsets)
             offsets[e] = at;
-        int64_t *row = pairs + 2 * e++;
-        row[0] = (u < v ? u : v) - 1;
-        row[1] = (u < v ? v : u) - 1;
-        if (e > 1 && (row[-2] > row[0] || (row[-2] == row[0] && row[-1] >= row[1])))
-            *ascending = 0;
+        put_edge(u, v, pairs, &e, ascending);
     }
     return e;
 }

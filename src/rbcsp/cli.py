@@ -49,8 +49,12 @@ def _fresh_seed() -> int:
     return seed
 
 
+# Texts are UTF-8 whatever the locale.  A path taken from the command line
+# into a comment keeps its bytes: the interpreter decodes bytes that are not
+# in the locale's encoding to lone surrogates, which surrogateescape turns
+# back into the same bytes.
 def _read_text(path: str) -> str:
-    with open(path, "r") as f:
+    with open(path, "r", encoding="utf-8") as f:
         return f.read()
 
 
@@ -58,7 +62,7 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
             f.write(text)
 
 

@@ -8,11 +8,14 @@ incremental bookkeeping they check.
 from __future__ import annotations
 
 import itertools
+import platform
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rbcsp import _native
 from rbcsp.core import Assignment, Constraint, CspInstance
 
 ACCEPTANCE_LINES: list[str] = []
@@ -91,3 +94,16 @@ def rng() -> random.Random:
 
 def all_subsets(items, size):
     return itertools.combinations(items, size)
+
+
+def cpu_flags() -> set[str]:
+    """The CPU flags the kernel's step loop and readers choose their AVX-512
+    paths by: those this host lists in /proc/cpuinfo, and none off x86-64 or
+    when the kernel's source has its x86-64 block turned off."""
+    x86 = "#if defined(__x86_64__) && defined(__GNUC__)\n"
+    if platform.machine() not in ("x86_64", "AMD64") or x86 not in _native._SOURCE.read_text():
+        return set()
+    try:
+        return set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("this host does not list its CPU flags in /proc/cpuinfo")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -327,6 +328,37 @@ class TestHostileGen:
         code, out, err = run_cli(["gen", *flags], capsys)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
+class TestLocale:
+    def test_texts_are_utf8_in_the_c_locale(self, tmp_path):
+        # recover puts the path café.dimacs into a comment of the instance it
+        # writes; under the C locale with no UTF-8 mode the recover → solve
+        # and convert chain exits 0 and writes the bytes a UTF-8 run writes
+        source = tmp_path / "a.csp"
+        assert main(["gen", "--n", "12", "--forced", "--seed", "1", "--out", str(source)]) == 0
+        d = loads_csp(source.read_text())[0].d
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        locales = {"c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                   "utf8": {"PYTHONUTF8": "1"}}
+        written = {}
+        for name, extra in locales.items():
+            cwd = tmp_path / name
+            cwd.mkdir()
+            assert main(["convert", "--to-mis", "--in", str(source),
+                         "--out", str(cwd / "café.dimacs")]) == 0
+            outs = []
+            for args in (["recover", "café.dimacs", "--d", str(d), "--out", "r.csp"],
+                         ["solve", "--in", "r.csp", "--seed", "0"],
+                         ["convert", "--to-mis", "--in", "r.csp", "--out", "r.mis"]):
+                result = subprocess.run([sys.executable, "-m", "rbcsp", *args], cwd=cwd,
+                                        env={**env, **extra}, capture_output=True)
+                assert result.returncode == 0, (name, args, result.stderr)
+                outs.append(re.sub(rb'"wall_time": [^,]*', b"", result.stdout))
+            written[name] = outs + [(cwd / f).read_bytes() for f in ("r.csp", "r.mis")]
+        assert "café.dimacs".encode() in written["c"][3]  # r.csp's comment
+        assert written["c"] == written["utf8"]
 
 
 class TestEntryPoint:

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import platform
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from rbcsp.modelrb import ModelRbParams, generate_forced
 from rbcsp.target import TargetSpec
 from rbcsp.ulsa import StepStats, UlsaConfig, run
 
-from conftest import random_instance
+from conftest import cpu_flags, random_instance
 
 
 def fields(record) -> dict:
@@ -290,17 +288,6 @@ def test_boundary_record_equals_python_record(kernel, monkeypatch, make, config)
         assert fields(fast) == fields(slow), seed
 
 
-def avx512bw() -> bool:
-    """Whether this host has AVX-512BW, which the count path needs."""
-    if platform.machine() not in ("x86_64", "AMD64"):
-        return False
-    try:
-        flags = Path("/proc/cpuinfo").read_text().split()
-    except OSError:
-        pytest.skip("this host does not list its CPU flags in /proc/cpuinfo")
-    return "avx512bw" in flags
-
-
 @pytest.mark.parametrize("make, counted", [
     pytest.param(lambda: random_instance(random.Random(3), n=8, d=64, m=30), True, id="d64"),
     pytest.param(lambda: random_instance(random.Random(4), n=8, d=65, m=30), False, id="d65"),
@@ -318,7 +305,7 @@ def test_step_path(kernel, make, counted):
         fast.budget = budget
         fast.advance(ulsa.init_state(instance, rng), 0)
         assert stats.iterations == budget
-        assert fast.c.counted == (counted and avx512bw())
+        assert fast.c.counted == (counted and "avx512bw" in cpu_flags())
         assert not fast.c.fresh
 
 

@@ -31,7 +31,7 @@ from rbcsp.core import CspFormatError, dumps_csp, loads_csp
 from rbcsp.misbridge import DimacsFormatError, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 
-from conftest import assignment_of, random_instance, random_values
+from conftest import assignment_of, cpu_flags, random_instance, random_values
 
 # every ASCII space and break byte, NUL and DEL
 ODD_BYTES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00\x7f"
@@ -93,6 +93,14 @@ def one_pass(m) -> None:
     """Make the Python path raise: only the one-pass readers may parse."""
     for module in (core, misbridge):
         m.setattr(module, "_read", mock.Mock(side_effect=AssertionError("the Python path")))
+
+
+def reader_path() -> str:
+    """The path that reads canonical lines here: 'window' reads them 64 bytes
+    at a time on a host with AVX-512BW, VBMI and VBMI2 and BMI2 (their
+    /proc/cpuinfo names), and 'scalar' one byte at a time elsewhere."""
+    return ("window" if {"avx512bw", "avx512vbmi", "avx512_vbmi2", "bmi2"} <= cpu_flags()
+            else "scalar")
 
 
 def took_one_pass(parse, text: str) -> bool:
@@ -194,6 +202,8 @@ TEXTS = [
     "".join(f"f {i} {i * 7}{ODD_BYTES[i % len(ODD_BYTES)]}" for i in range(300)),
     "f 1 2\nf 1_000 3\nf 4 5\n" * 20,  # many lines left for int()
     "y" * 100_000 + "\nf 1 2\n",
+    # lines of 1 to 5 digits a number, ending in no break within the last 64 bytes
+    "".join(f"f {i} {i * 7 % 10 ** (i % 5 + 1)}\n" for i in range(40)).rstrip("\n"),
 ]
 
 
@@ -469,6 +479,10 @@ HOSTILE = [
     # repeated edges, more edges than declared, and both cut mid-line
     "p edge 3 1\ne 1 2\ne 2 1\n", "p edge 3 1\ne 1 2\ne 2 3\n", "p edge 3 2\r\ne 1 2\r\ne 2 1\re 1",
     "p edge 3 0\ne 1 2\n\ne +2 01\x1ee 3 1\x0be 1 2",
+    # canonical lines beyond a window, valid but for a value of d or a
+    # vertex of V + 1 in the last line
+    "p bcsp 2 40 1\nk 0 1 20\n" + "".join(f"f {a} {a + 1}\n" for a in range(19)) + "f 19 40\n",
+    "p edge 30 20\n" + "".join(f"e {u} {u + 1}\n" for u in range(1, 20)) + "e 20 31\n",
 ]
 
 
@@ -476,6 +490,99 @@ HOSTILE = [
 def test_hostile_texts_parse_alike(kernel, monkeypatch, text):
     for parse in PARSERS:
         check_alike(monkeypatch, parse, text)
+
+
+# the compiled readers' window: on a host that has it (`reader_path`), the
+# canonical lines '<tag> <1-4 digits> <1-4 digits>\n' at a window's start are
+# read 64 bytes at a time, and every other line as elsewhere.  A graph's
+# vertices and a CSP's values run to 1200, so that the top value, the top
+# vertex and the first beyond both take four digits
+TOP = 1200
+# lines put at each offset into a window, 't' standing for the format's tag:
+# numbers of 1 to 5 digits and leading zeros, the top value or vertex and the
+# first beyond it, vertex 0 and u == v, a pair or edge of the lines before
+# it again, and near misses of the canonical line
+WINDOW_LINES = [
+    "t 10 5", "t 10 05", "t 10 0005", "t 10 00005", "t 10 10005", "t 10 12345", "t 1234 5",
+    "t 10 {top}", "t 10 {over}", "t 0 5", "t 10 10", "t 0 0", "t 1 2", "t 10 5\r", "t +10 5",
+    "t 10\t5", "t 10 5 ", "t  10 5", "t  10", "t 10 ", "t 10", "t 10 5 7", "t10 5", "5t 10 5",
+    "t 10 5t", "k 1 2 1", "c a comment", "", "s 0 0 0", "x 10 5",
+]
+
+
+def canonical(parse, size: int) -> str:
+    """Lines of `size` bytes in all.  For size 0 or at least 6, canonical
+    lines of one-digit pairs, ascending and distinct, the first padded with
+    leading zeros; for 1 to 5, a padding comment or a blank line, which a
+    window never starts on, so the next line starts a window anyway."""
+    if 0 < size < 6:
+        return "c" + " " * (size - 2) + "\n" if size > 1 else "\n"
+    pairs = ([(a, b) for a in range(10) for b in range(10)] if parse is loads_csp
+             else [(u, v) for u in range(1, 10) for v in range(u + 1, 10)])
+    lines = [[str(a), str(b)] for a, b in pairs[:size // 6]]
+    if lines:
+        extra = size % 6
+        lines[0] = [lines[0][0].zfill(1 + min(extra, 3)), lines[0][1].zfill(1 + max(extra - 3, 0))]
+    return "".join(f"t {a} {b}\n" for a, b in lines)
+
+
+FILLER = "".join(f"t {11 + j} {j % 9 + 1}\n" for j in range(12))  # 96 bytes, ascending
+
+
+def window_document(parse, body: str, count=None) -> str:
+    """`body` with each 't' tag made the format's: a CSP's first block, of
+    `count` pairs, and a second block, or a graph of `count` edges; `count`
+    is by default the number of 'f' or 'e' lines."""
+    tag = "f" if parse is loads_csp else "e"
+    body = re.sub("^([0-9]?)t", rf"\g<1>{tag}", body, flags=re.M)
+    body = body.format(top=TOP - (parse is loads_csp), over=TOP + (parse is not loads_csp))
+    if count is None:
+        count = len(re.findall(f"^{tag} ", body, flags=re.M))
+    if parse is loads_csp:
+        return f"p bcsp 3 {TOP} 2\nk 0 1 {count}\n{body}k 1 2 1\nf 0 0\n"
+    return f"p edge {TOP} {count}\n{body}"
+
+
+def check_window(monkeypatch, parse, text: str) -> None:
+    """check_alike, naming the path that read the canonical lines."""
+    try:
+        check_alike(monkeypatch, parse, text)
+    except AssertionError as exc:
+        raise AssertionError(f"on the {reader_path()} path: {exc}") from exc
+
+
+@pytest.mark.parametrize("line", WINDOW_LINES, ids=[f"line{i}" for i in range(len(WINDOW_LINES))])
+def test_window_lines_read_alike_at_every_offset(kernel, monkeypatch, line):
+    # the line starts 0 .. 63 bytes into the window that reads the canonical
+    # lines before it, and canonical lines follow it past the window's end
+    for offset in range(64):
+        for parse in PARSERS:
+            body = canonical(parse, offset) + line + "\n" + FILLER
+            check_window(monkeypatch, parse, window_document(parse, body))
+
+
+def test_window_bounds_read_alike(kernel, monkeypatch):
+    for parse in PARSERS:
+        lines = canonical(parse, 6 * 12) + FILLER  # 24 lines, ascending
+        for k in range(23):
+            # a descent at every line, so within a window and across two
+            rows = lines.splitlines(True)
+            rows[k:k + 2] = rows[k:k + 2][::-1]
+            check_window(monkeypatch, parse, window_document(parse, "".join(rows)))
+        for count in range(26):
+            # a CSP block whose last pair falls at each line of the windows,
+            # and a graph whose declared edges run out at each line, where
+            # the first pass of parse_dimacs stops at its cap
+            check_window(monkeypatch, parse, window_document(parse, lines, count))
+        doc = window_document(parse, lines)
+        for cut in range(80):
+            # texts that end inside their last 64 bytes, with and without '\n'
+            check_window(monkeypatch, parse, doc[:len(doc) - cut])
+            check_window(monkeypatch, parse, doc[:len(doc) - cut].rstrip("\n"))
+    for count in range(4, 9):
+        # d = 2 leaves room for 4 codes, so the pass stops at fcap
+        pairs = "".join(f"f {a} {b}\n" for a in range(2) for b in range(2)) * 3
+        check_window(monkeypatch, loads_csp, f"p bcsp 3 2 1\nk 0 1 {count}\n{pairs}")
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x1e"])
