@@ -3,6 +3,13 @@
  * texts, the text writers, the conversions between a CSP and its
  * independent-set graph, and the Model RB sampler.
  *
+ * The instance arrays are those of `rbcsp.core.CspInstance`: constraint i
+ * joins variables con_a[i] and con_b[i] and disallows the value pairs (a, b)
+ * whose codes a * d + b are codes[pair_start[i] .. pair_start[i+1]-1],
+ * ascending; con_a, con_b and codes are int32 and pair_start int64.  Every
+ * instance meets the caps of `rbcsp.core.check_size`, which bound d at
+ * 4,472, so a code fits in an int32.
+ *
  * -- the step loop ------------------------------------------------------------
  *
  * `ulsa_advance` applies whole iterations of `rbcsp.ulsa._step` to one run's
@@ -518,12 +525,9 @@ void ulsa_init(const uint64_t *bits, const int32_t *inc_start, const int32_t *sl
     if (W == 1) {
         uint64_t mask[1];
         start(&r, 1, perm, n, gen, mask);
-    } else if (inc_start[n]) {
+    } else {
         uint64_t mask[W];
         start(&r, W, perm, n, gen, mask);
-    } else { /* no constraints: all d values tie at 0, and the k-th is k */
-        for (int64_t k = 0; k < n; k++)
-            x[perm[k]] = (int64_t)(gen->next_double(gen->state) * (double)d);
     }
 }
 
@@ -605,8 +609,7 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  * *ascending is set when the codes of every block ascend strictly, as in a
  * written file, so that they are in the order `rbcsp.core.CspInstance` keeps
  * and hold no repeat; else the caller sorts them and leaves a text whose
- * block repeats a pair to Python.  Under `rbcsp.core.check_size` d <= 4472,
- * so a code fits in an int32.  It returns the number of codes, and sets
+ * block repeats a pair to Python.  It returns the number of codes, and sets
  * *seen when it wrote an 's' line to solution.  con_a and con_b hold mcap
  * entries, pair_start mcap + 1, codes fcap and solution scap.
  *
@@ -930,10 +933,7 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
 /* -- the text writers ---------------------------------------------------------
  *
  * `write_blocks` writes the body of `rbcsp.core.dumps_csp`, its 'k' and 'f'
- * lines, from the instance arrays of `rbcsp.core.CspInstance`: constraint i
- * joins con_a[i] and con_b[i] and disallows the pairs whose codes a * d + b
- * are codes[pair_start[i] .. pair_start[i+1]-1], int32 codes, or int64 ones
- * when wide is nonzero.  `write_edges` writes the 'e' lines of
+ * lines, from the instance arrays.  `write_edges` writes the 'e' lines of
  * `rbcsp.misbridge.emit_dimacs` from the (u, v) rows of `pairs`, 1-based.
  * All numbers are nonnegative.
  *
@@ -945,8 +945,9 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
  * each call builds with `digit_table` in scratch allocated by the caller,
  * `rbcsp.core._write`, as `rbcsp.modelrb` allocates `rb_sample`'s: 9 * ntab
  * bytes at table, the word of k at table + 8k, " <k>" padded with zero
- * bytes to 8, and the lengths of the words, a byte each, at table + 8 * ntab.  So the kernel keeps no state between calls,
- * and concurrent calls share nothing.  `write_blocks` looks up the values
+ * bytes to 8, and the lengths of the words, a byte each, at
+ * table + 8 * ntab.  So the kernel keeps no state between calls, and
+ * concurrent calls share nothing.  `write_blocks` looks up the values
  * 0 .. d-1, `write_edges` the vertex numbers 1 .. V (entry 0 unused).  A
  * word holds a space and 7 digits, so ntab <= 10^7; the caller passes
  * ntab = 0 when there would be more entries than the text has lines, as
@@ -1031,11 +1032,9 @@ put_pair(char *p, const char *end, char tag, uint64_t a, uint64_t b, const char 
 }
 
 int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
-                     int64_t m, const void *codes, int64_t wide, int64_t d, char *table,
-                     int64_t ntab, char *out, int64_t cap)
+                     int64_t m, const int32_t *codes, int64_t d, char *table, int64_t ntab,
+                     char *out, int64_t cap)
 {
-    const int32_t *narrow_codes = codes;
-    const int64_t *wide_codes = codes;
     uint8_t *len = (uint8_t *)table + 8 * ntab;
     digit_table(ntab, table, len);
     char *p = out;
@@ -1048,7 +1047,7 @@ int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *
          * at most d times per block, as a block's codes ascend */
         int64_t a = 0, base = 0;
         for (int64_t j = pair_start[i]; j < pair_start[i + 1]; j++) {
-            const int64_t code = wide ? wide_codes[j] : narrow_codes[j];
+            const int64_t code = codes[j];
             if (code < base || code - base >= d) {
                 a = code / d;
                 base = a * d;
@@ -1082,12 +1081,8 @@ int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *table, int64_
  * `mis_constraints` the constraints of `rbcsp.misbridge.mis_to_csp`, each
  * in its final order, with no sort.  Vertex p * d + a stands for
  * variable p holding value a, and block p is variable p's d vertices.  The
- * instance arrays are those of `rbcsp.core.CspInstance`, with int32 codes
- * only: both callers check n * d(d-1)/2 against
- * `rbcsp.core.MAX_CLIQUE_EDGES`, so d <= 4472 and every code a * d + b <
- * d * d fits in 31 bits.  The caller
- * sizes every buffer from a bound that holds by construction, and each
- * function returns the count it wrote.
+ * caller sizes every buffer from a bound that holds by construction, and
+ * each function returns the count it wrote.
  *
  * `mis_edges` takes the constraints in the order `order`, by (low endpoint,
  * high endpoint, id).  It first orients the codes of each constraint from
@@ -1316,9 +1311,8 @@ int64_t mis_constraints(const int64_t *pairs, int64_t num_edges, int64_t n, int6
  * drawn afresh, while the hidden values' pair is among them, and writes
  * them in ascending order to codes[i * q .. i * q + q - 1].  Under
  * `rbcsp.core.check_size` n <= 100,000 and d <= 4,472, so every draw takes
- * the 32-bit paths below and a code fits in an int32.  perm and js hold
- * d * d entries of scratch, and mark d * d zero bytes, zero again on
- * return.
+ * the 32-bit paths below.  perm and js hold d * d entries of scratch, and
+ * mark d * d zero bytes, zero again on return.
  */
 
 /* `rng.integers(rng + 1)` for rng < 2^32 - 1: numpy's

@@ -91,7 +91,7 @@ _SIGNATURES = {
     "read_header": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P], _I),
     "read_csp": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 3 + [_I, _P, _I, _P, _I, _P, _P], _I),
     "read_dimacs": ([ctypes.c_char_p, _I, _I, _I, _P, _I, _P, _P], _I),
-    "write_blocks": ([_P] * 3 + [_I, _P, _I, _I, _P, _I, _P, _I], _I),
+    "write_blocks": ([_P] * 3 + [_I, _P, _I, _P, _I, _P, _I], _I),
     "write_edges": ([_P, _I, _P, _I, _P, _I], _I),
     "mis_edges": ([_P] * 5 + [_I] * 3 + [_P] * 3, _I),
     "mis_constraints": ([_P, _I, _I, _I] + [_P] * 7, _I),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from typing import Optional
@@ -49,21 +50,33 @@ def _fresh_seed() -> int:
     return seed
 
 
-# Texts are UTF-8 whatever the locale.  A path taken from the command line
-# into a comment keeps its bytes: the interpreter decodes bytes that are not
-# in the locale's encoding to lone surrogates, which surrogateescape turns
-# back into the same bytes.
+# Texts are UTF-8 whatever the locale, and are written as bytes, to a file
+# or to stdout, so the locale's encoding never refuses one.
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
         return f.read()
 
 
 def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
+    data = text.encode("utf-8")
+    if path is not None and path != "-":
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)  # None on a text-only stream, e.g. StringIO
+    if out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
-            f.write(text)
+        out.write(data)
+        out.flush()
+
+
+def _path_text(path: str) -> str:
+    """A command-line path as a comment writes it: its bytes decoded as
+    UTF-8, any byte that is not UTF-8 backslash-escaped, so that the text
+    stays UTF-8 and reads back."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _load_instance(path: str) -> tuple[CspInstance, Optional[Assignment]]:
@@ -187,7 +200,7 @@ def _cmd_convert(args) -> int:
         instance, _ = _load_instance(args.infile)
         graph = csp_to_mis(instance)
         _write_text(args.out, emit_dimacs(
-            graph, comments=[f"from {args.infile}: n={instance.n} d={instance.d}"]))
+            graph, comments=[f"from {_path_text(args.infile)}: n={instance.n} d={instance.d}"]))
         return 0
     if args.block_size is None:
         print("error: --to-csp requires --block-size", file=sys.stderr)
@@ -202,7 +215,7 @@ def _cmd_recover(args) -> int:
 def _recover_csp(path: str, block_size: int, out: Optional[str]) -> int:
     instance = mis_to_csp(parse_dimacs(_read_text(path)), block_size)
     _write_text(out, dumps_csp(
-        instance, comments=[f"recovered from {path} with block size {block_size}"]))
+        instance, comments=[f"recovered from {_path_text(path)} with block size {block_size}"]))
     return 0
 
 

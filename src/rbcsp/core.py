@@ -111,16 +111,18 @@ class CspInstance:
     Stored as flat read-only arrays: constraint i joins variables con_a[i]
     and con_b[i] and disallows the value pairs (a, b) whose codes a·d + b
     are codes[pair_start[i]:pair_start[i+1]], ascending.  con_a, con_b and
-    codes are int32 (codes int64 when d² ≥ 2³¹), pair_start is int64.
-    `constraints` presents the same data as Constraint objects, built on
-    first use.  The constraint list is ordered; duplicates are legal and each
-    occurrence counts separately toward conflict totals.  Immutable after
-    construction and safe to share across concurrent runs.
+    codes are int32, pair_start is int64.  Every instance, however it is
+    made (the constructor, `_from_arrays` or unpickling), meets the caps of
+    `check_size`, which bound d at 4,472, so a code below d² fits in an
+    int32.  `constraints` presents the same data as Constraint objects, built
+    on first use.  The constraint list is ordered; duplicates are legal and
+    each occurrence counts separately toward conflict totals.  Immutable
+    after construction and safe to share across concurrent runs.
     """
 
     def __init__(self, n: int, d: int, constraints: Iterable[Constraint] = ()):
-        if not 1 <= n < 2**31:
-            raise ValueError(f"need 1 <= n < 2**31 variables, got n={n}")
+        if n < 1:
+            raise ValueError(f"need at least one variable, got n={n}")
         if d < 1:
             raise ValueError(f"need a nonempty domain, got d={d}")
         cons = tuple(constraints)
@@ -154,14 +156,15 @@ class CspInstance:
         return instance
 
     def _init(self, n, d, con_a, con_b, pair_start, codes, handed=False) -> None:
-        # a code a·d + b < d² takes 4 bytes unless d² does not fit in them
+        n, d = int(n), int(d)
+        check_size(n, d, len(con_a))
         arrays, take = [], np.ascontiguousarray if handed else np.array
         for x, t in zip((con_a, con_b, pair_start, codes),
-                        (np.int32, np.int32, np.int64, np.int32 if d * d < 2**31 else np.int64)):
+                        (np.int32, np.int32, np.int64, np.int32)):
             arr = take(x, dtype=t)
             arr.flags.writeable = False
             arrays.append(arr if arr.ndim == 1 else arr.reshape(-1))
-        self.__dict__.update(n=int(n), d=int(d), **dict(zip(_ARRAYS, arrays)))
+        self.__dict__.update(n=n, d=d, **dict(zip(_ARRAYS, arrays)))
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -585,8 +588,7 @@ def dumps_csp(
         size = m * (5 + 2 * len(str(n)) + len(str(d * d))) + lines * (4 + 2 * len(str(d)))
         text = _write(lib.write_blocks, head, size, tail, d, m + lines,
                       instance.con_a.ctypes.data, instance.con_b.ctypes.data,
-                      instance.pair_start.ctypes.data, m, instance.codes.ctypes.data,
-                      instance.codes.itemsize == 8, d)
+                      instance.pair_start.ctypes.data, m, instance.codes.ctypes.data, d)
     return "".join([head, *_blocks(instance), tail]) if text is None else text
 
 
@@ -769,7 +771,7 @@ def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assign
         return None
     # sized from the r bytes after the header as well as from it: a 'k' line
     # takes at least 8 of them, an 'f' line 6 and the 's' line 2 a value,
-    # the last line one less; d <= 4472 under check_size, so codes are int32
+    # the last line one less
     r = len(raw) - start + 1
     mcap = min(m, r // 8)
     con_a, con_b = np.empty(mcap, dtype=np.int32), np.empty(mcap, dtype=np.int32)

@@ -188,8 +188,7 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
 
     Cross edges coming from duplicate constraints collapse (a graph has no
     parallel edges), so conflict counts on the graph side follow the
-    deduplicated-constraint semantics.  Sizes beyond `check_size`'s caps are
-    refused before any edge is built.
+    deduplicated-constraint semantics.
 
     The compiled kernel writes the edges in their final order, each vertex's
     clique neighbours and then its cross neighbours block by block, into a
@@ -199,12 +198,9 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     per edge, is the fallback and the reference.
     """
     n, d = instance.n, instance.d
-    check_size(n, d, 0)
     lib = _native.kernel()
     if lib is None:
         return MisGraph._from_pairs(n * d, _mis_pairs(instance), block_size=d)
-    # under check_size's cap on clique edges d <= 4472, so codes are int32
-    # here and the kernel has no int64-code variant
     con_a, con_b, codes = instance.con_a, instance.con_b, instance.codes
     m = len(con_a)
     # by (low endpoint, high endpoint, id): lexsort is stable
@@ -286,7 +282,7 @@ def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
     mask = np.zeros((n + 63) // 64, dtype=np.uint64)
     con_a, con_b = np.empty(bound, dtype=np.int32), np.empty(bound, dtype=np.int32)
     pair_start = np.empty(bound + 1, dtype=np.int64)
-    codes = np.empty(num_edges, dtype=np.int32)  # d <= 4472, as in csp_to_mis
+    codes = np.empty(num_edges, dtype=np.int32)
     m = lib.mis_constraints(graph.pairs.ctypes.data, num_edges, n, d, inner.ctypes.data,
                             count.ctypes.data, mask.ctypes.data, con_a.ctypes.data,
                             con_b.ctypes.data, pair_start.ctypes.data, codes.ctypes.data)

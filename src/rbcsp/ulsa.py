@@ -132,10 +132,8 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
         oi = tb.slot_other[s0:s1]
         live = initialized[oi]
         rows = tb.base[s0:s1][live] + values[oi[live]]
-        cands = range(d)  # with no rows gathered every value ties at 0
-        if len(rows):
-            counts = np.add.reduce(tb.flags(rows), axis=0, dtype=np.int32)
-            cands = np.flatnonzero(counts == counts.min())
+        counts = np.add.reduce(tb.flags(rows), axis=0, dtype=np.int32)
+        cands = np.flatnonzero(counts == counts.min())
         values[v] = int(cands[int(rng.random() * len(cands))])
         initialized[v] = True
     return SearchState(instance, Assignment(values, initialized))

@@ -332,9 +332,12 @@ class TestHostileGen:
 
 class TestLocale:
     def test_texts_are_utf8_in_the_c_locale(self, tmp_path):
-        # recover puts the path café.dimacs into a comment of the instance it
-        # writes; under the C locale with no UTF-8 mode the recover → solve
-        # and convert chain exits 0 and writes the bytes a UTF-8 run writes
+        # recover puts the path it reads into a comment of the instance it
+        # writes: café.dimacs as its UTF-8, and \xff.dimacs, whose byte is
+        # not UTF-8, escaped.  Under the C locale with no UTF-8 mode the
+        # recover → solve and convert chain exits 0 and writes the bytes a
+        # UTF-8 run writes, and recover writes to stdout what it writes to
+        # a file
         source = tmp_path / "a.csp"
         assert main(["gen", "--n", "12", "--forced", "--seed", "1", "--out", str(source)]) == 0
         d = loads_csp(source.read_text())[0].d
@@ -346,18 +349,24 @@ class TestLocale:
         for name, extra in locales.items():
             cwd = tmp_path / name
             cwd.mkdir()
-            assert main(["convert", "--to-mis", "--in", str(source),
-                         "--out", str(cwd / "café.dimacs")]) == 0
-            outs = []
-            for args in (["recover", "café.dimacs", "--d", str(d), "--out", "r.csp"],
-                         ["solve", "--in", "r.csp", "--seed", "0"],
-                         ["convert", "--to-mis", "--in", "r.csp", "--out", "r.mis"]):
-                result = subprocess.run([sys.executable, "-m", "rbcsp", *args], cwd=cwd,
-                                        env={**env, **extra}, capture_output=True)
-                assert result.returncode == 0, (name, args, result.stderr)
-                outs.append(re.sub(rb'"wall_time": [^,]*', b"", result.stdout))
-            written[name] = outs + [(cwd / f).read_bytes() for f in ("r.csp", "r.mis")]
-        assert "café.dimacs".encode() in written["c"][3]  # r.csp's comment
+            written[name] = []
+            for path in ("café.dimacs".encode(), b"\xff.dimacs"):
+                assert main(["convert", "--to-mis", "--in", str(source),
+                             "--out", str(cwd / os.fsdecode(path))]) == 0
+                outs = []
+                for args in (["recover", path, "--d", str(d), "--out", "r.csp"],
+                             ["recover", path, "--d", str(d)],
+                             ["solve", "--in", "r.csp", "--seed", "0"],
+                             ["convert", "--to-mis", "--in", "r.csp", "--out", "r.mis"]):
+                    result = subprocess.run([sys.executable, "-m", "rbcsp", *args], cwd=cwd,
+                                            env={**env, **extra}, capture_output=True)
+                    assert result.returncode == 0, (name, args, result.stderr)
+                    outs.append(re.sub(rb'"wall_time": [^,]*', b"", result.stdout))
+                csp = (cwd / "r.csp").read_bytes()
+                assert outs[1] == csp  # recover's stdout
+                written[name] += [csp, (cwd / "r.mis").read_bytes(), outs[2]]
+        assert b"c recovered from caf\xc3\xa9.dimacs with" in written["c"][0]
+        assert b"c recovered from \\xff.dimacs with" in written["c"][3]
         assert written["c"] == written["utf8"]
 
 

@@ -6,6 +6,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 import sys
 from unittest import mock
 
@@ -471,6 +472,37 @@ class TestArrayInstance:
         u = np.arange(d)
         unpacked = flat.bits[:, u // 64] >> (u % 64).astype(np.uint64) & np.uint64(1)
         assert np.array_equal(unpacked, rows)
+
+    @pytest.mark.parametrize("n, d, constraints", [
+        # a code of 2·46341 + 5 is beyond 31 bits
+        pytest.param(2, 46341, [Constraint(0, 1, ((0, 1), (1, 0), (2, 5)))], id="d46341"),
+        pytest.param(3, 1 << 26, [], id="d2^26-unconstrained"),
+        pytest.param(core.MAX_VARIABLES + 1, 2, [], id="n-over-MAX_VARIABLES"),
+        # 2·m·d² is 1,079,810,352 bytes at m = 54, and 1,059,813,864 at m = 53
+        pytest.param(2, 3162, [Constraint(0, 1, ((0, 0),))] * 54, id="m-over-MAX_TABLE_BYTES"),
+    ])
+    @pytest.mark.parametrize("make", ["constructor", "from_arrays", "pickle"])
+    def test_instances_beyond_the_caps_are_refused(self, monkeypatch, n, d, constraints, make):
+        # every way to make an instance applies check_size, with its message
+        m = len(constraints)
+        with pytest.raises(ValueError) as caught:
+            check_size(n, d, m)
+        state = dict(n=n, d=d, con_a=np.array([c.var_a for c in constraints], dtype=np.int64),
+                     con_b=np.array([c.var_b for c in constraints], dtype=np.int64),
+                     pair_start=np.cumsum([0] + [len(c.disallowed) for c in constraints]),
+                     codes=np.array([a * d + b for c in constraints for a, b in c.disallowed],
+                                    dtype=np.int64))
+        if make == "pickle":
+            with monkeypatch.context() as patched:
+                patched.setattr(CspInstance, "__getstate__", lambda self: state)
+                blob = pickle.dumps(CspInstance(2, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(caught.value))}$"):
+            if make == "constructor":
+                CspInstance(n, d, constraints)
+            elif make == "from_arrays":
+                CspInstance._from_arrays(**state)
+            else:
+                pickle.loads(blob)
 
     def test_immutable(self):
         inst = small_pair_instance()

@@ -1,25 +1,29 @@
-"""The compiled step kernel: same records as the Python step, and a silent
-fallback when it cannot be built.
+"""The compiled step kernel: same records as the Python step; and for the
+whole kernel, ctypes signatures that match its C prototypes, a private
+cache, and a silent fallback of every stage when it cannot be built.
 
-Each case runs `run` twice, once with the kernel and once with
+Each step case runs `run` twice, once with the kernel and once with
 `_native._lib` set to None, which makes `run` take every step in Python, and
 compares the two records field by field apart from the wall time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from rbcsp import _native, ulsa
 from rbcsp.core import Constraint, CspInstance, _FlatTables, dumps_csp, loads_csp
-from rbcsp.misbridge import csp_to_mis, emit_dimacs
+from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from rbcsp.modelrb import ModelRbParams, generate_forced
 from rbcsp.target import TargetSpec
 from rbcsp.ulsa import StepStats, UlsaConfig, run
@@ -111,9 +115,50 @@ def test_solved_at_iteration_zero(kernel, monkeypatch):
                                              track_best=True))
 
 
-def test_compile_failure_falls_back_silently(monkeypatch, capfd):
-    instance = forced(18, 3)
-    expected = fields(python_run(monkeypatch, instance, UlsaConfig(), 1))
+def start_and_steps(instance, hidden):
+    return lambda: fields(run(instance, UlsaConfig(), 1))
+
+
+def search_table(instance, hidden):
+    return lambda: _FlatTables(instance).bits.tobytes()
+
+
+def readers(instance, hidden):
+    text = dumps_csp(instance, hidden)
+    dimacs = emit_dimacs(csp_to_mis(instance)) + "e 1 2\n"  # a duplicate edge warns
+    return lambda: (loads_csp(text), parse_dimacs(dimacs))
+
+
+def writers(instance, hidden):
+    graph = csp_to_mis(instance)
+    return lambda: (dumps_csp(instance, hidden, ["a comment"]), emit_dimacs(graph, ["a comment"]))
+
+
+def conversions(instance, hidden):
+    graph = csp_to_mis(instance)
+    return lambda: (csp_to_mis(instance), mis_to_csp(graph, instance.d))
+
+
+def sampler(instance, hidden):
+    return lambda: generate_forced(ModelRbParams(n=20), 3)
+
+
+def with_warnings(act) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = act()
+    return result, [str(w.message) for w in caught]
+
+
+# the stages of README "Compiled kernel", each a function of an instance and
+# its hidden solution that prepares its inputs and returns the stage's call
+@pytest.mark.parametrize("stage", [start_and_steps, search_table, readers, writers, conversions,
+                                   sampler], ids=lambda stage: stage.__name__)
+def test_compile_failure_falls_back_silently(monkeypatch, capfd, stage):
+    # the same result and warnings as before, from the Python references,
+    # with nothing written to fd 1 or fd 2
+    act = stage(*generate_forced(ModelRbParams(n=20), 3))
+    expected = with_warnings(act)
 
     def broken():
         raise subprocess.CalledProcessError(1, ["cc"])
@@ -121,9 +166,21 @@ def test_compile_failure_falls_back_silently(monkeypatch, capfd):
     monkeypatch.setattr(_native, "_lib", ...)
     monkeypatch.setattr(_native, "_compile", broken)
     capfd.readouterr()
-    assert fields(run(instance, UlsaConfig(), 1)) == expected
+    assert with_warnings(act) == expected
     assert _native._lib is None
     assert capfd.readouterr() == ("", "")
+    assert (expected[1] != []) == (stage is readers)
+
+
+def test_signatures_match_the_c_prototypes():
+    # every exported function of _kernel.c, and only those, has a ctypes
+    # signature with one argument type per C parameter and its return type
+    source = _native._SOURCE.read_text()
+    prototypes = re.findall(r"^(void|int64_t) (\w+)\(([^)]*)\)\s*\{", source, re.M)
+    found = {name: (len(params.split(",")), restype) for restype, name, params in prototypes}
+    typed = {name: (len(argtypes), {None: "void", ctypes.c_int64: "int64_t"}[restype])
+             for name, (argtypes, restype) in _native._SIGNATURES.items()}
+    assert found == typed
 
 
 def test_build_is_cached_privately(kernel, monkeypatch, tmp_path):
@@ -259,6 +316,10 @@ BOUNDARY_CASES = [
     pytest.param(isolated_and_duplicates, UlsaConfig(max_iterations=3000,
                                                      restart_interval=97),
                  id="isolated"),
+    # no constraints at W = 2 and 70 words a row, the top d of the size caps:
+    # every value ties at 0 in the greedy start, and the run ends at once
+    pytest.param(lambda: CspInstance(3, 65), UlsaConfig(), id="empty-d65"),
+    pytest.param(lambda: CspInstance(1, 4472), UlsaConfig(), id="empty-d4472"),
     # degree 200 is the deepest unrolled carry chain (8 planes), degree 600
     # takes the loop over any depth (10 planes)
     pytest.param(lambda: hub(200, 5, 12), UlsaConfig(max_iterations=3000), id="hub200"),
@@ -322,19 +383,6 @@ def test_only_solution_is_the_top_value(kernel, monkeypatch, d):
         assert fast.success and fast.iterations > 0 and fast.assignment == [top] * 3
         slow = python_run(monkeypatch, instance, UlsaConfig(), seed, track_best=True)
         assert fields(fast) == fields(slow), seed
-
-
-def test_no_constraints_at_a_huge_domain(kernel):
-    # with no constraints every value ties at 0, and the start needs no masks
-    # of 2^20 words on the stack; the k-th of the d values is k
-    d = 1 << 26
-    record = run(CspInstance(3, d), UlsaConfig(), 0)
-    assert record.success and record.iterations == 0
-    rng = np.random.Generator(np.random.PCG64(0))
-    expected = [0] * 3
-    for v in rng.permutation(3).tolist():
-        expected[v] = int(rng.random() * d)
-    assert record.assignment == expected
 
 
 @pytest.mark.parametrize("slice_", [1, 7])

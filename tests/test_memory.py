@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from rbcsp import _native, core
-from rbcsp.core import CspInstance, dumps_csp, loads_csp
+from rbcsp.core import dumps_csp, loads_csp
 from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.ulsa import UlsaConfig, run
@@ -163,13 +163,3 @@ def test_python_run_at_d69_unpacks_only_the_rows_it_gathers(monkeypatch):
     monkeypatch.setattr(_native, "_lib", None)
     peak = traced_peak_mb(run, instance, UlsaConfig(max_iterations=2000), 0)
     assert peak <= 2 * m * d * d / 20 / 1e6
-
-
-def test_python_start_at_a_huge_domain(monkeypatch):
-    # a variable with no constraint draws its value directly, as the
-    # compiled start does, instead of counting and listing all d ties:
-    # 352 MB traced at d = 2^24 before
-    monkeypatch.setattr(_native, "_lib", None)
-    record = run(CspInstance(3, 1 << 24), UlsaConfig(), 0)
-    assert record.assignment == [277287, 13644410, 687421]  # the compiled start's
-    assert traced_peak_mb(run, CspInstance(3, 1 << 24), UlsaConfig(), 0) <= 2

@@ -102,12 +102,6 @@ class TestCspToMis:
             assert graph.sorted_edges() == sorted(edges)
             assert graph.num_vertices == n * d and graph.block_size == d
 
-    def test_oversized_instance_refused_before_building_edges(self):
-        # 2 variables of 4000 values: 16M clique edges, above MAX_CLIQUE_EDGES
-        with pytest.raises(ValueError, match="too large"):
-            csp_to_mis(CspInstance(2, 4000, ()))
-
-
 class TestCanonical:
     def test_ascending_rows_come_back_unchanged(self):
         pairs = np.array([[0, 1], [0, 5], [1, 2], [1, 3], [4, 9]], dtype=np.int64)

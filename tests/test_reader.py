@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import re
-import subprocess
 import tracemalloc
 import warnings
 from unittest import mock
@@ -636,29 +635,6 @@ def test_long_line_takes_memory_of_its_results(monkeypatch, compiled):
     assert peak <= 1.5 * len(text)
     bulk, values, others, spans = core._read(text, "f", 4473)
     assert bulk.tolist() == [0] and values.tolist() == [[-1, -1]] and len(others) == 0
-
-
-def test_compile_failure_reads_alike_silently(monkeypatch, capfd):
-    instance, hidden = generate_forced(phase_transition_params(20), 3)
-    text = dumps_csp(instance, hidden)
-    dimacs = emit_dimacs(csp_to_mis(instance)) + "e 1 2\n"  # a duplicate edge warns
-    with warnings.catch_warnings(record=True) as fast_warnings:
-        warnings.simplefilter("always")
-        expected = loads_csp(text), parse_dimacs(dimacs)
-
-    def broken():
-        raise subprocess.CalledProcessError(1, ["cc"])
-
-    monkeypatch.setattr(_native, "_lib", ...)
-    monkeypatch.setattr(_native, "_compile", broken)
-    capfd.readouterr()
-    with warnings.catch_warnings(record=True) as slow_warnings:
-        warnings.simplefilter("always")
-        assert (loads_csp(text), parse_dimacs(dimacs)) == expected
-    assert _native._lib is None
-    assert capfd.readouterr() == ("", "")
-    assert ([str(w.message) for w in slow_warnings]
-            == [str(w.message) for w in fast_warnings] != [])
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import subprocess
 import sys
 
 import numpy as np
@@ -209,18 +208,3 @@ def test_threaded_restarts_at_d65_equal_serial_records(kernel):
     serial = records(1)
     assert all(r["restarts"] > 0 and not r["success"] for r in serial)
     assert threaded == [serial] * 2
-
-
-def test_bits_builder_compile_failure_falls_back_silently(builder, monkeypatch, capfd):
-    instance = generate_forced(ModelRbParams(n=20), 3)[0]
-    expected = _FlatTables(instance).bits
-
-    def broken():
-        raise subprocess.CalledProcessError(1, ["cc"])
-
-    monkeypatch.setattr(_native, "_lib", ...)
-    monkeypatch.setattr(_native, "_compile", broken)
-    capfd.readouterr()
-    assert _FlatTables(instance).bits.tobytes() == expected.tobytes()
-    assert _native._lib is None
-    assert capfd.readouterr() == ("", "")

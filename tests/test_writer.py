@@ -1,5 +1,5 @@
 """The compiled text writers: the same text as the Python writers, byte for
-byte, and a silent fallback to them.
+byte.
 
 Each check writes an instance or a graph twice, once with the compiled
 writer and once with `_native._lib` set to None, which makes `dumps_csp` and
@@ -14,7 +14,6 @@ overrun.
 from __future__ import annotations
 
 import ctypes
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from unittest import mock
@@ -95,17 +94,6 @@ def test_comments_of_any_code_point(writers, monkeypatch):
         assert emit_dimacs(csp_to_mis(instance), comments) == dimacs
 
 
-def test_wide_codes(writers, monkeypatch):
-    # d² ≥ 2³¹ stores the codes as int64; only the API builds such an
-    # instance, since check_size refuses its header
-    pairs = ((0, 1), (12345, 0), (46340, 46341), (49999, 0), (49999, 49999))
-    instance = CspInstance(3, 50000, (Constraint(0, 1, pairs), Constraint(2, 0, pairs[3:])))
-    assert instance.codes.dtype.itemsize == 8 and instance.codes.max() >= 2**31
-    text = both_csp(monkeypatch, instance)
-    assert text.endswith("k 0 1 5\nf 0 1\nf 12345 0\nf 46340 46341\nf 49999 0\n"
-                         "f 49999 49999\nk 2 0 2\nf 49999 0\nf 49999 49999\n")
-
-
 def test_graphs_without_edges(writers, monkeypatch):
     assert both_dimacs(monkeypatch, MisGraph(0, [])).endswith("p edge 0 0\n")
     assert both_dimacs(monkeypatch, MisGraph(5, [])).endswith("p edge 5 0\n")
@@ -155,17 +143,13 @@ def compiled(monkeypatch, write, *args) -> tuple[str, list[int]]:
 
 def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
     # n, d and V where a number gains a digit, a constraint disallowing all
-    # d² pairs, vertices up to 2⁶² and codes stored as int64
+    # d² pairs, and vertices up to 2⁶²
     for n, d in product((9, 10, 99, 100), repeat=2):
         instance = CspInstance(n, d, (Constraint(n - 1, n - 2, tuple(product(range(d), repeat=2))),
                                       Constraint(0, n - 1, ((d - 1, 0),))))
         # d² + 1 'f' lines: the table of the d values is taken
         assert compiled(monkeypatch, dumps_csp, instance, None, COMMENTS) == (
             both_csp(monkeypatch, instance), [d])
-    pairs = ((0, 1), (12345, 0), (46340, 46341), (49999, 0), (49999, 49999))
-    wide = CspInstance(3, 50000, (Constraint(0, 1, pairs), Constraint(2, 0, pairs[3:])))
-    assert compiled(monkeypatch, dumps_csp, wide, None, COMMENTS) == (
-        both_csp(monkeypatch, wide), [0])
     for size in (9, 10, 99, 100, 2**62):
         # three edges, fewer than the vertex numbers: no table
         graph = MisGraph(size, [(0, size - 1), (size - 2, size - 1), (0, 1)])
@@ -190,8 +174,7 @@ def test_a_buffer_short_of_the_text_is_refused(writers):
     def blocks(instance, ntab):
         return (lib.write_blocks, (instance.con_a.ctypes.data, instance.con_b.ctypes.data,
                                    instance.pair_start.ctypes.data, instance.num_constraints,
-                                   instance.codes.ctypes.data, instance.codes.itemsize == 8,
-                                   instance.d),
+                                   instance.codes.ctypes.data, instance.d),
                 ntab, "".join(core._blocks(instance)))
 
     def edges(graph, ntab):
@@ -266,19 +249,3 @@ def test_random_texts_write_alike(instance, graph):
         dimacs = both_dimacs(m, graph)
     assert loads_csp(text)[0] == instance
     assert parse_dimacs(dimacs) == graph
-
-
-def test_compile_failure_writes_alike_silently(monkeypatch, capfd):
-    instance, hidden = generate_forced(phase_transition_params(20), 3)
-    graph = csp_to_mis(instance)
-    expected = dumps_csp(instance, hidden, COMMENTS), emit_dimacs(graph, COMMENTS)
-
-    def broken():
-        raise subprocess.CalledProcessError(1, ["cc"])
-
-    monkeypatch.setattr(_native, "_lib", ...)
-    monkeypatch.setattr(_native, "_compile", broken)
-    capfd.readouterr()
-    assert (dumps_csp(instance, hidden, COMMENTS), emit_dimacs(graph, COMMENTS)) == expected
-    assert _native._lib is None
-    assert capfd.readouterr() == ("", "")
