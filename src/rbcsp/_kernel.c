@@ -1300,81 +1300,140 @@ int64_t mis_constraints(const int64_t *pairs, int64_t num_edges, int64_t n, int6
 
 /* -- Model RB sampling --------------------------------------------------------
  *
- * `rb_sample` runs the loop of `rbcsp.modelrb._sample` on the run's numpy
- * bit generator gen, drawing what numpy 2.x's `Generator` methods draw from
- * it, in the same order, so that an instance comes out byte for byte as
- * the numpy loop writes it.  With hidden not NULL it first draws the n
- * hidden values, as `rng.integers(0, d, size=n)` does.  Then for each of
- * the m constraints it draws the variable pair as `_draw_pair` does, two
- * calls of `rng.integers`, and writes its low end to con_a and its high end
- * to con_b; then it draws the first q entries of `rng.permutation(d * d)`,
- * drawn afresh, while the hidden values' pair is among them, and writes
- * them in ascending order to codes[i * q .. i * q + q - 1].  Under
- * `rbcsp.core.check_size` n <= 100,000 and d <= 4,472, so every draw takes
- * the 32-bit paths below.  perm and js hold d * d entries of scratch, and
- * mark d * d zero bytes, zero again on return.
+ * `rb_sample` runs the loop of `rbcsp.modelrb._sample` on a PCG64 stream of
+ * its own, started from the state and increment of the freshly seeded
+ * generator that `_sample` hands over, and draws what numpy's `Generator`
+ * methods draw from that generator, in the same order, so that an instance
+ * comes out byte for byte as the numpy loop writes it.  With hidden not
+ * NULL it first draws the n hidden values, as `rng.integers(0, d, size=n)`
+ * does.  Then for each of the m constraints it draws the variable pair as
+ * `_draw_pair` does, two calls of `rng.integers`, and writes its low end to
+ * con_a and its high end to con_b; then it draws the first q entries of
+ * `rng.permutation(d * d)`, drawn afresh, while the hidden values' pair is
+ * among them, and writes them in ascending order to
+ * codes[i * q .. i * q + q - 1].  Under `rbcsp.core.check_size`
+ * n <= 100,000 and d <= 4,472, so every draw takes the 32-bit paths below.
+ * perm and js hold d * d entries of scratch, and mark d * d zero bytes, zero
+ * again on return.
  */
+
+/* PCG64 (O'Neill 2014) as numpy's bit generator steps it: a 128-bit LCG
+ * state hi:lo with increment inc_hi:inc_lo, each step's XSL-RR output served
+ * as two 32-bit draws, low half first, as numpy's next_uint32 buffers them */
+typedef struct {
+    uint64_t hi, lo, inc_hi, inc_lo;
+    uint32_t half;
+    int has_half;
+} pcg64;
+
+/* state = state * 0x2360ED051FC65DA44385DF649FCCF645 + inc, mod 2^128 */
+static inline void pcg64_step(pcg64 *g)
+{
+    const uint64_t mul_hi = 0x2360ED051FC65DA4ULL, mul_lo = 0x4385DF649FCCF645ULL;
+#if defined(__SIZEOF_INT128__)
+    const unsigned __int128 low = (unsigned __int128)g->lo * mul_lo + g->inc_lo;
+    uint64_t from_lo = (uint64_t)(low >> 64) + g->lo * mul_hi + g->inc_hi;
+    /* opaque to the optimizer, which would otherwise add hi * mul_lo first
+     * and put all four adds on the chain from one hi to the next */
+    __asm__("" : "+r"(from_lo));
+    g->hi = g->hi * mul_lo + from_lo;
+    g->lo = (uint64_t)low;
+#else
+    /* the high word of lo * mul_lo, by 32-bit schoolbook multiplication */
+    const uint64_t a0 = (uint32_t)g->lo, a1 = g->lo >> 32;
+    const uint64_t b0 = (uint32_t)mul_lo, b1 = mul_lo >> 32;
+    const uint64_t p01 = a0 * b1, p10 = a1 * b0;
+    const uint64_t mid = ((a0 * b0) >> 32) + (uint32_t)p01 + (uint32_t)p10;
+    const uint64_t lo_mul_hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    const uint64_t lo = g->lo * mul_lo + g->inc_lo;
+    g->hi = lo_mul_hi + g->lo * mul_hi + g->hi * mul_lo + g->inc_hi + (lo < g->inc_lo);
+    g->lo = lo;
+#endif
+}
+
+static inline uint32_t pcg64_next32(pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
+    }
+    pcg64_step(g);
+    const unsigned rot = (unsigned)(g->hi >> 58);
+    const uint64_t x = g->hi ^ g->lo;
+    const uint64_t out = (x >> rot) | (x << ((64 - rot) & 63));
+    g->half = (uint32_t)(out >> 32);
+    g->has_half = 1;
+    return (uint32_t)out;
+}
 
 /* `rng.integers(rng + 1)` for rng < 2^32 - 1: numpy's
  * buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941), which draws
- * nothing when the range holds one value */
-static uint32_t bounded(bitgen_t *gen, uint32_t rng)
+ * nothing when the range holds one value; inline, as GCC would otherwise
+ * split its redraw loop into a function placed ahead of `ulsa_advance`,
+ * moving the code of every pass that does not sample */
+static inline uint32_t bounded(pcg64 *g, uint32_t rng)
 {
     if (rng == 0)
         return 0;
     const uint32_t excl = rng + 1;
-    uint64_t v = (uint64_t)gen->next_uint32(gen->state) * excl;
+    uint64_t v = (uint64_t)pcg64_next32(g) * excl;
     if ((uint32_t)v < excl) {
         const uint32_t threshold = (UINT32_MAX - rng) % excl;
         while ((uint32_t)v < threshold)
-            v = (uint64_t)gen->next_uint32(gen->state) * excl;
+            v = (uint64_t)pcg64_next32(g) * excl;
     }
     return (uint32_t)(v >> 32);
 }
 
-/* `rng.permutation(D)`: perm becomes 0 .. D-1, then for i from D-1 down to
- * 1 swaps entries i and j, j drawn as numpy's random_interval(i) does:
- * next_uint32 under the least mask of ones that covers i, redrawn while
- * above i.  The draws come first, into js, with no branch on a draw's
- * value: each is written to js[i], and i moves on only when it is at most
- * i, so js[i] keeps the last draw for i; then the swaps run */
-static void permute(bitgen_t *gen, int32_t *perm, uint32_t *js, int64_t D)
+/* The set of the first q entries of `rng.permutation(D)`, in perm[0 .. q-1]:
+ * numpy sets perm to 0 .. D-1, then for i from D-1 down to 1 swaps entries i
+ * and j, j drawn as its random_interval(i) does: next_uint32 under the least
+ * mask of ones that covers i, redrawn while above i.  The draws come first,
+ * into js, one mask level at a time, with no branch on a draw's value: each
+ * is written to js[i], and i moves on only when it is at most i, so js[i]
+ * keeps the last draw for i.  Then the swaps run for i >= q only: one at
+ * i < q exchanges two of the first q entries, so leaves their set as it is;
+ * its draws are still made, as they advance the stream.  A swap at i only
+ * moves entry i to j, as neither a later swap nor the caller reads entry i */
+static void permute(pcg64 *g, int32_t *perm, uint32_t *js, int64_t D, int64_t q)
 {
     uint32_t mask = (uint32_t)(D - 1);
     for (int s = 1; s < 32; s <<= 1)
         mask |= mask >> s;
-    for (int64_t i = D - 1; i > 0;) {
-        mask >>= (mask >> 1) >= i; /* i fell to a power of two less one */
-        const uint32_t j = gen->next_uint32(gen->state) & mask;
-        js[i] = j;
-        i -= j <= i;
+    /* i unsigned, so that a step of i is a compare and an add with carry */
+    for (uint64_t i = (uint64_t)D - 1; i > 0; mask >>= 1) {
+        const uint64_t below = mask >> 1; /* the level holds i in (below, mask] */
+        while (i > below) {
+            const uint32_t j = pcg64_next32(g) & mask;
+            js[i] = j;
+            i -= j <= i;
+        }
     }
     for (int64_t k = 0; k < D; k++)
         perm[k] = (int32_t)k;
-    for (int64_t i = D - 1; i > 0; i--) {
-        const int32_t t = perm[i];
-        perm[i] = perm[js[i]];
-        perm[js[i]] = t;
-    }
+    for (int64_t i = D - 1; i >= q; i--)
+        perm[js[i]] = perm[i];
 }
 
-void rb_sample(bitgen_t *gen, int64_t n, int64_t d, int64_t m, int64_t q, int64_t *hidden,
+void rb_sample(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
+               int64_t n, int64_t d, int64_t m, int64_t q, int64_t *hidden,
                int32_t *con_a, int32_t *con_b, int32_t *codes, int32_t *perm, uint32_t *js,
                uint8_t *mark)
 {
+    pcg64 g = {state_hi, state_lo, inc_hi, inc_lo, 0, 0};
     const int64_t D = d * d;
     if (hidden)
         for (int64_t v = 0; v < n; v++)
-            hidden[v] = bounded(gen, (uint32_t)(d - 1));
+            hidden[v] = bounded(&g, (uint32_t)(d - 1));
     for (int64_t i = 0; i < m; i++) {
-        const int64_t a = bounded(gen, (uint32_t)(n - 1));
-        int64_t b = bounded(gen, (uint32_t)(n - 2));
+        const int64_t a = bounded(&g, (uint32_t)(n - 1));
+        int64_t b = bounded(&g, (uint32_t)(n - 2));
         b += b >= a;
         con_a[i] = (int32_t)(a < b ? a : b);
         con_b[i] = (int32_t)(a < b ? b : a);
         const int64_t hit = hidden ? hidden[con_a[i]] * d + hidden[con_b[i]] : -1;
         for (;;) {
-            permute(gen, perm, js, D);
+            permute(&g, perm, js, D, q);
             for (int64_t k = 0; k < q; k++)
                 mark[perm[k]] = 1;
             if (hit < 0 || !mark[hit])
@@ -1383,12 +1442,15 @@ void rb_sample(bitgen_t *gen, int64_t n, int64_t d, int64_t m, int64_t q, int64_
                 mark[perm[k]] = 0;
         }
         /* the marked codes, ascending: each code is written at the next
-         * place and kept there when marked, so no write passes the q-th */
+         * place and kept there when marked, so no write passes the q-th;
+         * the scan ends at the last mark, and the marks it passed are
+         * cleared in one go */
         int32_t *out = codes + i * q;
-        for (int64_t c = 0, k = 0; k < q; c++) {
+        int64_t c = 0;
+        for (int64_t k = 0; k < q; c++) {
             out[k] = (int32_t)c;
             k += mark[c];
-            mark[c] = 0;
         }
+        memset(mark, 0, (size_t)c);
     }
 }

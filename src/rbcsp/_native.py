@@ -67,6 +67,7 @@ def _compile() -> Path:
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
+_U = ctypes.c_uint64
 
 
 class _RunStruct(ctypes.Structure):
@@ -95,7 +96,7 @@ _SIGNATURES = {
     "write_edges": ([_P, _I, _P, _I, _P, _I], _I),
     "mis_edges": ([_P] * 5 + [_I] * 3 + [_P] * 3, _I),
     "mis_constraints": ([_P, _I, _I, _I] + [_P] * 7, _I),
-    "rb_sample": ([_P] + [_I] * 4 + [_P] * 7, None),
+    "rb_sample": ([_U] * 4 + [_I] * 4 + [_P] * 7, None),
 }
 
 _lib: Any = ...  # the library once opened, None if unavailable, ... until tried

@@ -121,7 +121,7 @@ def _build_config(args, n: int) -> UlsaConfig:
 
 def _record_json(rec: RunRecord, path: str) -> dict:
     return {
-        "instance": path,
+        "instance": _path_text(path),
         "seed": rec.seed,
         "success": rec.success,
         "iterations": rec.iterations,
@@ -158,7 +158,7 @@ def _cmd_bench(args) -> int:
                        workers=args.workers, track_best=True)
     summary = summarize(records)
     summary["base_seed"] = base_seed
-    summary["instance"] = args.infile
+    summary["instance"] = _path_text(args.infile)
     summary["prng"] = PRNG_ID
 
     rtd = Rtd.from_records(records)
@@ -189,7 +189,7 @@ def _cmd_bench(args) -> int:
     text = json.dumps(summary, indent=2)
     if args.summary_out:
         _write_text(args.summary_out, text + "\n")
-        print(f"wrote summary to {args.summary_out}", file=sys.stderr)
+        print(f"wrote summary to {_path_text(args.summary_out)}", file=sys.stderr)
     else:
         print(text)
     return 0

@@ -7,9 +7,11 @@ the instances sit at the satisfiability phase transition, which is where the
 frbX-Y benchmark family lives (X variables, domain size Y).
 
 All randomness flows through numpy's PCG64 so that (params, seed) pins the
-generated instance byte for byte.  The compiled kernel's `rb_sample` draws
-the instance from the generator's bit stream by the algorithms of numpy
-2.x's `Generator.integers` and `Generator.permutation`, straight into the
+generated instance byte for byte.  The compiled kernel's `rb_sample` steps
+PCG64 itself, from the seeded state and increment that `PCG64.state`
+exposes, and draws the instance from that stream by the algorithms of numpy
+2.x's `Generator.integers` (Lemire's bounded integers) and
+`Generator.permutation` (the masked Fisher–Yates shuffle), straight into the
 arrays the instance keeps; the numpy loop `_sample_in_python`, which calls
 those methods, is the fallback without the kernel and the reference the
 tests hold it to.
@@ -140,9 +142,9 @@ def _sample(params: ModelRbParams, seed: int,
 
     Forced: a uniform hidden assignment is drawn first, and any disallowed
     set that hits its value pair is fully redrawn (keeping the variable pair).
-    The kernel's `rb_sample` runs the loop when it is loaded, drawing from the
-    same generator into the arrays the instance keeps; `_sample_in_python`
-    is the fallback and the reference.
+    The kernel's `rb_sample` runs the loop when it is loaded, stepping the
+    seeded generator's PCG64 stream itself and writing into the arrays the
+    instance keeps; `_sample_in_python` is the fallback and the reference.
     """
     check_sample_size(params)
     n, d, m = params.n, params.d, params.m_constraints
@@ -156,7 +158,10 @@ def _sample(params: ModelRbParams, seed: int,
     codes = np.empty(m * q, dtype=np.int32)
     perm, js = np.empty(d * d, dtype=np.int32), np.empty(d * d, dtype=np.uint32)
     mark = np.zeros(d * d, dtype=np.uint8)
-    lib.rb_sample(rng.bit_generator.ctypes.bit_generator, n, d, m, q,
+    # a fresh generator's 128-bit state and increment, each as its high and
+    # low 64-bit words; it holds no buffered half (`has_uint32` is 0)
+    seeded = rng.bit_generator.state["state"]
+    lib.rb_sample(*divmod(seeded["state"], 2**64), *divmod(seeded["inc"], 2**64), n, d, m, q,
                   None if hidden is None else hidden.ctypes.data,
                   con_a.ctypes.data, con_b.ctypes.data, codes.ctypes.data,
                   perm.ctypes.data, js.ctypes.data, mark.ctypes.data)

@@ -369,6 +369,26 @@ class TestLocale:
         assert b"c recovered from \\xff.dimacs with" in written["c"][3]
         assert written["c"] == written["utf8"]
 
+    def test_json_names_a_path_as_comments_do(self, tmp_path, capsys):
+        # solve's record and bench's summary name the instance, and bench's
+        # stderr line the summary file, as a comment names a path: a byte
+        # that is not UTF-8 as the four characters \xff, never as a lone
+        # surrogate; a UTF-8 path reads as itself
+        for name, shown in ((b"\xff.csp", "\\xff.csp"), ("café.csp".encode(), "café.csp")):
+            path = str(tmp_path / os.fsdecode(name))
+            assert main(["gen", "--n", "8", "--forced", "--seed", "1", "--out", path]) == 0
+            capsys.readouterr()
+            code, out, _ = run_cli(["solve", "--in", path, "--seed", "0"], capsys)
+            assert code == 0
+            assert json.loads(out)["instance"] == str(tmp_path / shown)
+            summary = str(tmp_path / os.fsdecode(name.replace(b".csp", b".json")))
+            code, out, err = run_cli(["bench", "--in", path, "--runs", "2", "--base-seed", "0",
+                                      "--summary-out", summary], capsys)
+            assert code == 0 and out == ""
+            assert err == f"wrote summary to {tmp_path / shown.replace('.csp', '.json')}\n"
+            with open(summary, encoding="utf-8") as f:
+                assert json.load(f)["instance"] == str(tmp_path / shown)
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -131,7 +131,11 @@ class TestGenerateForced:
 # and draws nothing, to n = 183 (d = 65); then d = 2 (d² = 4, a power of
 # two), q = d² − 1, where nearly every forced disallowed set is redrawn, d²
 # just above a power of two (9, 529 and 1089), the masks' edge, and many
-# constraints on few variables
+# constraints on few variables.  The shuffle draws one mask level at a time
+# and swaps only at positions i >= q, so the last rows hold d² an exact
+# power of two (64, 256 and 1024), whose first mask is d² − 1, q at a power
+# of two and one either side of it, where the swaps stop at a level's edge,
+# and q > d²/2, where they stop within the top level
 SAMPLER_GRID = [phase_transition_params(n) for n in (2, 3, 5, 12, 40, 100, 183)] + [
     ModelRbParams.from_counts(6, 2, 12, 3),
     ModelRbParams.from_counts(12, 5, 40, 24),
@@ -139,6 +143,17 @@ SAMPLER_GRID = [phase_transition_params(n) for n in (2, 3, 5, 12, 40, 100, 183)]
     ModelRbParams.from_counts(9, 23, 30, 132),
     ModelRbParams.from_counts(9, 33, 20, 272),
     ModelRbParams.from_counts(10, 3, 10_000, 2),
+    ModelRbParams.from_counts(10, 8, 30, 1),
+    ModelRbParams.from_counts(10, 8, 30, 16),
+    ModelRbParams.from_counts(10, 8, 30, 40),
+    ModelRbParams.from_counts(12, 16, 30, 63),
+    ModelRbParams.from_counts(12, 16, 30, 64),
+    ModelRbParams.from_counts(12, 16, 30, 65),
+    ModelRbParams.from_counts(12, 16, 30, 200),
+    ModelRbParams.from_counts(9, 32, 20, 511),
+    ModelRbParams.from_counts(9, 32, 20, 512),
+    ModelRbParams.from_counts(9, 32, 20, 513),
+    ModelRbParams.from_counts(9, 32, 20, 1000),
 ]
 
 
