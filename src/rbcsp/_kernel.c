@@ -615,12 +615,13 @@ void build_bits(const int32_t *codes, const int64_t *pair_start, int64_t m, int6
  *
  * `read_dimacs` reads the body after the "p edge V E" header: 'e u v' lines
  * with u and v in 1..V and differing.  It writes each edge as the 0-based row
- * (min, max) of pairs, in text order, and returns the number of rows, or -2
- * once a line finds all cap rows written.  *ascending is set when the rows
- * ascend strictly, as in a written file, so that they need no sort and hold
- * no repeat.  Unless offsets is NULL, it also writes the offset of each
- * row's 'e' to offsets, so that the caller can name the lines of repeated
- * edges.
+ * (min, max) of pairs, two int32s, in text order: the caller passes no V
+ * above 2^31 - 1 (`rbcsp.misbridge.MAX_VERTICES`).  It returns the number
+ * of rows, or -2 once a line finds all cap rows written.  *ascending is set
+ * when the rows ascend strictly, as in a written file, so that they need no
+ * sort and hold no repeat.  Unless offsets is NULL, it also writes the
+ * offset of each row's 'e' to offsets, so that the caller can name the
+ * lines of repeated edges.
  *
  * On a host with AVX-512BW, VBMI and VBMI2 and BMI2, chosen at run time,
  * `read_csp` and `read_dimacs` (when offsets is NULL) first try, at each
@@ -815,11 +816,11 @@ static inline void put_code(int64_t code, int32_t *codes, int64_t *nf, int64_t *
 
 /* the edge (u, v) as the 0-based row (min, max) of pairs at *e; *ascending is
  * cleared unless it is above the last row */
-static inline void put_edge(int64_t u, int64_t v, int64_t *pairs, int64_t *e, int64_t *ascending)
+static inline void put_edge(int64_t u, int64_t v, int32_t *pairs, int64_t *e, int64_t *ascending)
 {
-    int64_t *row = pairs + 2 * (*e)++;
-    row[0] = (u < v ? u : v) - 1;
-    row[1] = (u < v ? v : u) - 1;
+    int32_t *row = pairs + 2 * (*e)++;
+    row[0] = (int32_t)((u < v ? u : v) - 1);
+    row[1] = (int32_t)((u < v ? v : u) - 1);
     if (*e > 1 && (row[-2] > row[0] || (row[-2] == row[0] && row[-1] >= row[1])))
         *ascending = 0;
 }
@@ -897,7 +898,7 @@ int64_t read_csp(const uint8_t *s, int64_t len, int64_t i, int64_t n, int64_t d,
     return nf;
 }
 
-int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_t *pairs,
+int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int32_t *pairs,
                     int64_t cap, int64_t *ascending, int64_t *offsets)
 {
     int64_t e = 0, u, v;
@@ -934,7 +935,8 @@ int64_t read_dimacs(const uint8_t *s, int64_t len, int64_t i, int64_t nv, int64_
  *
  * `write_blocks` writes the body of `rbcsp.core.dumps_csp`, its 'k' and 'f'
  * lines, from the instance arrays.  `write_edges` writes the 'e' lines of
- * `rbcsp.misbridge.emit_dimacs` from the (u, v) rows of `pairs`, 1-based.
+ * `rbcsp.misbridge.emit_dimacs` from the (u, v) rows of `pairs`, two int32s
+ * each, 1-based.
  * All numbers are nonnegative.
  *
  * Each writes its text into the caller's buffer of cap bytes at out, in one
@@ -1060,7 +1062,7 @@ int64_t write_blocks(const int32_t *con_a, const int32_t *con_b, const int64_t *
     return p - out;
 }
 
-int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *table, int64_t ntab,
+int64_t write_edges(const int32_t *pairs, int64_t num_edges, char *table, int64_t ntab,
                     char *out, int64_t cap)
 {
     uint8_t *len = (uint8_t *)table + 8 * ntab;
@@ -1096,15 +1098,15 @@ int64_t write_edges(const int64_t *pairs, int64_t num_edges, char *table, int64_
  * pair, in either orientation, are neighbours in `order`, and their runs are
  * merged through a mask of ceil(d / 64) words, which drops repeated edges.
  * So the rows come out ascending and distinct.  pairs must hold
- * n * d(d-1)/2 + len(codes) rows of two int64s, cursor m int64s and, if
+ * n * d(d-1)/2 + len(codes) rows of two int32s, cursor m int64s and, if
  * any constraint has con_a > con_b, oriented len(codes) int32s.
  *
- * `mis_constraints` walks the rows (u, w), u < w, of a graph's `pairs` in
- * their ascending order, one block p of u at a time.  A row with w in block
- * p is a clique edge, counted in inner[p]; any other is a cross edge to a
- * block q > p.  A u's rows into one block q form a run, and the next run's
- * q is one more, or else found by a multiplication by 1 / d, so no row
- * takes a division.  A block's cross edges come in the order (a, q, b), and
+ * `mis_constraints` walks the rows (u, w), u < w, two int32s each, of a
+ * graph's `pairs` in their ascending order, one block p of u at a time.  A
+ * row with w in block p is a clique edge, counted in inner[p]; any other is
+ * a cross edge to a block q > p.  A u's rows into one block q form a run,
+ * and the next run's q is one more, or else found by a multiplication by
+ * 1 / d, so no row takes a division.  A block's cross edges come in the order (a, q, b), and
  * a counting sort by q reorders them, in two passes over the block's rows:
  * the first counts each q's rows and marks q in a mask of ceil(n / 64)
  * words; the marked blocks, taken in ascending order, become the block's
@@ -1159,7 +1161,7 @@ static void orient(const int32_t *codes, int64_t s, int64_t e, int64_t d, int64_
 
 int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pair_start,
                   const int32_t *codes, const int64_t *order, int64_t m, int64_t n, int64_t d,
-                  int64_t *cursor, int32_t *oriented, int64_t *pairs)
+                  int64_t *cursor, int32_t *oriented, int32_t *pairs)
 {
     {
         int64_t count[d + 1];
@@ -1179,8 +1181,8 @@ int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pai
             /* u's oriented codes are a * d + b, below limit */
             const int64_t u = p * d + a, limit = (a + 1) * d;
             for (int64_t w = u + 1; w < (p + 1) * d; w++, e++) {
-                pairs[2 * e] = u;
-                pairs[2 * e + 1] = w;
+                pairs[2 * e] = (int32_t)u;
+                pairs[2 * e + 1] = (int32_t)w;
             }
             /* each group order[k .. g-1] of the constraints on (p, q) */
             for (int64_t k = k0, g; k < k1; k = g) {
@@ -1193,8 +1195,8 @@ int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pai
                     int64_t c = cursor[j];
                     if (g == k + 1) /* one constraint: its run is u's rows into block q */
                         for (; c < end && run[c] < limit; c++, e++) {
-                            pairs[2 * e] = u;
-                            pairs[2 * e + 1] = run[c] + to;
+                            pairs[2 * e] = (int32_t)u;
+                            pairs[2 * e + 1] = (int32_t)(run[c] + to);
                         }
                     else
                         for (; c < end && run[c] < limit; c++) {
@@ -1207,8 +1209,8 @@ int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pai
                     continue;
                 for (int64_t x = 0; x < W; x++) {
                     for (uint64_t bits = mask[x]; bits; bits &= bits - 1, e++) {
-                        pairs[2 * e] = u;
-                        pairs[2 * e + 1] = q * d + 64 * x + __builtin_ctzll(bits);
+                        pairs[2 * e] = (int32_t)u;
+                        pairs[2 * e + 1] = (int32_t)(q * d + 64 * x + __builtin_ctzll(bits));
                     }
                     mask[x] = 0;
                 }
@@ -1219,7 +1221,7 @@ int64_t mis_edges(const int32_t *con_a, const int32_t *con_b, const int64_t *pai
 }
 
 /* the end of the run of rows from r on that share u and have w below limit */
-static inline int64_t run_end(const int64_t *pairs, int64_t r, int64_t num_edges, int64_t u,
+static inline int64_t run_end(const int32_t *pairs, int64_t r, int64_t num_edges, int64_t u,
                               int64_t limit)
 {
     while (r < num_edges && pairs[2 * r] == u && pairs[2 * r + 1] < limit)
@@ -1237,7 +1239,7 @@ static inline int64_t block_of(int64_t w, int64_t d, double inv)
     return q + ((q + 1) * d <= w);
 }
 
-int64_t mis_constraints(const int64_t *pairs, int64_t num_edges, int64_t n, int64_t d,
+int64_t mis_constraints(const int32_t *pairs, int64_t num_edges, int64_t n, int64_t d,
                         int64_t *inner, int64_t *count, uint64_t *mask, int32_t *con_a,
                         int32_t *con_b, int64_t *pair_start, int32_t *codes)
 {

@@ -18,7 +18,6 @@ import re
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
-from math import isqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -26,10 +25,11 @@ import numpy as np
 from . import _native
 from .core import _BREAKS, CspInstance, _line, _one_pass_header, _read, _write, check_size
 
-# A graph's vertices are int64 and 'e' values are read in int64, clamped to
-# MAX_VERTICES + 1; a header beyond this is refused (any real graph is
-# orders of magnitude below)
-MAX_VERTICES = 1 << 62
+# A graph's edge rows are two int32s, so it has at most 2³¹ − 1 vertices; a
+# graph, a pickle or a 'p edge' header beyond this is refused.  Every graph
+# `csp_to_mis` builds fits: under check_size, n ≤ 100,000 and d ≤ 4,472.
+# 'e' values are read in int64, clamped to MAX_VERTICES + 1
+MAX_VERTICES = (1 << 31) - 1
 _EMIT_SLICE = 1 << 16  # edges emit_dimacs writes at a time
 # the bytes that end a line of a text `read_dimacs` accepts, and its 'e'
 # lines, whose spaces are the ASCII ones that break no line
@@ -89,17 +89,19 @@ class EdgeView(Set):
 class MisGraph:
     """Undirected simple graph on the vertices 0..num_vertices−1.
 
-    `pairs` holds the edges as a read-only (E, 2) int64 array of (u < v)
+    `pairs` holds the edges as a read-only (E, 2) int32 array of (u < v)
     rows, ascending and distinct; `edges` is a read-only set view of the same
     rows as (u, v) tuples.  The constructor is the canonicalizer: it takes
     any iterable of pairs in either order, and orders, deduplicates and
-    range-checks them.  block_size is set for CSP block structure.
+    range-checks them.  block_size is set for CSP block structure.  A graph
+    of more than MAX_VERTICES vertices is refused, built or unpickled.
     """
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]],
                  block_size: Optional[int] = None):
         if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
+        _check_vertices(num_vertices)
         try:
             pairs = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
         except OverflowError:
@@ -113,19 +115,22 @@ class MisGraph:
         if block_size is not None and (block_size < 1 or num_vertices % block_size):
             raise ValueError(f"{num_vertices} vertices do not split into blocks "
                              f"of {block_size}")
-        self._init(num_vertices, _canonical(np.stack((lo, hi), axis=1))[0], block_size)
+        rows = np.stack((lo, hi), axis=1, dtype=np.int32)  # in range: below num_vertices
+        self._init(num_vertices, _canonical(rows)[0], block_size)
 
     @classmethod
     def _from_pairs(cls, num_vertices: int, pairs: np.ndarray,
                     block_size: Optional[int] = None) -> "MisGraph":
-        """A graph from an (E, 2) int64 array known to hold its edges as the
-        class doc says: (u < v) rows, ascending, distinct, below num_vertices."""
+        """A graph from an (E, 2) integer array known to hold its edges as
+        the class doc says: (u < v) rows, ascending, distinct, below
+        num_vertices; kept as it is if int32, else copied to int32."""
         graph = cls.__new__(cls)
         graph._init(num_vertices, pairs, block_size)
         return graph
 
     def _init(self, num_vertices, pairs, block_size) -> None:
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        _check_vertices(num_vertices)
+        pairs = np.ascontiguousarray(pairs, dtype=np.int32)
         pairs.flags.writeable = False
         self.__dict__.update(num_vertices=int(num_vertices), pairs=pairs,
                              edges=EdgeView(pairs), block_size=block_size)
@@ -161,20 +166,26 @@ class MisGraph:
         self._init(**state)
 
 
+def _check_vertices(num_vertices: int) -> None:
+    """Raise ValueError for a vertex count beyond MAX_VERTICES."""
+    if num_vertices > MAX_VERTICES:
+        raise ValueError(f"graph too large: {num_vertices} vertices exceed the cap "
+                         f"of {MAX_VERTICES}")
+
+
 def _canonical(pairs: np.ndarray):
-    """The distinct rows, sorted, of an (E, 2) int64 array of (u < v) rows,
-    and the ascending positions of the rows that repeat an earlier row.
-    Rows already strictly ascending, as in an emitted file, come back as
-    they are."""
+    """The distinct rows, sorted, of an (E, 2) array of (u < v) rows, each
+    below MAX_VERTICES, and the ascending positions of the rows that repeat
+    an earlier row.  Rows already strictly ascending, as in an emitted file,
+    come back as they are."""
     u, v = pairs[:, 0], pairs[:, 1]
     if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
         return pairs, np.empty(0, dtype=np.intp)
-    # stable: a row's first copy leads.  The keys u·span + v, when they fit
-    # in int64, sort as the rows do, and a stable sort of nearly ordered
-    # keys runs in about one pass
+    # stable: a row's first copy leads.  The keys u·span + v, below 2⁶² in
+    # int64, sort as the rows do, and a stable sort of nearly ordered keys
+    # runs in about one pass
     span = int(v.max()) + 1
-    order = (np.argsort(u * span + v, kind="stable") if span <= isqrt(2**63 - 1)
-             else np.lexsort((v, u)))
+    order = np.argsort(u.astype(np.int64) * span + v, kind="stable")
     pairs = np.take(pairs, order, axis=0)  # take and compress copy rows faster than indexing
     su, sv = pairs[:, 0], pairs[:, 1]
     first = np.ones(len(pairs), dtype=bool)
@@ -209,7 +220,7 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
     cursor = np.empty(m, dtype=np.int64)
     # the codes of a constraint with con_a > con_b are oriented into a copy
     oriented = np.empty(len(codes) if (con_a > con_b).any() else 0, dtype=np.int32)
-    pairs = np.empty((n * (d * (d - 1) // 2) + len(codes), 2), dtype=np.int64)
+    pairs = np.empty((n * (d * (d - 1) // 2) + len(codes), 2), dtype=np.int32)
     used = lib.mis_edges(con_a.ctypes.data, con_b.ctypes.data, instance.pair_start.ctypes.data,
                          codes.ctypes.data, order.ctypes.data, m, n, d, cursor.ctypes.data,
                          oriented.ctypes.data, pairs.ctypes.data)
@@ -219,8 +230,9 @@ def csp_to_mis(instance: CspInstance) -> MisGraph:
 
 
 def _mis_pairs(instance: CspInstance) -> np.ndarray:
-    """The edges of `csp_to_mis(instance)` as its (E, 2) `pairs` array, from
-    one int64 key per edge, sorted; the reference of the compiled build."""
+    """The edges of `csp_to_mis(instance)` as its (E, 2) int32 `pairs`
+    array, from one int64 key per edge, sorted; the reference of the
+    compiled build."""
     n, d = instance.n, instance.d
     num_vertices = n * d  # V² < 2⁶³ under the caps, so the keys below fit in int64
     lo, hi = np.triu_indices(d, 1)
@@ -240,7 +252,7 @@ def _mis_pairs(instance: CspInstance) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
-    return np.stack(np.divmod(keys, num_vertices), axis=1)
+    return np.stack(np.divmod(keys, num_vertices), axis=1, dtype=np.int32)
 
 
 def mis_to_csp(graph: MisGraph, d: int) -> CspInstance:
@@ -311,10 +323,11 @@ def _csp_arrays(pairs: np.ndarray, n: int, d: int):
     u, w = pairs.T  # u < w, so a cross edge's block pair is ordered
     inner = u // d == w // d
     _check_cliques(np.bincount(u[inner] // d, minlength=n), d)
-    # one sort by (block pair, pair code): each block pair becomes one constraint
+    # one sort by (block pair, pair code), in int64: each block pair becomes
+    # one constraint
     cross = pairs[~inner]
     del inner
-    keys, va = np.divmod(cross[:, 0], d)
+    keys, va = np.divmod(cross[:, 0].astype(np.int64), d)
     bw, vb = np.divmod(cross[:, 1], d)
     del cross
     for column, scale in ((bw, n), (va, d), (vb, d)):  # in place: ((bu·n + bw)·d + va)·d + vb
@@ -339,9 +352,7 @@ def _read_header(raw: str) -> tuple[int, int]:
         raise ValueError(f"non-integer header field in {raw!r}") from None
     if num_vertices < 0 or num_edges < 0:
         raise ValueError("negative count in header")
-    if num_vertices > MAX_VERTICES:
-        raise ValueError(f"graph too large: {num_vertices} vertices exceed the cap "
-                         f"of {MAX_VERTICES}")
+    _check_vertices(num_vertices)
     return num_vertices, num_edges
 
 
@@ -369,12 +380,14 @@ def _parse_in_one_pass(text: str):
     if found is None:
         return None
     lib, raw, start, (num_vertices, declared_edges) = found
+    if num_vertices > MAX_VERTICES:  # the Python path raises its error
+        return None
     # an 'e' line takes at least 6 of the bytes after the header, the last
     # line 5; a text of more edges than declared is read again to that bound
     fits = (len(raw) - start + 1) // 6
     ascending = (ctypes.c_int64 * 1)()
     for cap in (min(declared_edges, fits), fits):
-        pairs = np.empty((cap, 2), dtype=np.int64)
+        pairs = np.empty((cap, 2), dtype=np.int32)
         used = lib.read_dimacs(raw, len(raw), start, num_vertices, pairs.ctypes.data, cap,
                                ascending, None)
         if used != -2:
@@ -398,7 +411,7 @@ def _repeated_lines(lib, raw: bytes, start: int, num_vertices: int,
     it up to the last of them; lines are counted 1-based, and u and v are
     in the line's order."""
     rows = int(repeats[-1]) + 1
-    at, scratch = np.empty(rows, dtype=np.int64), np.empty((rows, 2), dtype=np.int64)
+    at, scratch = np.empty(rows, dtype=np.int64), np.empty((rows, 2), dtype=np.int32)
     lib.read_dimacs(raw, len(raw), start, num_vertices, scratch.ctypes.data, rows,
                     (ctypes.c_int64 * 1)(), at.ctypes.data)
     at = at[repeats]
@@ -445,7 +458,7 @@ def _parse_in_python(text: str):
         raise DimacsFormatError("line {}: {}".format(*min(problems)))
     if header is None:
         raise DimacsFormatError("missing 'p edge' header")
-    pairs = np.empty_like(ends)
+    pairs = np.empty(ends.shape, dtype=np.int32)
     np.minimum(u, v, out=pairs[:, 0])
     np.maximum(u, v, out=pairs[:, 1])
     pairs -= 1

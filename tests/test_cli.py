@@ -301,6 +301,14 @@ class TestHostileHeaders:
         code, _, err = run_cli(["recover", str(path), "--d", "1"], capsys)
         assert code == 1 and err.count("\n") == 1 and "too large" in err
 
+    def test_recover_refuses_a_graph_beyond_the_vertex_cap(self, tmp_path, capsys):
+        # the 'e' line names the last vertex: only the header is beyond the cap
+        path = tmp_path / "hostile.mis"
+        path.write_text(f"p edge {2**31} 1\ne 1 {2**31}\n")
+        code, out, err = run_cli(["recover", str(path), "--d", "1"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "line 1: graph too large: 2147483648 vertices exceed the cap of 2147483647" in err
+
     @pytest.mark.parametrize("text, message", [
         (f"p edge {10**30} 0\n", "line 1: graph too large"),
         ("p edge 4 1\ne 1 99999999999999999999999999\n", "line 2: vertex in"),

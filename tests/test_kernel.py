@@ -14,6 +14,7 @@ import dataclasses
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -181,6 +182,24 @@ def test_signatures_match_the_c_prototypes():
     typed = {name: (len(argtypes), {None: "void", ctypes.c_int64: "int64_t"}[restype])
              for name, (argtypes, restype) in _native._SIGNATURES.items()}
     assert found == typed
+
+
+def test_no_kernel_function_is_split_into_clones(kernel):
+    # GCC may split a static function into a `.part.`, `.isra.` or
+    # `.constprop.` clone placed ahead of the exported functions, which moves
+    # every one of them and so the pass timings; libgcc's CPU-feature
+    # helpers, linked in by __builtin_cpu_supports, have clones of their own
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm here")
+    source = _native._SOURCE.read_text()
+    defined = {name for name, _ in re.findall(r"\b(\w+)\(([^()]*)\)\s*\{", source)}
+    defined -= {"if", "for", "while", "switch"}
+    assert {"bounded", "ulsa_advance", "rb_sample"} <= defined
+    symbols = subprocess.run([nm, str(_native._compile())], capture_output=True, text=True,
+                             check=True).stdout.split()
+    clones = [s for s in symbols if re.search(r"\.(part|isra|constprop)\.\d", s)]
+    assert [s for s in clones if s.split(".")[0] in defined] == []
 
 
 def test_build_is_cached_privately(kernel, monkeypatch, tmp_path):

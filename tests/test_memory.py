@@ -81,8 +81,9 @@ def test_loads_csp_peak_n100(n100, end):
 
 
 def test_parse_dimacs_peak_n100(n100):
-    # 6.6 MB, 573k edges: 15.7 MB with the one-pass reader, the text's
-    # ASCII copy and a row per edge; the line-by-line parser took 108 MB
+    # 6.6 MB, 573k edges: 11.1 MB with the one-pass reader, the text's
+    # ASCII copy and an int32 row per edge (15.7 MB with int64 rows); the
+    # line-by-line parser took 108 MB
     _, dimacs = n100
     assert traced_peak_mb(parse_dimacs, dimacs) <= 50
 
@@ -106,9 +107,10 @@ def test_emit_dimacs_peak_n100(n100):
 
 
 def test_csp_to_mis_peak_n100(n100):
-    # 9.5 MB: the compiled build's buffer of a row per clique edge and per
-    # code, 590k rows of 16 bytes, trimmed to the 573k edges in place; the
-    # numpy build's sorted int64 key per edge took 30.6 MB
+    # 4.7 MB: the compiled build's buffer of a row per clique edge and per
+    # code, 590k rows of 8 bytes, trimmed to the 573k edges in place (9.5 MB
+    # with int64 rows); the numpy build's sorted int64 key per edge took
+    # 30.6 MB
     if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     instance, _ = loads_csp(n100[0])
@@ -118,7 +120,7 @@ def test_csp_to_mis_peak_n100(n100):
 def test_mis_to_csp_peak_n100(n100):
     # 2.4 MB: a code per edge, 2.3 MB, trimmed in place to the 2.0 MB the
     # instance keeps; copying the kept codes took 4.4 MB, and the numpy
-    # recovery's sorted int64 key per cross edge 31.7 MB
+    # recovery's sorted int64 key per cross edge 27.7 MB
     if _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     graph = parse_dimacs(n100[1])

@@ -179,7 +179,7 @@ class TestMisToCsp:
     @pytest.mark.parametrize("d", [1, 2])
     def test_oversized_graph_refused_before_allocating(self, d):
         with pytest.raises(ValueError, match="too large"):
-            mis_to_csp(MisGraph(10**10, frozenset()), d)
+            mis_to_csp(MisGraph(MAX_VERTICES - 1, frozenset()), d)
 
     def test_bad_block_size(self):
         graph = MisGraph(4, frozenset({(0, 1)}))
@@ -347,8 +347,8 @@ class TestCompiledConversions:
         (MisGraph(4, frozenset({(0, 2), (1, 3), (2, 3)})), 2),
         (MisGraph(4, frozenset({(0, 1), (0, 2), (1, 3)})), 2),
         (MisGraph(6, frozenset({(0, 1), (1, 2), (3, 4)})), 3),
-        (MisGraph(10**10, frozenset()), 1),
-        (MisGraph(10**10, frozenset()), 2),
+        (MisGraph(MAX_VERTICES - 1, frozenset()), 1),
+        (MisGraph(MAX_VERTICES - 1, frozenset()), 2),
         (MisGraph(4, frozenset({(0, 1)})), 3),
         (MisGraph(4, frozenset({(0, 1)})), 0),
         # block 0 complete with a cross edge; block 1 has none of its own
@@ -578,13 +578,21 @@ class TestBulkDimacs:
         assert text.splitlines() == ["c a", "c b", "c c", "c d", "p edge 3 2", "e 1 2", "e 2 3"]
         assert parse_dimacs(text) == graph
 
-    def test_header_beyond_int64_vertices_refused(self):
-        with pytest.raises(DimacsFormatError, match=r"^line 2: graph too large"):
-            parse_dimacs(f"c\np edge {MAX_VERTICES + 1} 0\n")
+    def test_header_beyond_the_vertex_cap_refused(self, monkeypatch):
+        # a row is two int32s, so V = 2³¹ − 1 is the most a header declares:
+        # both reader paths read a graph there and refuse one vertex more
         text = f"p edge {MAX_VERTICES} 1\ne 1 {MAX_VERTICES}\n"
-        graph = parse_dimacs(text)
-        assert graph.sorted_edges() == [(0, MAX_VERTICES - 1)]
-        assert emit_dimacs(graph) == text  # names only the vertices that have edges
+        lib = _native.kernel()
+        assert lib is None or misbridge._parse_in_one_pass(text) is not None
+        for path in (lib, None):
+            with monkeypatch.context() as m:
+                m.setattr(_native, "_lib", path)
+                with pytest.raises(DimacsFormatError, match=r"^line 2: graph too large"):
+                    parse_dimacs(f"c\np edge {MAX_VERTICES + 1} 0\n")
+                graph = parse_dimacs(text)
+                assert graph.pairs.dtype == np.int32
+                assert graph.pairs.tolist() == [[0, MAX_VERTICES - 1]]
+                assert emit_dimacs(graph) == text  # names only the vertices that have edges
 
 
 class TestArrayGraph:
@@ -618,6 +626,9 @@ class TestArrayGraph:
                 assert ((u, v) in graph.edges) == ((u, v) in oracle)
         assert "ab" not in graph.edges and 3 not in graph.edges
         assert (0, 10**30) not in graph.edges and (0.5, 1) not in graph.edges
+        # members outside int32, the rows' type, compare by value
+        for member in ((0, 2**31), (2**63, 1), (-1, 0), (-2**63, 0)):
+            assert member not in graph.edges
 
     def test_emit_bytes_pinned(self):
         inst, _ = generate_forced(phase_transition_params(20), 1)
@@ -657,3 +668,48 @@ class TestArrayGraph:
         assert clone.edges == graph.edges and not clone.pairs.flags.writeable
         # the array's bytes and a few fields; a tuple per edge adds >= 5 bytes each
         assert graph.pairs.nbytes < len(blob) < graph.pairs.nbytes + 500
+
+    def test_pairs_are_int32_on_every_path(self, monkeypatch):
+        instance = generate_forced(phase_transition_params(20), 1)[0]
+        text = emit_dimacs(csp_to_mis(instance))
+        # the 'e' lines reversed and one repeated: sorted after the pass, and
+        # the repeat's line found by a second pass
+        head, *lines = text.splitlines(keepends=True)
+        shuffled = "".join([head, *lines[::-1], lines[7]])
+        lib = _native.kernel()
+        graphs = [MisGraph(5, [(4, 0), (1, 2)]), MisGraph._from_pairs(5, np.array([[0, 4]])),
+                  pickle.loads(pickle.dumps(csp_to_mis(instance)))]
+        for path in (lib, None):  # csp_to_mis compiled and numpy; both readers
+            with monkeypatch.context() as m, warnings.catch_warnings():
+                m.setattr(_native, "_lib", path)
+                warnings.simplefilter("ignore")
+                graphs += [csp_to_mis(instance), parse_dimacs(text), parse_dimacs(shuffled)]
+        for one in (text, shuffled):
+            assert lib is None or misbridge._parse_in_one_pass(one) is not None
+        for graph in graphs:
+            assert graph.pairs.dtype == np.int32 and graph.pairs.flags.c_contiguous
+        assert all(np.array_equal(graph.pairs, graphs[2].pairs) for graph in graphs[2:])
+
+    def test_an_int64_pickle_loads_as_int32(self):
+        # the layout pickled before rows were int32
+        graph = csp_to_mis(generate_forced(phase_transition_params(20), 1)[0])
+        state = dict(num_vertices=graph.num_vertices, pairs=graph.pairs.astype(np.int64),
+                     block_size=graph.block_size)
+        with mock.patch.object(MisGraph, "__getstate__", lambda self: state):
+            blob = pickle.dumps(graph)
+        clone = pickle.loads(blob)
+        assert clone.pairs.dtype == np.int32 and clone == graph
+
+    def test_graphs_beyond_the_vertex_cap_are_refused(self):
+        edge = [(0, MAX_VERTICES - 1)]
+        assert MisGraph(MAX_VERTICES, edge).pairs.tolist() == [[0, MAX_VERTICES - 1]]
+        for size in (MAX_VERTICES + 1, 10**30):
+            with pytest.raises(ValueError, match=r"^graph too large: \d+ vertices exceed the cap "
+                                                 rf"of {MAX_VERTICES}$"):
+                MisGraph(size, [])
+        state = dict(num_vertices=MAX_VERTICES + 1, pairs=np.array([[0, MAX_VERTICES]]),
+                     block_size=None)
+        with mock.patch.object(MisGraph, "__getstate__", lambda self: state):
+            blob = pickle.dumps(MisGraph(2, []))
+        with pytest.raises(ValueError, match="^graph too large"):
+            pickle.loads(blob)

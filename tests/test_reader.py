@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from rbcsp import _native, core, misbridge
 from rbcsp.core import CspFormatError, dumps_csp, loads_csp
-from rbcsp.misbridge import DimacsFormatError, csp_to_mis, emit_dimacs, parse_dimacs
+from rbcsp.misbridge import MAX_VERTICES, DimacsFormatError, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 
 from conftest import assignment_of, cpu_flags, random_instance, random_values
@@ -218,7 +218,7 @@ def test_texts_read_alike(kernel, monkeypatch, text, chunk):
 # headers at the size caps (check_size, MAX_VERTICES) that take 18 digits or fewer
 CAPPED = {
     loads_csp: ["p bcsp 100000 3 9999\n", "p bcsp 2 4472 1\n", "p bcsp 1 4472 26\n"],
-    parse_dimacs: ["p edge 999999999999999999 999999999999999999\n"],
+    parse_dimacs: [f"p edge {MAX_VERTICES} 999999999999999999\n"],
 }
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from rbcsp import _native, core, misbridge
 from rbcsp.core import Assignment, Constraint, CspInstance, dumps_csp, loads_csp
-from rbcsp.misbridge import MisGraph, csp_to_mis, emit_dimacs, parse_dimacs
+from rbcsp.misbridge import MAX_VERTICES, MisGraph, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 
 COMMENTS = ("a comment", "two\nlines", "")
@@ -99,10 +99,12 @@ def test_graphs_without_edges(writers, monkeypatch):
     assert both_dimacs(monkeypatch, MisGraph(5, [])).endswith("p edge 5 0\n")
 
 
-def test_vertices_beyond_31_bits(writers, monkeypatch):
-    edges = [(0, 2**40 - 1), (2**31 - 1, 2**31), (2**32, 2**33)]
-    text = both_dimacs(monkeypatch, MisGraph(2**40, edges))
-    assert text.endswith(f"e 1 {2**40}\ne {2**31} {2**31 + 1}\ne {2**32 + 1} {2**33 + 1}\n")
+def test_vertices_up_to_the_cap(writers, monkeypatch):
+    # the last vertex of the largest graph, 2³¹ − 2, written as 2³¹ − 1
+    edges = [(0, MAX_VERTICES - 1), (2**30 - 1, 2**30), (MAX_VERTICES - 2, MAX_VERTICES - 1)]
+    text = both_dimacs(monkeypatch, MisGraph(MAX_VERTICES, edges))
+    assert text.endswith(f"e 1 {2**31 - 1}\ne {2**30} {2**30 + 1}\n"
+                         f"e {2**31 - 2} {2**31 - 1}\n")
     assert parse_dimacs(text).pairs.tolist() == [list(e) for e in edges]
 
 
@@ -143,14 +145,14 @@ def compiled(monkeypatch, write, *args) -> tuple[str, list[int]]:
 
 def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
     # n, d and V where a number gains a digit, a constraint disallowing all
-    # d² pairs, and vertices up to 2⁶²
+    # d² pairs, and vertices up to the cap, 2³¹ − 1
     for n, d in product((9, 10, 99, 100), repeat=2):
         instance = CspInstance(n, d, (Constraint(n - 1, n - 2, tuple(product(range(d), repeat=2))),
                                       Constraint(0, n - 1, ((d - 1, 0),))))
         # d² + 1 'f' lines: the table of the d values is taken
         assert compiled(monkeypatch, dumps_csp, instance, None, COMMENTS) == (
             both_csp(monkeypatch, instance), [d])
-    for size in (9, 10, 99, 100, 2**62):
+    for size in (9, 10, 99, 100, MAX_VERTICES):
         # three edges, fewer than the vertex numbers: no table
         graph = MisGraph(size, [(0, size - 1), (size - 2, size - 1), (0, 1)])
         assert compiled(monkeypatch, emit_dimacs, graph, COMMENTS) == (
@@ -167,7 +169,7 @@ def test_texts_fit_at_digit_boundaries(writers, monkeypatch):
 def test_a_buffer_short_of_the_text_is_refused(writers):
     # at every cap below the text's length the writer returns -1 and
     # writes no byte at or beyond the cap, off the digit table (d = 10 for 3
-    # 'f' lines, V = 2⁴⁰) and on it (d = 4 for 17 'f' lines, K₁₂), where a
+    # 'f' lines, V = 2³¹ − 1) and on it (d = 4 for 17 'f' lines, K₁₂), where a
     # line's two 8-byte stores take 18 bytes of room
     lib = _native.kernel()
 
@@ -185,7 +187,7 @@ def test_a_buffer_short_of_the_text_is_refused(writers):
                                   Constraint(1, 2, ((5, 0),))))
     dense = CspInstance(12, 4, (Constraint(11, 0, tuple(product(range(4), repeat=2))),
                                 Constraint(1, 2, ((3, 0),))))
-    huge = MisGraph(2**40, [(0, 2**40 - 1), (9, 10)])
+    huge = MisGraph(MAX_VERTICES, [(0, MAX_VERTICES - 1), (9, 10)])
     k12 = MisGraph(12, list(combinations(range(12), 2)))
     for writer, args, ntab, text in (blocks(sparse, 0), blocks(dense, 4), edges(huge, 0),
                                      edges(k12, 13)):
@@ -231,7 +233,7 @@ def instances(draw):
 
 @st.composite
 def graphs(draw):
-    size = draw(st.sampled_from([1, 30, 2**31, 2**62]))
+    size = draw(st.sampled_from([1, 30, 2**30, MAX_VERTICES]))
     vertex = st.integers(0, size - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                           max_size=20))
