@@ -447,13 +447,26 @@ class TestArrayInstance:
         lambda: random_instance(random.Random(2), n=9, d=70, m=15),
         lambda: generate_forced(phase_transition_params(30), 2)[0],
         lambda: loads_csp(dumps_csp(generate_forced(phase_transition_params(20), 5)[0]))[0],
+        lambda: CspInstance(4, 3, [Constraint(0, 1, ((0, 1), (2, 2)))] * 3
+                            + [Constraint(2, 3, ((1, 0),)), Constraint(2, 3, ((1, 0),))]),
+        lambda: CspInstance(4, 3, [Constraint(0, 1, ((0, 1), (2, 2))),
+                                   Constraint(1, 2, ((0, 0), (2, 2))),
+                                   Constraint(3, 0, ((0, 1), (1, 2), (2, 2)))]),
     ])
     def test_view_equals_the_checked_constructor(self, make):
         # the view skips Constraint's re-sort and checks; the public
-        # constructor, which does them, must build the same constraints
-        cons = make().constraints
+        # constructor, which does them, must build the same constraints.
+        # An unpickled instance holds only the arrays, so its constraints
+        # are the view, whatever built the original
+        inst = pickle.loads(pickle.dumps(make()))
+        assert "constraints" not in vars(inst)
+        cons = inst.constraints
         checked = tuple(Constraint(c.var_a, c.var_b, c.disallowed) for c in cons)
         assert cons == checked
+        # one tuple per distinct value pair, shared by every constraint
+        # that disallows it
+        shared = {}
+        assert all(shared.setdefault(p, p) is p for c in cons for p in c.disallowed)
         for c in cons:
             assert type(c.var_a) is int and type(c.var_b) is int
             assert type(c.disallowed) is tuple

@@ -66,6 +66,17 @@ def test_generate_forced_peak_n100():
     assert peak <= kept + 1.0
 
 
+def test_constraints_view_peak_n100():
+    # 512k disallowed pairs at d = 40 share one tuple per distinct pair: the
+    # view peaks at 4.8 MB, all of it held; a tuple per pair took 45 MB
+    instance, _ = generate_forced(phase_transition_params(100), 1)
+    assert "constraints" not in vars(instance)
+    cons, peak = traced(lambda: instance.constraints)
+    assert peak <= 8
+    pairs = {id(p) for c in cons for p in c.disallowed}
+    assert len(pairs) <= min(instance.d ** 2, len(instance.codes))
+
+
 def test_loads_csp_peak_n40():
     text = forced_text(40, 15)  # 260 KB; the whole-text tokenizer took 4.9 MB
     assert traced_peak_mb(loads_csp, text) <= 1.5
