@@ -27,10 +27,11 @@
  * variable v are inc_start[v] .. inc_start[v+1]-1, in constraint id order;
  * slot s holds constraint slot_cid[s] with other endpoint slot_other[s], and
  * rev[s] is the constraint's slot at that other endpoint.  Its relation is
- * packed in rows of W = ceil(d / 64) words: bit u & 63 of
- * bits[(s*d + w) * W + (u >> 6)] is the violation flag when the other
- * endpoint holds w and v holds u, so word k of a row holds the values
- * 64k .. 64k+63.
+ * packed in rows of W = ceil(d / 64) words, oriented toward the other
+ * endpoint: bit w & 63 of bits[(s*d + u) * W + (w >> 6)] is the violation
+ * flag when v holds u and the other endpoint holds w, so word k of a row
+ * holds the values 64k .. 64k+63.  Slot s's row under the other endpoint's
+ * value w, the flags of v's values, is therefore row rev[s] * d + w.
  *
  * The step loop takes one of two paths, with the same trajectory, and keeps
  * the path's cache in the run's buffer `cache`:
@@ -39,16 +40,17 @@
  *   counts[v * 64 + u] is the number of conflicts v would have at value u
  *   under its neighbours' current values, the sum of flag u over the rows of
  *   v's slots.  A gather is one scan of v's row; a change of var from old to
- *   value takes, at the far end o = rev[s] of each slot s, the row
- *   bits[o * d + old] from its endpoint's counts and adds bits[o * d + value].
+ *   value takes, for each slot s of var, its own row bits[s * d + old] from
+ *   the counts of its other endpoint and adds bits[s * d + value].
  *   A step takes it when the host has AVX-512BW, d <= 64, so that a row of
  *   counts is one vector, and no variable has more than 255 slots, so that
  *   no count overflows its byte.
  * - The bit-plane path, everywhere else, keeps the row cache cur: cur[s * W]
  *   holds slot s's row under the current value of its other endpoint, so the
  *   rows of a variable lie in order, one after another.  A gather counts
- *   them in bit planes, one word at a time; a change refreshes the rows at
- *   the far end of its slots.
+ *   them in bit planes, one word at a time; a change copies each of its
+ *   slots' own rows under the new value to the cache row of the slot's far
+ *   end.
  *
  * The caller sets `fresh` whenever it hands over a state the cache does not
  * hold (`rbcsp.ulsa._KernelRun`): the first call and every restart.  The
@@ -130,14 +132,15 @@ static inline __attribute__((always_inline)) int64_t popcount(uint64_t v)
 }
 
 /* the words of slot s's row under the current value of its other endpoint:
- * read from bits at the start, where the endpoint may have no value yet, and
- * from the row cache in the search */
+ * read from bits at the start, as the far slot rev[s]'s row under that
+ * value, where the endpoint may have no value yet, and from the row cache in
+ * the search */
 static inline __attribute__((always_inline)) const uint64_t *
 row_of(const ulsa_run *r, int64_t W, int32_t s, int live)
 {
     if (!live)
         return r->cache + (int64_t)s * W;
-    return r->bits + ((int64_t)s * r->d + r->x[r->slot_other[s]]) * W;
+    return r->bits + ((int64_t)r->rev[s] * r->d + r->x[r->slot_other[s]]) * W;
 }
 
 /* the flag of value u in a row; with W = 1 the word is row[0] */
@@ -263,8 +266,8 @@ static inline __attribute__((always_inline)) void toggle(ulsa_run *r, int32_t ci
 
 /* the bit-plane path's listing for slots c0 .. c1-1 of var: the slots whose
  * flag differs between old and value, read from the row cache, go to
- * changed, and the row at the far end of each slot is refreshed for value;
- * returns how many were listed */
+ * changed, and the cached row at the far end rev[s] of each slot s is
+ * refreshed with slot s's own row under value; returns how many were listed */
 static inline __attribute__((always_inline)) int
 list_rows(ulsa_run *r, int64_t W, int64_t old, int64_t value, int32_t c0, int32_t c1,
           int32_t *changed)
@@ -280,7 +283,7 @@ list_rows(ulsa_run *r, int64_t W, int64_t old, int64_t value, int32_t c0, int32_
         changed[n] = s;
         n += flag(row, W, value) != flag(row, W, old);
         const int64_t o = rev[s];
-        const uint64_t *fresh = bits + (o * d + value) * W;
+        const uint64_t *fresh = bits + (s * d + value) * W;
         for (int64_t k = 0; k < W; k++)
             cur[o * W + k] = fresh[k];
     }
@@ -288,11 +291,11 @@ list_rows(ulsa_run *r, int64_t W, int64_t old, int64_t value, int32_t c0, int32_
 }
 
 /* the bit-plane path's cache filled from x: row s of cur is slot s's row under
- * the current value of its other endpoint */
+ * the current value of its other endpoint, the far slot rev[s]'s row of bits */
 static void fill_rows(ulsa_run *r, int64_t W)
 {
     for (int64_t s = 0; s < r->inc_start[r->n]; s++)
-        memcpy(r->cache + s * W, r->bits + (s * r->d + r->x[r->slot_other[s]]) * W,
+        memcpy(r->cache + s * W, r->bits + (r->rev[s] * r->d + r->x[r->slot_other[s]]) * W,
                (size_t)W * sizeof(uint64_t));
 }
 
@@ -303,7 +306,7 @@ static void fill_rows(ulsa_run *r, int64_t W)
 #define COUNTS_TARGET __attribute__((target("avx512f,avx512bw,popcnt")))
 
 /* the count path's cache filled from x: v's row sums the rows of its slots
- * under their other endpoints' current values */
+ * under their other endpoints' current values, the far slots' rows of bits */
 static COUNTS_TARGET void fill_counts(ulsa_run *r)
 {
     uint8_t *const counts = (uint8_t *)r->cache;
@@ -311,7 +314,8 @@ static COUNTS_TARGET void fill_counts(ulsa_run *r)
     for (int64_t v = 0; v < r->n; v++) {
         __m512i c = _mm512_setzero_si512();
         for (int32_t s = r->inc_start[v]; s < r->inc_start[v + 1]; s++)
-            c = _mm512_mask_add_epi8(c, r->bits[s * r->d + r->x[r->slot_other[s]]], c, one);
+            c = _mm512_mask_add_epi8(c, r->bits[r->rev[s] * r->d + r->x[r->slot_other[s]]], c,
+                                     one);
         _mm512_store_si512(counts + 64 * v, c);
     }
 }
@@ -338,22 +342,23 @@ static COUNTS_TARGET void scan_counts(const ulsa_run *r, int64_t v, moves *mv)
     mv->n = __builtin_popcountll(at);
 }
 
-/* the count path's listing for slots c0 .. c1-1 of var: with a and b the far
- * end's rows under old and under value, the slot's flag changes where a and
- * b differ at the other endpoint's value, and the other endpoint's counts
- * lose a and gain b; returns how many were listed */
+/* the count path's listing for slots c0 .. c1-1 of var: with a and b slot s's
+ * own rows under old and under value, the flags of the other endpoint's
+ * values, the slot's flag changes where a and b differ at the other
+ * endpoint's value, and the other endpoint's counts lose a and gain b;
+ * returns how many were listed */
 static COUNTS_TARGET int list_counts(ulsa_run *r, int64_t old, int64_t value, int32_t c0,
                                      int32_t c1, int32_t *changed)
 {
     uint8_t *const counts = (uint8_t *)r->cache;
     const uint64_t *const bits = r->bits;
-    const int32_t *const rev = r->rev, *const other = r->slot_other;
+    const int32_t *const other = r->slot_other;
     const int64_t *const x = r->x, d = r->d;
     const __m512i one = _mm512_set1_epi8(1);
     int n = 0;
     for (int32_t s = c0; s < c1; s++) {
-        const int64_t o = rev[s], w = other[s];
-        const uint64_t a = bits[o * d + old], b = bits[o * d + value];
+        const int64_t w = other[s];
+        const uint64_t a = bits[s * d + old], b = bits[s * d + value];
         changed[n] = s;
         n += (a ^ b) >> x[w] & 1;
         uint8_t *row = counts + 64 * w;
@@ -515,10 +520,11 @@ start(ulsa_run *r, int64_t W, const int64_t *perm, int64_t n, bitgen_t *gen, uin
  * number).  x receives the n values.
  */
 void ulsa_init(const uint64_t *bits, const int32_t *inc_start, const int32_t *slot_other,
-               int64_t d, const int64_t *perm, int64_t n, bitgen_t *gen, int64_t *x)
+               const int32_t *rev, int64_t d, const int64_t *perm, int64_t n, bitgen_t *gen,
+               int64_t *x)
 {
-    ulsa_run r = {.bits = bits, .inc_start = inc_start, .slot_other = slot_other, .d = d,
-                  .x = x};
+    ulsa_run r = {.bits = bits, .inc_start = inc_start, .slot_other = slot_other, .rev = rev,
+                  .d = d, .x = x};
     const int64_t W = (d + 63) / 64;
     for (int64_t v = 0; v < n; v++)
         x[v] = -1; /* no value yet */
@@ -538,10 +544,12 @@ void ulsa_init(const uint64_t *bits, const int32_t *inc_start, const int32_t *sl
  * ceil(d / 64) words a row, from the instance arrays of
  * `rbcsp.core.CspInstance`: constraint i disallows the pairs (a, b) whose
  * codes a * d + b are codes[pair_start[i] .. pair_start[i+1]-1], ascending.
- * Its var_a has the incidence slot slot[i] and its var_b the slot
- * slot[m + i].  A pair (a, b) sets flag a of row slot[i] * d + b, var_a's row
- * when var_b holds b, and flag b of row slot[m + i] * d + a; bits must hold
- * 2m * d * W zeros.
+ * A pair (a, b) sets flag a of row slot[i] * d + b, of the d rows that
+ * hold var_a's flags by var_b's value, and flag b of row slot[m + i] * d + a;
+ * bits must hold 2m * d * W zeros.  `_FlatTables` passes var_b's incidence
+ * slot as slot[i] and var_a's as slot[m + i], so that a slot's rows are
+ * indexed by its own variable's value and hold the flags of the other
+ * endpoint's values.
  */
 /* the rows for W words; with W = 1 a flag's word is the row's one */
 static inline __attribute__((always_inline)) void

@@ -87,7 +87,7 @@ class _RunStruct(ctypes.Structure):
 # (argtypes, restype) of each function the package calls
 _SIGNATURES = {
     "ulsa_advance": ([ctypes.POINTER(_RunStruct)], None),
-    "ulsa_init": ([_P] * 3 + [_I, _P, _I] + [_P] * 2, None),
+    "ulsa_init": ([_P] * 4 + [_I, _P, _I] + [_P] * 2, None),
     "build_bits": ([_P, _P, _I, _I, _P, _P], None),
     "read_header": ([ctypes.c_char_p, _I, ctypes.c_char_p, _I, _P], _I),
     "read_csp": ([ctypes.c_char_p] + [_I] * 5 + [_P] * 3 + [_I, _P, _I, _P, _I, _P, _P], _I),

@@ -368,13 +368,15 @@ class _FlatTables:
 
     Incidence slots are grouped by variable in CSR form: the slots of v are
     inc_start[v] .. inc_start[v+1]-1, in constraint id order.  Slot s holds
-    constraint slot_cid[s], whose other endpoint is slot_other[s], and its
-    relation oriented toward v in d rows of `bits` from row base[s] = s·d:
-    row s·d + w holds ceil(d / 64) uint64 words, and bit u % 64 of its word
-    u // 64 is set iff the constraint is violated when the other endpoint
-    holds w and v holds u.  rev[s] is the same constraint's slot at the
-    other endpoint, so rev[rev[s]] == s.  con_a/con_b are the constraints'
-    endpoints.
+    constraint slot_cid[s], whose other endpoint is slot_other[s], and rev[s]
+    is the same constraint's slot at the other endpoint, so rev[rev[s]] == s.
+    Slot s's relation lies in the d rows of `bits` from row s·d, oriented
+    toward the other endpoint: row s·d + u holds ceil(d / 64) uint64 words,
+    and bit w % 64 of its word w // 64 is set iff the constraint is violated
+    when v holds u and the other endpoint holds w.  So the flags of v's
+    values under the other endpoint's value w are row base[s] + w, with
+    base[s] = rev[s]·d, and a change of v reads its own slots' rows.
+    con_a/con_b are the constraints' endpoints.
 
     bits is the one table of flags, built by the compiled `build_bits` when
     it is available; the Python reference paths unpack only the rows they
@@ -394,7 +396,11 @@ class _FlatTables:
         slot = np.empty(2 * m, dtype=np.int64)
         slot[order] = np.arange(2 * m)
         self.d = d
-        self.bits = _build_bits(instance, slot)
+        # far[k] is the slot at the other endpoint of entry k's slot; built
+        # from it, each slot's rows are indexed by its own variable's value
+        # and flag the other endpoint's values
+        far = np.concatenate([slot[m:], slot[:m]])
+        self.bits = _build_bits(instance, far)
         # gathers rows of bits as bytes with each word little-endian, so that
         # bit u % 8 of byte u // 8 of a row is flag u on any host; the bytes
         # are a view of bits, not a copy, on a little-endian host
@@ -404,8 +410,9 @@ class _FlatTables:
         self.slot_other = np.concatenate([con_b, con_a])[order]
         self.slot_cid = cid[order]
         self.rev = np.empty(2 * m, dtype=np.int32)
-        self.rev[slot] = np.concatenate([slot[m:], slot[:m]])
-        self.base = np.arange(2 * m, dtype=np.int64) * d  # slot s's first row in bits
+        self.rev[slot] = far
+        # the first row of slot s's flags by its other endpoint's value
+        self.base = self.rev.astype(np.int64) * d
         self.con_a = con_a
         self.con_b = con_b
 
@@ -419,8 +426,8 @@ class _FlatTables:
 
 def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
     """`_FlatTables.bits`, filled by the compiled builder when it is available,
-    else by one numpy scatter; slot[cid] and slot[m + cid] are the slots of
-    constraint cid's var a and var b."""
+    else by one numpy scatter: constraint cid's pair (a, b) sets flag a of
+    row slot[cid]·d + b and flag b of row slot[m + cid]·d + a."""
     d, m = instance.d, instance.num_constraints
     words = -(-d // 64)
     bits = np.zeros((2 * m * d, words), dtype=np.uint64)
@@ -431,7 +438,7 @@ def _build_bits(instance: CspInstance, slot: np.ndarray) -> np.ndarray:
         return bits
     pair_cid = np.repeat(np.arange(m), np.diff(instance.pair_start))
     va, vb = np.divmod(instance.codes, d)
-    # var a's slot, whose other endpoint holds b, flags a; var b's slot flags b
+    # the rows of slot[cid] flag a by b, those of slot[m + cid] flag b by a
     row = np.concatenate([slot[pair_cid] * d + vb, slot[m + pair_cid] * d + va])
     value = np.concatenate([va, vb])
     np.bitwise_or.at(bits.reshape(-1), row * words + (value >> 6),

@@ -122,8 +122,8 @@ def init_state(instance: CspInstance, rng: np.random.Generator) -> SearchState:
     values = np.zeros(n, dtype=np.int64)
     if lib is not None:
         lib.ulsa_init(tb.bits.ctypes.data, tb.inc_start.ctypes.data, tb.slot_other.ctypes.data,
-                      d, perm.ctypes.data, n, rng.bit_generator.ctypes.bit_generator,
-                      values.ctypes.data)
+                      tb.rev.ctypes.data, d, perm.ctypes.data, n,
+                      rng.bit_generator.ctypes.bit_generator, values.ctypes.data)
         return SearchState(instance, Assignment(values, np.ones(n, dtype=bool)))
     initialized = np.zeros(n, dtype=bool)
     bounds = tb.inc_start.tolist()

@@ -30,10 +30,11 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def recount_violated(instance: CspInstance, values) -> set[int]:
-    """From-scratch violated-constraint ids; independent of SearchState."""
+    """From-scratch violated-constraint ids; independent of SearchState.
+    `Constraint.violates` searches the sorted pairs and caches nothing."""
     out = set()
     for cid, c in enumerate(instance.constraints):
-        if (int(values[c.var_a]), int(values[c.var_b])) in c.pair_set:
+        if c.violates(int(values[c.var_a]), int(values[c.var_b])):
             out.add(cid)
     return out
 

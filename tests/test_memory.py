@@ -1,5 +1,5 @@
 """Memory guards for the text readers and writers and the MIS conversions
-at frb scale, and for the Python start and steps.
+at frb scale, for the Python start and steps, and for the tests' recount.
 
 numpy reports its array allocations to tracemalloc, so a traced peak covers
 the arrays as well as the Python objects.  Each bound sits well above the
@@ -18,6 +18,8 @@ from rbcsp.core import dumps_csp, loads_csp
 from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.ulsa import UlsaConfig, run
+
+from conftest import recount_violated
 
 
 def traced(fn, *args):
@@ -75,6 +77,18 @@ def test_constraints_view_peak_n100():
     assert peak <= 8
     pairs = {id(p) for c in cons for p in c.disallowed}
     assert len(pairs) <= min(instance.d ** 2, len(instance.codes))
+
+
+def test_recount_oracle_caches_no_pair_sets_n100():
+    # the tests' independent recount asks each constraint by a binary search
+    # of its sorted pairs and holds 0.0003 MB after it; a frozenset cached
+    # on every constraint it read held 42 MB, as long as the instance lived
+    instance, hidden = generate_forced(phase_transition_params(100), 1)
+    cons = instance.constraints
+    violated, peak = traced(recount_violated, instance, hidden.values)
+    assert violated == set()  # the hidden solution: every constraint is read
+    assert peak <= 1
+    assert not any("pair_set" in vars(c) for c in cons)
 
 
 def test_loads_csp_peak_n40():

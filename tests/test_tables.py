@@ -1,6 +1,6 @@
 """The search tables: the compiled and the numpy build of the packed rows,
-the gathered rows unpacked from them, the reverse slots, and the compiled
-greedy start.
+each slot's oriented toward its other endpoint, the gathered rows unpacked
+from them, the reverse slots, and the compiled greedy start.
 
 Each build is checked against an oracle that lays the slots out with plain
 loops over `instance.constraints`, sharing no code with `_FlatTables`.
@@ -25,9 +25,10 @@ from conftest import random_instance, recount_violated
 
 
 def oracle(instance: CspInstance):
-    """(inc_start, slot_cid, slot_other, rows): each variable's slots in
-    constraint id order, and rows[s * d + w, u] set iff slot s's constraint
-    disallows u for its variable when the other endpoint holds w."""
+    """(inc_start, slot_cid, slot_other, rows, rev): each variable's slots in
+    constraint id order, rows[s * d + w, u] set iff slot s's constraint
+    disallows u for its variable when the other endpoint holds w, and rev[s]
+    the constraint's slot at the other endpoint."""
     n, d, cons = instance.n, instance.d, instance.constraints
     inc_start, slot_cid, slot_other, slot_of = [0], [], [], {}
     for v in range(n):
@@ -43,7 +44,17 @@ def oracle(instance: CspInstance):
         for a, b in c.disallowed:
             rows[slot_of[cid, 0] * d + b, a] = 1
             rows[slot_of[cid, 1] * d + a, b] = 1
-    return inc_start, slot_cid, slot_other, rows
+    rev = [0] * len(slot_cid)
+    for (cid, side), s in slot_of.items():
+        rev[s] = slot_of[cid, 1 - side]
+    return inc_start, slot_cid, slot_other, rows, rev
+
+
+def far_rows(rev: list[int], d: int) -> np.ndarray:
+    """The oracle rows that the rows of bits hold, in order: bits row s·d + u,
+    the flags of the other endpoint's values when s's own variable holds u,
+    is oracle row rev[s]·d + u."""
+    return (np.array(rev, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
 
 
 def packed(rows: np.ndarray) -> np.ndarray:
@@ -100,16 +111,17 @@ def numpy_tables(monkeypatch, instance: CspInstance) -> _FlatTables:
 @pytest.mark.parametrize("make", INSTANCES)
 def test_native_and_numpy_bits_equal_the_oracle(builder, monkeypatch, make):
     instance = make()
-    inc_start, slot_cid, slot_other, rows = oracle(instance)
+    inc_start, slot_cid, slot_other, rows, rev = oracle(instance)
     native = _FlatTables(instance)
     fallback = numpy_tables(monkeypatch, instance)
     assert native.bits.dtype == fallback.bits.dtype == np.uint64
     assert native.bits.tobytes() == fallback.bits.tobytes()
-    assert np.array_equal(native.bits, packed(rows))
     for tables in (native, fallback):
+        assert np.array_equal(tables.bits, packed(rows[far_rows(rev, instance.d)]))
         assert tables.inc_start.tolist() == inc_start
         assert tables.slot_cid.tolist() == slot_cid
         assert tables.slot_other.tolist() == slot_other
+        assert tables.rev.tolist() == rev
 
 
 @pytest.mark.parametrize("make", [
@@ -117,16 +129,18 @@ def test_native_and_numpy_bits_equal_the_oracle(builder, monkeypatch, make):
     *INSTANCES])
 def test_byte_view_equals_the_oracle_rows(monkeypatch, make):
     instance = make()
-    rows = oracle(instance)[3]
-    # every row in order, then in a shuffled order with repeats, as the
-    # Python gathers pick them
-    shuffled = np.random.default_rng(instance.d).integers(0, max(len(rows), 1), 2 * len(rows))
+    d = instance.d
+    rows, rev = oracle(instance)[3:]
+    # every oracle row s·d + w in order, then in a shuffled order with
+    # repeats, as the Python gathers pick them: row base[s] + w of bits
+    shuffled = np.random.default_rng(d).integers(0, max(len(rows), 1), 2 * len(rows))
     for tables in (_FlatTables(instance), numpy_tables(monkeypatch, instance)):
-        assert tables.bits.shape == (len(rows), -(-instance.d // 64))
+        assert tables.bits.shape == (len(rows), -(-d // 64))
+        assert tables.base.tolist() == [r * d for r in rev]
+        at = np.repeat(tables.base, d) + np.tile(np.arange(d), len(rev))
         for picked in (np.arange(len(rows)), shuffled):
-            flags = tables.flags(picked)
+            flags = tables.flags(at[picked])
             assert flags.dtype == np.uint8 and np.array_equal(flags, rows[picked])
-        assert tables.base.tolist() == list(range(0, len(rows), instance.d))
 
 
 @pytest.mark.parametrize("make", [
