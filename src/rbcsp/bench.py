@@ -12,8 +12,8 @@ iteration counts; for stationary local search it is expected to track
 from __future__ import annotations
 
 import csv
+import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -42,23 +42,36 @@ def run_many(
         raise ValueError(f"need at least one run, got {num_runs}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    # a process pool forks all its workers at the first submit
-    workers = min(workers, num_runs)
+    # a process pool forks all its workers at the first submit, and more
+    # workers than usable CPUs only wait their turn
+    workers = min(workers, num_runs, _usable_cpus())
     one = partial(run, instance, config, track_best=track_best)
     seeds = range(base_seed, base_seed + num_runs)
     if workers <= 1:
         return list(map(one, seeds))
     if _native.kernel() is not None:
         # kernel calls release the GIL, so threads run in parallel and share
-        # the instance's tables, built once here.  Imported here: at module
-        # level it moved the peak RSS of processes that never use it
+        # the instance's tables, built once here.  Each pool is imported
+        # where it is used: at module level it moved the peak RSS of
+        # processes that never use it
         from concurrent.futures import ThreadPoolExecutor
 
         instance._tables
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, seeds))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, seeds, chunksize=max(1, num_runs // (4 * workers))))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the host's where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on macOS or Windows
+        return os.cpu_count() or 1
 
 
 def aggregate_stats(records: Sequence[RunRecord]) -> StepStats:

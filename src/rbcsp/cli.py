@@ -9,6 +9,7 @@ produce a one-line diagnostic on stderr and exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -50,10 +51,11 @@ def _fresh_seed() -> int:
     return seed
 
 
-# Texts are UTF-8 whatever the locale, and are written as bytes, to a file
-# or to stdout, so the locale's encoding never refuses one.
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
+# Texts are UTF-8 whatever the locale.  A file is read once, as bytes, which
+# the readers take as they are (see core.loads_csp), and texts are written as
+# bytes, to a file or to stdout, so the locale's encoding never refuses one.
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
         return f.read()
 
 
@@ -79,8 +81,23 @@ def _path_text(path: str) -> str:
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for str keys.  The stdlib's indenting
+    encoder builds closures that call each other, a reference cycle left as
+    garbage on every call; this recursion builds none."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)) and value:
+        items = [inner + _json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return ends[0] + "\n" + ",\n".join(items) + "\n" + indent + ends[1]
+
+
 def _load_instance(path: str) -> tuple[CspInstance, Optional[Assignment]]:
-    return loads_csp(_read_text(path))
+    return loads_csp(_read_bytes(path))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -146,7 +163,7 @@ def _cmd_solve(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     config = _build_config(args, instance.n)
     rec = run(instance, config, seed)
-    print(json.dumps(_record_json(rec, args.infile), indent=2))
+    print(_json(_record_json(rec, args.infile)))
     return 0
 
 
@@ -186,7 +203,7 @@ def _cmd_bench(args) -> int:
         "distinct_assignments": best.distinct_best_assignments,
         "distinct_conflict_sets": best.distinct_best_conflict_sets,
     }
-    text = json.dumps(summary, indent=2)
+    text = _json(summary)
     if args.summary_out:
         _write_text(args.summary_out, text + "\n")
         print(f"wrote summary to {_path_text(args.summary_out)}", file=sys.stderr)
@@ -213,7 +230,7 @@ def _cmd_recover(args) -> int:
 
 
 def _recover_csp(path: str, block_size: int, out: Optional[str]) -> int:
-    instance = mis_to_csp(parse_dimacs(_read_text(path)), block_size)
+    instance = mis_to_csp(parse_dimacs(_read_bytes(path)), block_size)
     _write_text(out, dumps_csp(
         instance, comments=[f"recovered from {_path_text(path)} with block size {block_size}"]))
     return 0
@@ -266,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="multi-run benchmark with RTD outputs")
     bench.add_argument("--runs", type=int, default=100)
     bench.add_argument("--base-seed", type=int, default=None)
-    bench.add_argument("--workers", type=int, default=1)
+    bench.add_argument("--workers", type=int, default=1,
+                       help="parallel runs, at most one per run and per usable CPU")
     bench.add_argument("--rtd-out", default=None,
                        help="CSV: iterations, ecdf, fitted")
     bench.add_argument("--hist-out", default=None,
@@ -295,9 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit status.  Every call in a
+    process parses with one parser, built at the first."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -14,7 +14,6 @@ single row gather and column sum instead of a per-value rescan.
 
 from __future__ import annotations
 
-import ctypes
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -756,27 +755,50 @@ def _f_problem(raw: str, d: int) -> str:
     return f"disallowed pair ({va},{vb}) repeats in its constraint"
 
 
-def _one_pass_header(text: str, word: bytes, count: int):
+def _readable(text: str | bytes) -> str | bytes:
+    """A text as the readers take it: a str or ASCII bytes as they are, any
+    other bytes decoded as strict UTF-8 (a UnicodeDecodeError if they are
+    not UTF-8)."""
+    if isinstance(text, str) or text.isascii():
+        return text
+    return text.decode("utf-8")
+
+
+def _decoded(text: str | bytes) -> str:
+    """A `_readable` text as a str, for the Python paths."""
+    return text if isinstance(text, str) else text.decode("ascii")
+
+
+def _one_pass_header(text: str | bytes, word: bytes, count: int):
     """(lib, raw, start, values) when the compiled `read_header` reads the
     first line of `text` with tokens, comments aside, as 'p <word>' and
     `count` plain numbers: the kernel, the text as UTF-8, the offset after
-    the header and the numbers.  None when the kernel is not loaded, the
-    text holds a line break beyond ASCII or a lone surrogate, or the header
-    is refused.  Beyond ASCII, the one-pass readers accept characters in
-    comment lines only (see the text readers of _kernel.c)."""
+    the header and the numbers.  `text` is a str or ASCII bytes (see
+    `_readable`); bytes are read as they are, with no copy, and a str is
+    encoded.  None when the kernel is not loaded, the text holds a line
+    break beyond ASCII or a lone surrogate, or the header is refused.
+    Beyond ASCII, the one-pass readers accept characters in comment lines
+    only (see the text readers of _kernel.c)."""
     lib = _native.kernel()
-    if lib is None or not text.isascii() and any(c in text for c in _WIDE_BREAKS):
+    if lib is None:
         return None
-    try:
-        raw = text.encode("utf-8")
-    except UnicodeEncodeError:
+    if isinstance(text, bytes):
+        raw = text
+    elif not text.isascii() and any(c in text for c in _WIDE_BREAKS):
         return None
-    values = (ctypes.c_int64 * count)()
-    start = lib.read_header(raw, len(raw), word, count, values)
-    return None if start < 0 else (lib, raw, start, list(values))
+    else:
+        try:
+            raw = text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    # numpy rather than ctypes arrays: each `c_int64 * k` type made in a
+    # call is left as cyclic garbage
+    values = np.zeros(count, dtype=np.int64)
+    start = lib.read_header(raw, len(raw), word, count, values.ctypes.data)
+    return None if start < 0 else (lib, raw, start, values.tolist())
 
 
-def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assignment]]]:
+def _loads_in_one_pass(text: str | bytes) -> Optional[tuple[CspInstance, Optional[Assignment]]]:
     """loads_csp's result from one compiled pass over the text into the
     instance's arrays, or None when the pass refuses it (see `read_csp`)."""
     found = _one_pass_header(text, b"bcsp", 3)
@@ -798,14 +820,16 @@ def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assign
     pair_start = np.empty(mcap + 1, dtype=np.int64)
     codes = np.empty(min(m * d * d, r // 6), dtype=np.int32)
     solution = np.empty(min(n, r // 2), dtype=np.int64)
-    seen, ascending = (ctypes.c_int64 * 1)(), (ctypes.c_int64 * 1)()
+    flags = np.zeros(2, dtype=np.int64)  # *seen and *ascending
     used = lib.read_csp(raw, len(raw), start, n, d, m, con_a.ctypes.data, con_b.ctypes.data,
                         pair_start.ctypes.data, mcap, codes.ctypes.data, len(codes),
-                        solution.ctypes.data, len(solution), seen, ascending)
+                        solution.ctypes.data, len(solution), flags.ctypes.data,
+                        flags.ctypes.data + 8)
     if used < 0:
         return None
+    seen, ascending = flags.tolist()
     codes.resize(used, refcheck=False)  # the buffer is ours alone
-    if not ascending[0]:
+    if not ascending:
         # each block's codes sorted, as keys block·d² + code; a block that
         # repeats a pair is left to the Python path, which names its line
         keys = np.repeat(np.arange(m, dtype=np.int64) * (d * d), np.diff(pair_start))
@@ -815,11 +839,11 @@ def _loads_in_one_pass(text: str) -> Optional[tuple[CspInstance, Optional[Assign
             return None
         codes[:] = keys % (d * d)
     instance = CspInstance._from_arrays(n, d, con_a, con_b, pair_start, codes)
-    return instance, Assignment(solution, np.ones(n, dtype=bool)) if seen[0] else None
+    return instance, Assignment(solution, np.ones(n, dtype=bool)) if seen else None
 
 
-def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
-    """Parse the native CSP text format.
+def loads_csp(text: str | bytes) -> tuple[CspInstance, Optional[Assignment]]:
+    """Parse the native CSP text format, given as a str or as its UTF-8 bytes.
 
     Returns the instance plus the recorded solution if an `s` line is present.
     Raises CspFormatError with the number of the first bad line on malformed
@@ -836,10 +860,18 @@ def loads_csp(text: str) -> tuple[CspInstance, Optional[Assignment]]:
     are checked one by one in a loop that knows how many 'f' lines lie
     between them.  So a text the pass refuses costs time, never a
     different result.
+
+    ASCII bytes go to the pass as they are, with no copy.  Other bytes are
+    decoded once as strict UTF-8 (a UnicodeDecodeError, a ValueError, if
+    they are not UTF-8) and read as that str, and ASCII bytes the pass
+    refuses are decoded for the Python path; so bytes and their str give
+    the same result and the same error.
     """
+    text = _readable(text)
     parsed = _loads_in_one_pass(text)
     if parsed is not None:
         return parsed
+    text = _decoded(text)
     # values are clamped to a bound on d: an accepted header has n >= 1 and
     # so d(d−1)/2 <= MAX_CLIQUE_EDGES
     f_lines, pairs, at_lines, spans = _read(text, "f", isqrt(2 * MAX_CLIQUE_EDGES) + 1)

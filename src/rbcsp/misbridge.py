@@ -13,7 +13,6 @@ that is how such benchmarks are distributed.
 
 from __future__ import annotations
 
-import ctypes
 import re
 import warnings
 from bisect import bisect_left, bisect_right
@@ -23,7 +22,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _native
-from .core import _BREAKS, CspInstance, _line, _one_pass_header, _read, _write, check_size
+from .core import (_BREAKS, CspInstance, _decoded, _line, _one_pass_header, _read, _readable,
+                   _write, check_size)
 
 # A graph's edge rows are two int32s, so it has at most 2³¹ − 1 vertices; a
 # graph, a pickle or a 'p edge' header beyond this is refused.  Every graph
@@ -371,11 +371,12 @@ def _e_problem(raw: str, num_vertices: int) -> str:
     return f"self-loop on vertex {u}"
 
 
-def _parse_in_one_pass(text: str):
+def _parse_in_one_pass(text: str | bytes):
     """(V, E, pairs, dropped) of the text's header, distinct edges, as rows
     of the graph's `pairs`, and dropped duplicates, as (line, u, v), from
     one compiled pass, or None when the pass refuses the text (see
-    `read_dimacs`)."""
+    `read_dimacs`).  `text` is a str or ASCII bytes, as `_one_pass_header`
+    takes it."""
     found = _one_pass_header(text, b"edge", 2)
     if found is None:
         return None
@@ -385,11 +386,11 @@ def _parse_in_one_pass(text: str):
     # an 'e' line takes at least 6 of the bytes after the header, the last
     # line 5; a text of more edges than declared is read again to that bound
     fits = (len(raw) - start + 1) // 6
-    ascending = (ctypes.c_int64 * 1)()
+    ascending = np.zeros(1, dtype=np.int64)
     for cap in (min(declared_edges, fits), fits):
         pairs = np.empty((cap, 2), dtype=np.int32)
         used = lib.read_dimacs(raw, len(raw), start, num_vertices, pairs.ctypes.data, cap,
-                               ascending, None)
+                               ascending.ctypes.data, None)
         if used != -2:
             break
     if used < 0:
@@ -400,7 +401,8 @@ def _parse_in_one_pass(text: str):
     if not ascending[0]:
         pairs, repeats = _canonical(pairs)
         if repeats.size:
-            dropped = _repeated_lines(lib, text.encode("utf-8"), start, num_vertices, repeats)
+            raw = text if isinstance(text, bytes) else text.encode("utf-8")
+            dropped = _repeated_lines(lib, raw, start, num_vertices, repeats)
     return num_vertices, declared_edges, pairs, dropped
 
 
@@ -412,8 +414,9 @@ def _repeated_lines(lib, raw: bytes, start: int, num_vertices: int,
     in the line's order."""
     rows = int(repeats[-1]) + 1
     at, scratch = np.empty(rows, dtype=np.int64), np.empty((rows, 2), dtype=np.int32)
+    unread = np.zeros(1, dtype=np.int64)  # *ascending, known already
     lib.read_dimacs(raw, len(raw), start, num_vertices, scratch.ctypes.data, rows,
-                    (ctypes.c_int64 * 1)(), at.ctypes.data)
+                    unread.ctypes.data, at.ctypes.data)
     at = at[repeats]
     # a line starts after each ASCII break, but for the '\n' of a '\r\n'
     head = np.frombuffer(raw, dtype=np.uint8, count=int(at[-1]))
@@ -468,8 +471,9 @@ def _parse_in_python(text: str):
     return num_vertices, declared_edges, pairs, dropped
 
 
-def parse_dimacs(text: str) -> MisGraph:
-    """Parse DIMACS ascii graph format (1-indexed `e` lines, `c` comments).
+def parse_dimacs(text: str | bytes) -> MisGraph:
+    """Parse DIMACS ascii graph format (1-indexed `e` lines, `c` comments),
+    given as a str or as its UTF-8 bytes.
 
     Self-loops are rejected; duplicate edges are dropped with a warning; an
     edge count differing from the header is warned about but tolerated.
@@ -484,10 +488,13 @@ def parse_dimacs(text: str) -> MisGraph:
     (`_parse_in_python`), which raises every error: the 'e' lines are read
     in bulk by `core._read`, as `loads_csp` reads 'f' lines, and one sort
     orders them and finds the duplicates, unless they are already in order.
-    The few other lines are checked one by one.
+    The few other lines are checked one by one.  Bytes are taken as
+    `loads_csp` takes them: ASCII ones read with no copy, others decoded
+    once as strict UTF-8.
     """
+    text = _readable(text)
     num_vertices, declared_edges, pairs, dropped = (_parse_in_one_pass(text)
-                                                    or _parse_in_python(text))
+                                                    or _parse_in_python(_decoded(text)))
     for lineno, u, v in dropped:
         warnings.warn(f"line {lineno}: duplicate edge ({u},{v}) dropped", stacklevel=2)
     if len(pairs) != declared_edges:

@@ -55,26 +55,28 @@ def min_conflict_cover(conflicts: Sequence[tuple[int, int]],
     """
     if budget < 0:
         return None
-    pairs = list(conflicts)
-    chosen: set[int] = set()
+    return _cover(list(conflicts), set(), budget)
 
-    def search() -> Optional[set[int]]:
-        for u, v in pairs:
-            if u not in chosen and v not in chosen:
-                break
-        else:
-            return set(chosen)
-        if len(chosen) == budget:
-            return None
-        for w in (u, v):
-            chosen.add(w)
-            found = search()
-            chosen.discard(w)
-            if found is not None:
-                return found
+
+def _cover(pairs: list[tuple[int, int]], chosen: set[int],
+           budget: int) -> Optional[set[int]]:
+    """min_conflict_cover's search below the variables `chosen`.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, left as garbage on every call."""
+    for u, v in pairs:
+        if u not in chosen and v not in chosen:
+            break
+    else:
+        return set(chosen)
+    if len(chosen) == budget:
         return None
-
-    return search()
+    for w in (u, v):
+        chosen.add(w)
+        found = _cover(pairs, chosen, budget)
+        chosen.discard(w)
+        if found is not None:
+            return found
+    return None
 
 
 def subset_conflicts(instance: CspInstance, values: Sequence[int],

@@ -108,3 +108,35 @@ def cpu_flags() -> set[str]:
         return set(Path("/proc/cpuinfo").read_text().split())
     except OSError:
         pytest.skip("this host does not list its CPU flags in /proc/cpuinfo")
+
+
+# the variants `byte_variant` makes of a written text
+BYTE_VARIANTS = ["lf", "crlf", "cr", "bom", "utf8-comment", "u2028-comment", "u0085-comment",
+                 "ff", "bad-line", "bad-line-crlf", "bad-line-cr", "out-of-order", "repeat"]
+_COMMENTS = {"utf8-comment": "c café ☃", "u2028-comment": "c a\u2028b",
+             "u0085-comment": "c a\x85b"}
+
+
+def byte_variant(raw: bytes, tag: bytes, name: str) -> bytes:
+    """The written text `raw`, whose bulk lines start with `tag` (b"f" or
+    b"e"), as `name` varies it: CRLF or lone-CR line ends, a UTF-8 BOM, a
+    comment beyond ASCII or holding a line break beyond ASCII, a stray 0xFF
+    byte, a malformed bulk line, its first two bulk lines swapped, or its
+    first bulk line repeated."""
+    lines = raw.split(b"\n")
+    first, second, third = [i for i, line in enumerate(lines)
+                            if line.startswith(tag + b" ")][:3]
+    if name in _COMMENTS:
+        lines.insert(1, _COMMENTS[name].encode("utf-8"))
+    elif name == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif name == "ff":
+        lines[third] += b"\xff"
+    elif name.startswith("bad-line"):
+        lines[third] = tag + b" 1"
+    elif name == "out-of-order":
+        lines[first], lines[second] = lines[second], lines[first]
+    elif name == "repeat":
+        lines.insert(third, lines[first])
+    end = {"crlf": b"\r\n", "cr": b"\r"}.get(name.rsplit("-", 1)[-1], b"\n")
+    return end.join(lines)

@@ -83,7 +83,8 @@ class TestRunMany:
                                                 workers=workers, track_best=True)]
 
         with monkeypatch.context() as m:
-            m.setattr(bench, "ProcessPoolExecutor", None)  # no processes
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # no processes
+            m.setattr(bench, "_usable_cpus", lambda: 4)  # on any host
             assert "_tables" not in vars(instance)
             # four threads for six runs, switching as often as they can
             interval = sys.getswitchinterval()
@@ -119,13 +120,23 @@ class TestRunMany:
 
         cfg = UlsaConfig(max_iterations=2000)
         serial = [fields(r) for r in run_many(small_instance, cfg, num_runs=2, base_seed=3)]
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 5000)  # the runs bound alone
         for lib in (_native.kernel(), None):
             monkeypatch.setattr(_native, "_lib", lib)
             pooled = run_many(small_instance, cfg, num_runs=2, base_seed=3, workers=5000)
             assert [fields(r) for r in pooled] == serial
         assert sizes == [2, 2]
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # the pools' bound on a platform without sched_getaffinity
+        assert bench._usable_cpus() >= 1
+        monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        assert bench._usable_cpus() == 3
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        assert bench._usable_cpus() == 1
 
     def test_summary_fields(self, small_instance):
         cfg = UlsaConfig(max_iterations=50_000)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -9,15 +10,19 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from rbcsp import cli
 from rbcsp.cli import main
-from rbcsp.core import CspInstance, loads_csp
-from rbcsp.misbridge import csp_to_mis, mis_to_csp, parse_dimacs
+from rbcsp.core import CspInstance, dumps_csp, loads_csp
+from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
+from rbcsp.modelrb import generate_forced, phase_transition_params
 from rbcsp.ulsa import UlsaConfig, run
+
+from conftest import BYTE_VARIANTS, byte_variant
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -71,13 +76,22 @@ class TestSolve:
         run_cli(["gen", "--n", "12", "--forced", "--seed", "1",
                  "--out", str(path)], capsys)
         code, out, _ = run_cli(
-            ["solve", "--in", str(path), "--seed", "2"], capsys)
+            ["solve", "--in", str(path), "--seed", "2", "--max-iters", "10000"], capsys)
         assert code == 0
         record = json.loads(out)
         assert record["success"] is True
         assert record["seed"] == 2
         assert len(record["assignment"]) == 12
         assert record["stats"]["iterations"] == record["iterations"]
+
+    def test_records_are_written_as_json_dumps_indents_them(self):
+        # cli._json stands in for json.dumps(indent=2), whose encoder leaves
+        # cyclic garbage
+        instance, _ = generate_forced(phase_transition_params(12), 1)
+        record = cli._record_json(run(instance, UlsaConfig(max_iterations=10_000), 2), "é.csp")
+        for value in (record, {}, [], (1, (2, [])), "x", None,
+                      {"a": [], "b": {"c": [1.5, float("nan"), -float("inf"), True, "é\n\""]}}):
+            assert cli._json(value) == json.dumps(value, indent=2)
 
     def test_missing_input_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -202,6 +216,40 @@ class TestBench:
         assert code == 1 and out == ""
         assert err == f"error: need at least one worker, got {workers}\n"
 
+    def test_workers_at_most_one_per_usable_cpu(self, tmp_path, capsys, monkeypatch):
+        # threads when the kernel is loaded, processes otherwise; each pool
+        # here records its size and maps serially, so no worker starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        path = tmp_path / "a.csp"
+        path.write_text("p bcsp 3 2 1\nk 0 1 1\nf 0 0\n")
+        search = ["bench", "--in", str(path), "--runs", "5000", "--base-seed", "1"]
+        code, serial, _ = run_cli(search, capsys)
+        assert code == 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        code, pooled, _ = run_cli([*search, "--workers", "5000"], capsys)
+        assert code == 0
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert sizes == ([cpus] if cpus > 1 else [])
+        serial, pooled = json.loads(serial), json.loads(pooled)
+        del serial["mean_time"], pooled["mean_time"]
+        assert pooled == serial
+
     def test_summary_to_stdout_by_default(self, tmp_path, capsys):
         path = tmp_path / "a.csp"
         run_cli(["gen", "--n", "10", "--forced", "--seed", "8",
@@ -286,6 +334,38 @@ class TestConvertRecover:
         assert code == 1 and ("not a" in err or "clique" in err)
 
 
+class TestBytesInput:
+    @pytest.mark.parametrize("name", BYTE_VARIANTS)
+    def test_commands_match_a_text_mode_read(self, tmp_path, capsys, monkeypatch, name):
+        # each file is read once as bytes; the same stdout, stderr, exit
+        # status and warnings as when it was read in text mode, which
+        # decoded it as UTF-8 and turned CRLF and lone CR into LF
+        instance, hidden = generate_forced(phase_transition_params(20), 1)
+        csp, mis = tmp_path / "a.csp", tmp_path / "a.mis"
+        csp.write_bytes(byte_variant(dumps_csp(instance, hidden).encode(), b"f", name))
+        mis.write_bytes(byte_variant(emit_dimacs(csp_to_mis(instance)).encode(), b"e", name))
+        d = str(instance.d)
+        commands = [["solve", "--in", str(csp), "--seed", "0", "--max-iters", "2000"],
+                    ["convert", "--to-mis", "--in", str(csp)],
+                    ["recover", str(mis), "--d", d],
+                    ["convert", "--to-csp", "--block-size", d, "--in", str(mis)]]
+
+        def outputs():
+            found = []
+            for argv in commands:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out, err = run_cli(argv, capsys)
+                assert err.count("\n") == (code == 1)  # one line when it fails
+                out = re.sub(r'\n *"wall_time": [^\n]*', "", out)
+                found.append((code, out, err, [str(w.message) for w in caught]))
+            return found
+
+        read = outputs()
+        monkeypatch.setattr(cli, "_read_bytes", lambda path: Path(path).read_text("utf-8"))
+        assert read == outputs()
+
+
 class TestHostileHeaders:
     @pytest.mark.parametrize("header", ["p bcsp 2 50000 1", "p bcsp 1000000000 2 0"])
     def test_solve_refuses_oversized_header(self, tmp_path, capsys, header):
@@ -364,7 +444,7 @@ class TestLocale:
                 outs = []
                 for args in (["recover", path, "--d", str(d), "--out", "r.csp"],
                              ["recover", path, "--d", str(d)],
-                             ["solve", "--in", "r.csp", "--seed", "0"],
+                             ["solve", "--in", "r.csp", "--seed", "0", "--max-iters", "10000"],
                              ["convert", "--to-mis", "--in", "r.csp", "--out", "r.mis"]):
                     result = subprocess.run([sys.executable, "-m", "rbcsp", *args], cwd=cwd,
                                             env={**env, **extra}, capture_output=True)
@@ -386,12 +466,13 @@ class TestLocale:
             path = str(tmp_path / os.fsdecode(name))
             assert main(["gen", "--n", "8", "--forced", "--seed", "1", "--out", path]) == 0
             capsys.readouterr()
-            code, out, _ = run_cli(["solve", "--in", path, "--seed", "0"], capsys)
+            code, out, _ = run_cli(["solve", "--in", path, "--seed", "0", "--max-iters", "10000"],
+                                   capsys)
             assert code == 0
             assert json.loads(out)["instance"] == str(tmp_path / shown)
             summary = str(tmp_path / os.fsdecode(name.replace(b".csp", b".json")))
             code, out, err = run_cli(["bench", "--in", path, "--runs", "2", "--base-seed", "0",
-                                      "--summary-out", summary], capsys)
+                                      "--max-iters", "10000", "--summary-out", summary], capsys)
             assert code == 0 and out == ""
             assert err == f"wrote summary to {tmp_path / shown.replace('.csp', '.json')}\n"
             with open(summary, encoding="utf-8") as f:

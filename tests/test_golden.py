@@ -5,6 +5,8 @@ what the run must reproduce exactly: iterations, expansions, worsening and a
 sha256 of the final assignment.  The trajectory tests elsewhere compare a
 build with itself; these catch drift across refactors of the search state
 and across numpy bit-stream changes (see README "Reproducibility notes").
+Every run has a step budget above its pinned iteration count, so a search
+that drifts fails instead of running on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ def fingerprint(rec) -> tuple[int, int, int, str]:
 
 def test_plain_solve():
     instance, _ = generate_forced(ModelRbParams(n=18), 3)
-    rec = run(instance, UlsaConfig(), 0)
+    rec = run(instance, UlsaConfig(max_iterations=10_000), 0)
     assert rec.success and rec.restarts == 0
     assert fingerprint(rec) == (
         4998, 1641, 1363,
@@ -34,7 +36,8 @@ def test_plain_solve():
 
 def test_target_run():
     instance, _ = generate_forced(ModelRbParams(n=20), 4)
-    rec = run(instance, UlsaConfig(target=TargetSpec(size=18, conflict_cap=4)), 0)
+    rec = run(instance, UlsaConfig(max_iterations=1_000,
+                                  target=TargetSpec(size=18, conflict_cap=4)), 0)
     assert rec.success
     assert rec.subset == [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
                           17, 18, 19]
@@ -46,7 +49,7 @@ def test_target_run():
 
 def test_restart_run():
     instance, _ = generate_forced(ModelRbParams(n=20), 4)
-    rec = run(instance, UlsaConfig(restart_interval=50), 0)
+    rec = run(instance, UlsaConfig(max_iterations=10_000, restart_interval=50), 0)
     assert rec.success and rec.restarts == 53
     assert fingerprint(rec) == (
         2687, 993, 606,

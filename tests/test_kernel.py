@@ -63,13 +63,17 @@ def isolated_and_duplicates() -> CspInstance:
 
 CASES = [
     # (instance, config, seeds, track_best)
-    (lambda: forced(18, 3), UlsaConfig(), range(4), False),
+    # a budget above the 10,876 steps its slowest seed takes, so a kernel
+    # that miscounts fails here instead of running on
+    (lambda: forced(18, 3), UlsaConfig(max_iterations=20_000), range(4), False),
     (lambda: forced(25, 2), UlsaConfig(max_iterations=3000), range(3), True),
-    (lambda: forced(20, 4), UlsaConfig(target=TargetSpec(18, 4)), range(4), False),
+    (lambda: forced(20, 4), UlsaConfig(max_iterations=1000, target=TargetSpec(18, 4)),
+     range(4), False),
     (lambda: forced(25, 1), UlsaConfig(max_iterations=60_000,
                                       target=TargetSpec(23, 3)), range(2), True),
     # restart intervals that are not multiples of the 4096-uniform block
-    (lambda: forced(20, 4), UlsaConfig(restart_interval=150), range(3), False),
+    (lambda: forced(20, 4), UlsaConfig(max_iterations=10_000, restart_interval=150),
+     range(3), False),
     (lambda: forced(25, 2), UlsaConfig(max_iterations=20_000, restart_interval=1777),
      range(3), True),
     (lambda: forced(20, 4), UlsaConfig(max_iterations=400, restart_interval=150),
@@ -101,7 +105,7 @@ def test_tiny_uniform_blocks(kernel, monkeypatch, block):
     monkeypatch.setattr(ulsa, "_BLOCK", block)
     instance = forced(20, 4)
     for config in (UlsaConfig(max_iterations=1500, restart_interval=7),
-                   UlsaConfig(target=TargetSpec(18, 4))):
+                   UlsaConfig(max_iterations=1000, target=TargetSpec(18, 4))):
         fast = run(instance, config, 0, track_best=True)
         slow = python_run(monkeypatch, instance, config, 0, track_best=True)
         assert fields(fast) == fields(slow)
@@ -117,7 +121,8 @@ def test_solved_at_iteration_zero(kernel, monkeypatch):
 
 
 def start_and_steps(instance, hidden):
-    return lambda: fields(run(instance, UlsaConfig(), 1))
+    # a budget above the 1,430 steps the run takes
+    return lambda: fields(run(instance, UlsaConfig(max_iterations=10_000), 1))
 
 
 def search_table(instance, hidden):
@@ -397,10 +402,11 @@ def test_only_solution_is_the_top_value(kernel, monkeypatch, d):
     top = d - 1
     pairs = tuple((a, b) for a in range(d) for b in range(d) if (a, b) != (top, top))
     instance = CspInstance(3, d, (Constraint(0, 1, pairs), Constraint(1, 2, pairs)))
+    config = UlsaConfig(max_iterations=1000)  # above the 268 steps the slowest takes
     for seed in range(3):
-        fast = run(instance, UlsaConfig(), seed, track_best=True)
+        fast = run(instance, config, seed, track_best=True)
         assert fast.success and fast.iterations > 0 and fast.assignment == [top] * 3
-        slow = python_run(monkeypatch, instance, UlsaConfig(), seed, track_best=True)
+        slow = python_run(monkeypatch, instance, config, seed, track_best=True)
         assert fields(fast) == fields(slow), seed
 
 
@@ -410,7 +416,7 @@ def test_short_kernel_slices(kernel, monkeypatch, slice_):
     monkeypatch.setattr(ulsa, "_SLICE", slice_)
     instance = forced(20, 4)
     for config in (UlsaConfig(max_iterations=900, restart_interval=150),
-                   UlsaConfig(target=TargetSpec(18, 4))):
+                   UlsaConfig(max_iterations=1000, target=TargetSpec(18, 4))):
         fast = run(instance, config, 0, track_best=True)
         slow = python_run(monkeypatch, instance, config, 0, track_best=True)
         assert fields(fast) == fields(slow)

@@ -9,11 +9,15 @@ per-edge strings these functions used before.
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from rbcsp import _native, core
+from rbcsp import _native, cli, core
 from rbcsp.core import dumps_csp, loads_csp
 from rbcsp.misbridge import csp_to_mis, emit_dimacs, mis_to_csp, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
@@ -111,6 +115,56 @@ def test_parse_dimacs_peak_n100(n100):
     # line-by-line parser took 108 MB
     _, dimacs = n100
     assert traced_peak_mb(parse_dimacs, dimacs) <= 50
+
+
+def test_bytes_read_with_no_copy_n100(n100):
+    # the files the CLI reads, as bytes: the one-pass readers read them as
+    # they are, so the CSP text peaks at 2.6 MB (its arrays, 2.07 MB, kept)
+    # and the DIMACS text at 4.6 MB (its int32 rows, all kept); read as a
+    # str, the readers' ASCII copy lifts them to 6.5 and 11.1 MB
+    if _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    csp, dimacs = (text.encode() for text in n100)
+    assert traced_peak_mb(loads_csp, csp) <= 4
+    assert traced_peak_mb(parse_dimacs, dimacs) <= 6
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_a_second_solve_leaves_no_cyclic_garbage(tmp_path, capsys, monkeypatch, compiled):
+    # the first call builds the parser every later call parses with; a
+    # parser built per call left 287 objects in cycles, the stdlib's
+    # indenting JSON encoder its closures, the target check a recursive
+    # closure and the readers a ctypes array type per call
+    if not compiled:
+        monkeypatch.setattr(_native, "_lib", None)
+    path = tmp_path / "a.csp"
+    path.write_text(forced_text(20, 4))
+    argv = ["solve", "--in", str(path), "--seed", "0", "--target", "18",
+            "--conflict-cap", "4", "--max-iters", "100000"]
+    assert cli.main(argv) == 0
+    gc.collect()
+    assert cli.main(argv) == 0
+    assert gc.collect() == 0
+    capsys.readouterr()
+
+
+def test_a_solve_imports_no_process_pool(tmp_path):
+    # a fresh interpreter: process pools are imported only where a batch
+    # starts one, so a solve never loads multiprocessing
+    path = tmp_path / "a.csp"
+    path.write_text(forced_text(20, 4))
+    code = ("import sys, rbcsp\n"
+            "from rbcsp import cli\n"
+            f"code = cli.main(['solve', '--in', {str(path)!r}, '--seed', '0',\n"
+            "                 '--max-iters', '100000'])\n"
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "             if m in sys.modules], file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.stderr.splitlines()[-1] == "0 []", result.stderr
 
 
 def test_dumps_csp_peak_n100(n100, monkeypatch):

@@ -30,7 +30,8 @@ from rbcsp.core import CspFormatError, dumps_csp, loads_csp
 from rbcsp.misbridge import MAX_VERTICES, DimacsFormatError, csp_to_mis, emit_dimacs, parse_dimacs
 from rbcsp.modelrb import generate_forced, phase_transition_params
 
-from conftest import assignment_of, cpu_flags, random_instance, random_values
+from conftest import (BYTE_VARIANTS, assignment_of, byte_variant, cpu_flags, random_instance,
+                      random_values)
 
 # every ASCII space and break byte, NUL and DEL
 ODD_BYTES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x00\x7f"
@@ -176,6 +177,62 @@ def test_pieces_read_alike(kernel, monkeypatch, piece):
     for parse in PARSERS:
         for text in documents(parse, piece):
             check_alike(monkeypatch, parse, text)
+
+
+def decoded_outcome(parse, raw: bytes):
+    """What parsing the text's str does, or the error decoding it raises."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return (UnicodeDecodeError, str(exc)), []
+    return outcome(parse, text)
+
+
+def bytes_outcome(parse, raw: bytes):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", parse(raw))
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("piece", PIECES, ids=[f"piece{i}" for i in range(len(PIECES))])
+def test_pieces_as_bytes_read_as_their_str(kernel, piece):
+    # ASCII bytes go to the one-pass readers as they are, and are refused
+    # where their str is; other bytes are decoded first
+    for parse in PARSERS:
+        for text in documents(parse, piece):
+            try:
+                raw = text.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate has no UTF-8
+                continue
+            assert bytes_outcome(parse, raw) == decoded_outcome(parse, raw)
+            if raw.isascii():
+                assert took_one_pass(parse, raw) == took_one_pass(parse, text)
+
+
+@pytest.fixture(scope="module")
+def written20():
+    instance, hidden = generate_forced(phase_transition_params(20), 1)
+    return {loads_csp: (b"f", dumps_csp(instance, hidden).encode()),
+            parse_dimacs: (b"e", emit_dimacs(csp_to_mis(instance)).encode())}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+@pytest.mark.parametrize("name", BYTE_VARIANTS)
+def test_byte_variants_read_as_their_str(monkeypatch, written20, name, compiled):
+    # the same instance or graph, warnings, or error class and message, from
+    # a file's bytes as from its str, on either path
+    if compiled and _native.kernel() is None:
+        pytest.skip("the compiled kernel could not be built here")
+    if not compiled:
+        monkeypatch.setattr(_native, "_lib", None)
+    for parse, (tag, text) in written20.items():
+        raw = byte_variant(text, tag, name)
+        assert bytes_outcome(parse, raw) == decoded_outcome(parse, raw)
+
 
 
 @settings(max_examples=300, deadline=None)
