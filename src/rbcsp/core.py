@@ -15,11 +15,11 @@ single row gather and column sum instead of a per-value rescan.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from math import isqrt
+from itertools import chain
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -654,90 +654,26 @@ _PIECE_END = re.compile("\r\n?|[" + _BREAK_CHARS + "]")  # '\r\n' whole
 _CHUNK = 1 << 15  # characters read at a time
 
 
-def _pieces(text: str, size: int) -> Iterator[tuple[int, str]]:
-    """(start, piece) for consecutive pieces of text of about `size`
-    characters; each piece but the last ends at the first line break after
-    `size` characters, which ends both a line and a token."""
+def _pieces(text: str, size: int) -> Iterator[str]:
+    """Consecutive pieces of text of about `size` characters; each piece but
+    the last ends at the first line break after `size` characters, which
+    ends both a line and a token."""
     pos = 0
     while True:
         brk = _PIECE_END.search(text, pos + size)
         cut = brk.end() if brk else len(text)
-        yield pos, text[pos:cut]
+        yield text[pos:cut]
         if cut == len(text):
             return
         pos = cut
 
 
-def _read(text: str, tag: str, limit: int):
-    """Read a line-oriented text whose bulk lines are '<tag> <int> <int>',
-    with lines as str.splitlines() finds them and tokens as str.split() does.
-
-    Returns (bulk, values, others, spans).  bulk holds the 0-based numbers of
-    the lines whose first token is `tag`, and values, one row per bulk line,
-    the integers of its second and third tokens, clamped to [-1, limit] and
-    stored in the smallest of int16, int32 and int64 that holds `limit`; a
-    row is -1 where the line has not three tokens or int() refuses one.
-    others holds the numbers of the other lines with tokens, apart from 'c'
-    lines, and spans their (start, end) in `text`.  Line numbers and spans
-    are int32 for a text below 2³¹ characters.
-
-    This is the Python path of `loads_csp` and `parse_dimacs`, taken for any
-    text their compiled pass refuses or when the kernel is not loaded, and
-    the reference that pass is tested against.  The text is read a piece of
-    about _CHUNK characters at a time (see _pieces) by `_read_piece`, and
-    only the results above outlive a piece.  So the memory taken beyond them
-    is bounded by _CHUNK for any text whose lines are at most _CHUNK
-    characters long, and by about one copy of a longer line.
-    """
-    index = np.int32 if len(text) < 2**31 else np.int64
-    value = next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
-    found, lineno = [], 0
-    for pos, piece in _pieces(text, _CHUNK):
-        bulk, values, others, spans, breaks = _read_piece(piece, tag, limit)
-        found.append(((bulk + lineno).astype(index), values.astype(value),
-                      (others + lineno).astype(index), (spans + pos).astype(index)))
-        lineno += breaks
-    return [np.concatenate(column) for column in zip(*found)]
-
-
-def _read_piece(piece: str, tag: str, limit: int):
-    """_read's results for one piece, with line numbers and spans counted
-    from the piece's start, and the number of line breaks in the piece."""
-    bulk, values, others, spans = [], [], [], []
-    lines = piece.splitlines(True)
-    end = 0
-    for lineno, line in enumerate(lines):
-        start, end = end, end + len(line)
-        # the kept line break splits as whitespace too; maxsplit leaves the
-        # tail of a long line in one string
-        fields = line.split(None, 3)
-        if not fields or fields[0] == "c":
-            continue
-        if fields[0] != tag:
-            others.append(lineno)
-            spans += (start, start + len(line.splitlines()[0]))
-            continue
-        bulk.append(lineno)
-        if len(fields) != 3:
-            values += (-1, -1)
-            continue
-        for token in fields[1:]:
-            try:
-                value = int(token)
-            except ValueError:
-                value = -1
-            # clamped inline: a call per token would double the loop's time
-            values.append(-1 if value < -1 else limit if value > limit else value)
-    breaks = len(lines) - (bool(lines) and lines[-1][-1] not in _BREAK_CHARS)
-    return (np.array(bulk, dtype=np.int64), np.array(values, dtype=np.int64).reshape(-1, 2),
-            np.array(others, dtype=np.int64), np.array(spans, dtype=np.int64).reshape(-1, 2),
-            breaks)
-
-
-def _line(text: str, lineno: int) -> str:
-    """Line `lineno` (0-based) of text.splitlines(), split again a piece at a time."""
-    lines = (line for _, piece in _pieces(text, _CHUNK) for line in piece.splitlines())
-    return next(islice(lines, lineno, None))
+def _lines(text: str) -> Iterator[str]:
+    """The lines of text.splitlines(), split a piece of about _CHUNK
+    characters at a time, so that only one piece's lines are held at once:
+    the memory taken is bounded by _CHUNK for any text whose lines are at
+    most _CHUNK characters long, and by about one copy of a longer line."""
+    return chain.from_iterable(map(str.splitlines, _pieces(text, _CHUNK)))
 
 
 def _f_problem(raw: str, d: int) -> str:
@@ -829,17 +765,143 @@ def _loads_in_one_pass(text: str | bytes) -> Optional[tuple[CspInstance, Optiona
         return None
     seen, ascending = flags.tolist()
     codes.resize(used, refcheck=False)  # the buffer is ours alone
-    if not ascending:
-        # each block's codes sorted, as keys block·d² + code; a block that
-        # repeats a pair is left to the Python path, which names its line
-        keys = np.repeat(np.arange(m, dtype=np.int64) * (d * d), np.diff(pair_start))
-        keys += codes
-        keys.sort(kind="stable")  # about one pass over nearly sorted keys
-        if (keys[1:] == keys[:-1]).any():
-            return None
-        codes[:] = keys % (d * d)
+    # a block that repeats a pair is left to the Python path, which names its line
+    if not ascending and not _sort_blocks(codes, pair_start, d):
+        return None
     instance = CspInstance._from_arrays(n, d, con_a, con_b, pair_start, codes)
     return instance, Assignment(solution, np.ones(n, dtype=bool)) if seen else None
+
+
+def _sort_blocks(codes: np.ndarray, pair_start: np.ndarray, d: int) -> bool:
+    """Sort the codes of each block in place, as keys block·d² + code;
+    False, with the codes left as they are, if a block repeats a pair."""
+    keys = np.repeat(np.arange(len(pair_start) - 1, dtype=np.int64) * (d * d),
+                     np.diff(pair_start))
+    keys += codes
+    keys.sort(kind="stable")  # about one pass over nearly sorted keys
+    if (keys[1:] == keys[:-1]).any():
+        return False
+    codes[:] = keys % (d * d)
+    return True
+
+
+def _fail(lineno: Optional[int], msg: str) -> CspFormatError:
+    exc = CspFormatError(msg if lineno is None else f"line {lineno}: {msg}")
+    exc.lineno = lineno
+    return exc
+
+
+def _loads_in_python(text: str) -> tuple[CspInstance, Optional[Assignment]]:
+    """loads_csp's result for any text, read line by line, each line checked
+    as it is read; raises CspFormatError for the first bad line."""
+    header = False
+    n = d = m = 0
+    want = got = 0  # the 'f' lines the open block declares, and has
+    # the open block's last code while its codes ascend, and once they do
+    # not, d², which no code passes, and the set of its codes
+    last, seen = -1, None
+    unsorted = False  # whether some block's codes do not ascend
+    con_a, con_b, codes = array("i"), array("i"), array("i")
+    starts = array("q")  # each block's first code
+    solution: Optional[list[int]] = None
+    put = codes.append
+    for lineno, line in enumerate(_lines(text), 1):
+        fields = line.split(None, 3)  # a fourth field is one too many, however long
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "f":
+            if got == want:
+                raise _fail(lineno, "'f' line outside a constraint block" if header
+                            else "'f' line before 'p bcsp' header")
+            got += 1
+            va = vb = -1
+            if len(fields) == 3:
+                try:
+                    va, vb = int(fields[1]), int(fields[2])
+                except ValueError:
+                    pass
+            if 0 <= va < d and 0 <= vb < d:
+                code = va * d + vb
+                if code > last:
+                    last = code
+                    put(code)
+                    continue
+                if seen is None:
+                    seen, last, unsorted = set(codes[starts[-1]:]), d * d, True
+                if code not in seen:
+                    seen.add(code)
+                    put(code)
+                    continue
+            raise _fail(lineno, _f_problem(line, d))
+        if tag == "c":
+            continue
+        fields = line.split()
+        if tag == "p":
+            if header:
+                raise _fail(lineno, "duplicate header")
+            if len(fields) != 5 or fields[1] != "bcsp":
+                raise _fail(lineno, f"expected 'p bcsp <n> <d> <m>', got {line!r}")
+            try:
+                n, d, m = (int(f) for f in fields[2:])
+            except ValueError:
+                raise _fail(lineno, f"non-integer header field in {line!r}") from None
+            try:
+                check_size(n, d, m)
+            except ValueError as exc:
+                raise _fail(lineno, str(exc)) from None
+            if n < 1 or d < 1:
+                raise _fail(lineno, f"need n >= 1 and d >= 1, got {line!r}")
+            header = True
+            continue
+        if not header:
+            raise _fail(lineno, f"'{tag}' line before 'p bcsp' header")
+        if got < want and tag in ("k", "s"):
+            raise _fail(lineno, f"constraint expected {want} 'f' lines, got {got}")
+        if tag == "k":
+            if len(fields) != 4:
+                raise _fail(lineno, f"expected 'k <var_a> <var_b> <npairs>', got {line!r}")
+            try:
+                a, b, npairs = (int(f) for f in fields[1:])
+            except ValueError:
+                raise _fail(lineno, f"non-integer field in {line!r}") from None
+            if npairs < 1:
+                raise _fail(lineno, "constraint must disallow at least one pair")
+            if not (0 <= a < n and 0 <= b < n):
+                raise _fail(lineno, f"constraint ({a},{b}) references a variable "
+                                    f"outside [0,{n})")
+            if a == b:
+                raise _fail(lineno, f"constraint endpoints must differ, got {a}")
+            con_a.append(a)
+            con_b.append(b)
+            starts.append(len(codes))
+            want, got, last, seen = npairs, 0, -1, None
+        elif tag == "s":
+            if solution is not None:
+                raise _fail(lineno, "duplicate 's' line")
+            try:
+                solution = [int(f) for f in fields[1:]]
+            except ValueError:
+                raise _fail(lineno, f"non-integer field in {line!r}") from None
+            if len(solution) != n:
+                raise _fail(lineno, f"'s' line has {len(solution)} values, expected {n}")
+            if any(not 0 <= v < d for v in solution):
+                raise _fail(lineno, f"'s' value outside domain [0,{d})")
+        else:
+            raise _fail(lineno, f"unknown line tag {tag!r}")
+    if not header:
+        raise _fail(None, "missing 'p bcsp' header")
+    if got < want:
+        raise _fail(None, f"constraint expected {want} 'f' lines, got {got}")
+    if len(con_a) != m:
+        raise _fail(None, f"header declares {m} constraints, found {len(con_a)}")
+    starts.append(len(codes))
+    pair_start, codes = np.frombuffer(starts, np.int64), np.frombuffer(codes, np.intc)
+    if unsorted:
+        _sort_blocks(codes, pair_start, d)
+    instance = CspInstance._from_arrays(n, d, np.frombuffer(con_a, np.intc),
+                                        np.frombuffer(con_b, np.intc), pair_start, codes)
+    return instance, None if solution is None else Assignment.from_values(solution)
 
 
 def loads_csp(text: str | bytes) -> tuple[CspInstance, Optional[Assignment]]:
@@ -855,11 +917,11 @@ def loads_csp(text: str | bytes) -> tuple[CspInstance, Optional[Assignment]]:
     ASCII, comments aside, and its numbers are digits after an optional '+',
     18 at most; blocks whose pairs are out of order are sorted after it.
     Any other text, and every text when the kernel is not loaded, takes the
-    Python path, which raises every error: the 'f' lines are read in bulk
-    by `_read`, then checked and sorted as arrays, and the few other lines
-    are checked one by one in a loop that knows how many 'f' lines lie
-    between them.  So a text the pass refuses costs time, never a
-    different result.
+    Python path (`_loads_in_python`), which raises every error: one loop
+    over the lines, a piece of the text at a time, checks each line as it
+    reads it and raises at the first bad one, and puts the pairs' codes
+    into a flat array, sorted after it by the same helper as the pass's.
+    So a text the pass refuses costs time, never a different result.
 
     ASCII bytes go to the pass as they are, with no copy.  Other bytes are
     decoded once as strict UTF-8 (a UnicodeDecodeError, a ValueError, if
@@ -868,135 +930,4 @@ def loads_csp(text: str | bytes) -> tuple[CspInstance, Optional[Assignment]]:
     the same result and the same error.
     """
     text = _readable(text)
-    parsed = _loads_in_one_pass(text)
-    if parsed is not None:
-        return parsed
-    text = _decoded(text)
-    # values are clamped to a bound on d: an accepted header has n >= 1 and
-    # so d(d−1)/2 <= MAX_CLIQUE_EDGES
-    f_lines, pairs, at_lines, spans = _read(text, "f", isqrt(2 * MAX_CLIQUE_EDGES) + 1)
-
-    def fail(lineno: Optional[int], msg: str) -> CspFormatError:
-        exc = CspFormatError(msg if lineno is None else f"line {lineno}: {msg}")
-        exc.lineno = lineno
-        return exc
-
-    # every line but the 'f' and 'c' lines, in order, each knowing how many
-    # 'f' lines precede it; the first misplaced line raises
-    header: Optional[tuple[int, int, int]] = None
-    blocks: list[tuple[int, int, int]] = []  # (var_a, var_b, npairs) per 'k' line
-    block_lines: list[int] = []  # and the number of each 'k' line
-    solution: Optional[list[int]] = None
-    want = got = done = 0  # 'f' lines the open block declares, has; all placed
-    f_before = np.searchsorted(f_lines, at_lines).tolist() + [len(f_lines)]
-    misplaced: Optional[CspFormatError] = None
-    try:
-        for at, span, f_seen in zip(at_lines.tolist() + [None], spans.tolist() + [None],
-                                    f_before):
-            if f_seen > done:
-                if header is None:
-                    raise fail(int(f_lines[done]) + 1, "'f' line before 'p bcsp' header")
-                if f_seen - done > want - got:
-                    raise fail(int(f_lines[done + want - got]) + 1,
-                               "'f' line outside a constraint block")
-                got, done = got + f_seen - done, f_seen
-            if at is None:
-                break
-            lineno, raw = at + 1, text[span[0]:span[1]]
-            fields = raw.split()
-            tag = fields[0]
-            if tag == "p":
-                if header is not None:
-                    raise fail(lineno, "duplicate header")
-                if len(fields) != 5 or fields[1] != "bcsp":
-                    raise fail(lineno, f"expected 'p bcsp <n> <d> <m>', got {raw!r}")
-                try:
-                    n, d, m = (int(f) for f in fields[2:])
-                except ValueError:
-                    raise fail(lineno, f"non-integer header field in {raw!r}") from None
-                try:
-                    check_size(n, d, m)
-                except ValueError as exc:
-                    raise fail(lineno, str(exc)) from None
-                if n < 1 or d < 1:
-                    raise fail(lineno, f"need n >= 1 and d >= 1, got {raw!r}")
-                header = (n, d, m)
-                continue
-            if header is None:
-                raise fail(lineno, f"'{tag}' line before 'p bcsp' header")
-            if got < want and tag in ("k", "s"):
-                raise fail(lineno, f"constraint expected {want} 'f' lines, got {got}")
-            if tag == "k":
-                if len(fields) != 4:
-                    raise fail(lineno, f"expected 'k <var_a> <var_b> <npairs>', got {raw!r}")
-                try:
-                    a, b, npairs = (int(f) for f in fields[1:])
-                except ValueError:
-                    raise fail(lineno, f"non-integer field in {raw!r}") from None
-                if npairs < 1:
-                    raise fail(lineno, "constraint must disallow at least one pair")
-                if not (0 <= a < n and 0 <= b < n):
-                    raise fail(lineno, f"constraint ({a},{b}) references a variable "
-                                       f"outside [0,{n})")
-                if a == b:
-                    raise fail(lineno, f"constraint endpoints must differ, got {a}")
-                blocks.append((a, b, npairs))
-                block_lines.append(at)
-                want, got = npairs, 0
-            elif tag == "s":
-                if solution is not None:
-                    raise fail(lineno, "duplicate 's' line")
-                try:
-                    solution = [int(f) for f in fields[1:]]
-                except ValueError:
-                    raise fail(lineno, f"non-integer field in {raw!r}") from None
-                if len(solution) != n:
-                    raise fail(lineno, f"'s' line has {len(solution)} values, expected {n}")
-                if any(not 0 <= v < d for v in solution):
-                    raise fail(lineno, f"'s' value outside domain [0,{d})")
-            else:
-                raise fail(lineno, f"unknown line tag {tag!r}")
-        if header is None:
-            raise fail(None, "missing 'p bcsp' header")
-        if got < want:
-            raise fail(None, f"constraint expected {want} 'f' lines, got {got}")
-        if len(blocks) != m:
-            raise fail(None, f"header declares {m} constraints, found {len(blocks)}")
-    except CspFormatError as exc:
-        misplaced = exc
-    if header is None:
-        raise misplaced
-
-    va, vb = pairs.T  # -1 marks a bad line
-    ok = (va >= 0) & (va < d) & (vb >= 0) & (vb < d)
-    # keys cid·d² + code, with cid true up to a misplaced line, built in place;
-    # the 'f' lines from one 'k' line to the next are its block's, and those
-    # before the first 'k' line get block -1
-    starts = np.searchsorted(f_lines, np.asarray(block_lines, dtype=f_lines.dtype))
-    keys = np.repeat(np.arange(-1, len(block_lines)),
-                     np.diff(starts, prepend=0, append=len(f_lines)))
-    for column in (va, vb):
-        keys *= d
-        keys += column
-    # the one sort: by block, then pair code, unless the keys ascend already,
-    # as in a written file, and so also hold no repeats
-    ascending = bool((keys[1:] > keys[:-1]).all())
-    sorted_keys = keys if ascending else np.sort(keys)
-    if not ok.all() or not ascending and (sorted_keys[1:] == sorted_keys[:-1]).any():
-        # the first bad line: out of place, or a later copy of a pair in its block
-        idx = np.flatnonzero(ok)
-        idx = idx[np.argsort(keys[idx], kind="stable")]
-        ok[idx[1:][keys[idx[1:]] == keys[idx[:-1]]]] = False
-        at = int(f_lines[np.argmin(ok)])
-        if misplaced is None or misplaced.lineno is None or at + 1 < misplaced.lineno:
-            raise fail(at + 1, _f_problem(_line(text, at), d))
-    if misplaced is not None:
-        raise misplaced
-
-    del f_lines, pairs, va, vb, ok, keys
-    ends = np.array(blocks, dtype=np.int64).reshape(-1, 3)
-    np.remainder(sorted_keys, d * d, out=sorted_keys)
-    instance = CspInstance._from_arrays(
-        n, d, ends[:, 0], ends[:, 1], np.concatenate(([0], np.cumsum(ends[:, 2]))),
-        sorted_keys)
-    return instance, None if solution is None else Assignment.from_values(solution)
+    return _loads_in_one_pass(text) or _loads_in_python(_decoded(text))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Set
 from typing import Iterable, Iterator, Optional
@@ -22,13 +23,12 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import _native
-from .core import (_BREAKS, CspInstance, _decoded, _line, _one_pass_header, _read, _readable,
-                   _write, check_size)
+from .core import (_BREAKS, CspInstance, _decoded, _lines, _one_pass_header, _readable, _write,
+                   check_size)
 
 # A graph's edge rows are two int32s, so it has at most 2³¹ − 1 vertices; a
 # graph, a pickle or a 'p edge' header beyond this is refused.  Every graph
 # `csp_to_mis` builds fits: under check_size, n ≤ 100,000 and d ≤ 4,472.
-# 'e' values are read in int64, clamped to MAX_VERTICES + 1
 MAX_VERTICES = (1 << 31) - 1
 _EMIT_SLICE = 1 << 16  # edges emit_dimacs writes at a time
 # the bytes that end a line of a text `read_dimacs` accepts, and its 'e'
@@ -429,45 +429,55 @@ def _repeated_lines(lib, raw: bytes, start: int, num_vertices: int,
 
 
 def _parse_in_python(text: str):
-    """`_parse_in_one_pass`'s results for any text, from `core._read`;
-    raises DimacsFormatError for the first bad line."""
-    e_lines, ends, at_lines, spans = _read(text, "e", MAX_VERTICES + 1)
-
-    # the first bad line of each kind as (lineno, message); the earliest is reported
-    problems: list[tuple[int, str]] = []
-    header: Optional[tuple[int, int]] = None
-    for at, (start, end) in zip(at_lines.tolist(), spans.tolist()):
-        raw = text[start:end]
-        tag = raw.split()[0]
+    """`_parse_in_one_pass`'s results for any text, read line by line, each
+    line checked as it is read; raises DimacsFormatError for the first bad
+    line."""
+    header = None
+    num_vertices = 0
+    # (line, u, v) of each 'e' line, u and v in the line's order; int32s
+    # hold any vertex up to MAX_VERTICES and, for a text below 2³¹
+    # characters, any line number
+    rows = array("i" if len(text) < 2**31 else "q")
+    put = rows.append
+    for lineno, line in enumerate(_lines(text), 1):
+        fields = line.split(None, 3)  # a fourth field is one too many, however long
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e":
+            if header is None:
+                raise DimacsFormatError(f"line {lineno}: 'e' line before 'p edge' header")
+            u = v = 0
+            if len(fields) == 3:
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError:
+                    pass
+            if 0 < u <= num_vertices and 0 < v <= num_vertices and u != v:
+                put(lineno)
+                put(u)
+                put(v)
+                continue
+            raise DimacsFormatError(f"line {lineno}: {_e_problem(line, num_vertices)}")
+        if tag == "c":
+            continue
         try:
             if tag != "p":
                 raise ValueError(f"unknown line tag {tag!r}")
             if header is not None:
                 raise ValueError("duplicate header")
-            header, header_at = _read_header(raw), at
+            header = num_vertices, declared_edges = _read_header(line)
         except ValueError as exc:
-            problems.append((at + 1, str(exc)))
-            break
-    if len(e_lines) and (header is None or e_lines[0] < header_at):
-        problems.append((int(e_lines[0]) + 1, "'e' line before 'p edge' header"))
-    elif header is not None:
-        num_vertices, declared_edges = header
-        u, v = ends.T  # -1 marks a bad line
-        ok = (u >= 1) & (u <= num_vertices) & (v >= 1) & (v <= num_vertices) & (u != v)
-        if not ok.all():
-            at = int(e_lines[np.argmin(ok)])
-            problems.append((at + 1, _e_problem(_line(text, at), num_vertices)))
-    if problems:
-        raise DimacsFormatError("line {}: {}".format(*min(problems)))
+            raise DimacsFormatError(f"line {lineno}: {exc}") from None
     if header is None:
         raise DimacsFormatError("missing 'p edge' header")
-    pairs = np.empty(ends.shape, dtype=np.int32)
+    lines, u, v = np.frombuffer(rows, f"i{rows.itemsize}").reshape(-1, 3).T
+    pairs = np.empty((len(lines), 2), dtype=np.int32)
     np.minimum(u, v, out=pairs[:, 0])
     np.maximum(u, v, out=pairs[:, 1])
     pairs -= 1
     pairs, repeats = _canonical(pairs)
-    dropped = list(zip((e_lines[repeats] + 1).tolist(), u[repeats].tolist(),
-                       v[repeats].tolist()))
+    dropped = list(zip(*(column[repeats].tolist() for column in (lines, u, v))))
     return num_vertices, declared_edges, pairs, dropped
 
 
@@ -485,10 +495,11 @@ def parse_dimacs(text: str | bytes) -> MisGraph:
     edges out of order are sorted after it, and the lines of repeated ones
     found by a second pass up to the last of them.  Any other text, and
     every text when the kernel is not loaded, takes the Python path
-    (`_parse_in_python`), which raises every error: the 'e' lines are read
-    in bulk by `core._read`, as `loads_csp` reads 'f' lines, and one sort
-    orders them and finds the duplicates, unless they are already in order.
-    The few other lines are checked one by one.  Bytes are taken as
+    (`_parse_in_python`), which raises every error: like `loads_csp`'s, it
+    checks each line as it reads it and raises at the first bad one, and it
+    keeps each 'e' line's number and vertices as int32s, from which one
+    sort orders the edges and finds the duplicates, unless they are already
+    in order.  Bytes are taken as
     `loads_csp` takes them: ASCII ones read with no copy, others decoded
     once as strict UTF-8.
     """

@@ -12,6 +12,7 @@ documented synthetic checks (or skip) when absent.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from rbcsp import _native
 from rbcsp.bench import Rtd, aggregate_stats, fit_exponential, fit_linear_early, run_many
 from rbcsp.core import CspInstance, SearchState, conflict_count
 from rbcsp.misbridge import csp_to_mis, mis_to_csp, parse_dimacs
@@ -74,10 +76,27 @@ def bhoslib_file(stem: str) -> Path | None:
     return None
 
 
+def check_kernel_first(inst, cfg: UlsaConfig, seed: int) -> None:
+    """Run `seed` for 20,000 steps with the kernel and in Python, and fail at
+    once if the records differ: a kernel that miscounts would otherwise run
+    every run of a batch to its budget before a criterion could fail."""
+    if _native.kernel() is None:
+        return
+    short = dataclasses.replace(cfg, max_iterations=20_000)
+    records = [dataclasses.asdict(run(inst, short, seed))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "_lib", None)
+        records.append(dataclasses.asdict(run(inst, short, seed)))
+    for record in records:
+        del record["wall_time"]
+    assert records[0] == records[1], f"the kernel's record of seed {seed} is not Python's"
+
+
 @pytest.fixture(scope="module")
 def frb40_records():
     inst, _ = generate_forced(phase_transition_params(40), seed=N40_GEN_SEED)
     cfg = UlsaConfig(max_iterations=5_000_000)
+    check_kernel_first(inst, cfg, N40_BASE_SEED)
     return inst, run_many(inst, cfg, num_runs=200, base_seed=N40_BASE_SEED,
                           workers=WORKERS)
 
@@ -86,6 +105,7 @@ def frb40_records():
 def frb45_records():
     inst, _ = generate_forced(phase_transition_params(45), seed=N45_GEN_SEED)
     cfg = UlsaConfig(max_iterations=20_000_000)
+    check_kernel_first(inst, cfg, N45_BASE_SEED)
     return inst, run_many(inst, cfg, num_runs=100, base_seed=N45_BASE_SEED,
                           workers=WORKERS)
 

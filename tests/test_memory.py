@@ -206,13 +206,24 @@ def test_mis_to_csp_peak_n100(n100):
     assert traced_peak_mb(mis_to_csp, graph, 40) <= 4
 
 
-def test_reader_transient_does_not_grow_with_the_text(n100):
-    # beyond its results, which concatenation briefly holds twice, the
-    # reader takes what one piece needs, for a 260 KB text and a 3.9 MB one
+def test_reader_transient_does_not_grow_with_the_text(n100, monkeypatch):
+    # beyond the arrays it keeps, the Python path takes what one piece
+    # needs, for a 260 KB text and a 3.9 MB one: 2.4 MB for the latter,
+    # whose instance and solution keep 2.1 MB; the bulk reader took 9.5 MB
+    monkeypatch.setattr(_native, "_lib", None)
     for text in (forced_text(40, 15), n100[0]):
-        results, peak = traced(core._read, text, "f", 4473)
-        kept = sum(a.nbytes for a in results) / 1e6
+        (instance, hidden), peak = traced(loads_csp, text)
+        arrays = [getattr(instance, name) for name in core._ARRAYS]
+        kept = sum(a.nbytes for a in arrays + [hidden.values, hidden.initialized]) / 1e6
         assert peak <= 2 * kept + 1.0
+
+
+def test_python_parse_dimacs_peak_n100(n100, monkeypatch):
+    # the Python path holds each 'e' line as three int32s (line, u, v), and
+    # the graph's int32 rows beside them: 13.4 MB.  Its int64 values and line
+    # numbers, sorted out after a bulk read, peaked at 23.15 MB
+    monkeypatch.setattr(_native, "_lib", None)
+    assert traced_peak_mb(parse_dimacs, n100[1]) <= 15
 
 
 def test_tables_peak_n100(n100):

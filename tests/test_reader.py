@@ -3,13 +3,16 @@ instance, graph, errors and warnings as the Python path, which takes every
 text they refuse, and refusals only of the kinds they document.
 
 Each check parses a text twice, once with the kernel loaded and once with
-`_native._lib` set to None, which sends every text down the Python path: a
-loop over `str.splitlines()`, `str.split()` and `int()` a piece of `_CHUNK`
-characters at a time.  It compares the results, or the exception class and
-message, and the warnings.  `accepts` states independently which texts the
-one-pass readers must accept: the valid texts with no line break beyond
-ASCII, whose lines are ASCII but for comment lines, and whose numbers are
-plain digits after an optional '+'.
+`_native._lib` set to None, which sends every text down the Python path
+(`core._loads_in_python`, `misbridge._parse_in_python`): one loop over the
+lines of `str.splitlines()`, a piece of `_CHUNK` characters at a time, that
+checks each line with `str.split()` and `int()` as it reads it and raises
+at the first bad one.  It compares the results, or the exception class and
+message, and the warnings; `tests/test_outcomes.py` pins both paths'
+outcomes on a corpus of damaged documents.  `accepts` states independently
+which texts the one-pass readers must accept: the valid texts with no line
+break beyond ASCII, whose lines are ASCII but for comment lines, and whose
+numbers are plain digits after an optional '+'.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ def python_outcome(monkeypatch, parse, text: str, chunk: int = core._CHUNK):
 
 def one_pass(m) -> None:
     """Make the Python path raise: only the one-pass readers may parse."""
-    for module in (core, misbridge):
-        m.setattr(module, "_read", mock.Mock(side_effect=AssertionError("the Python path")))
+    for module, name in ((core, "_loads_in_python"), (misbridge, "_parse_in_python")):
+        m.setattr(module, name, mock.Mock(side_effect=AssertionError("the Python path")))
 
 
 def reader_path() -> str:
@@ -675,7 +678,7 @@ def test_long_line_takes_memory_of_its_results(monkeypatch, compiled):
     # a hostile text: one 4 MB line of 2M tokens.  The one-pass reader takes
     # the text's ASCII copy and refuses it at its first token; the Python
     # reader splits off the first three tokens and leaves the tail in one
-    # string
+    # string.  Inside a block, the line is one 'f' line with too many fields
     if compiled and _native.kernel() is None:
         pytest.skip("the compiled kernel could not be built here")
     if not compiled:
@@ -690,8 +693,9 @@ def test_long_line_takes_memory_of_its_results(monkeypatch, compiled):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * len(text)
-    bulk, values, others, spans = core._read(text, "f", 4473)
-    assert bulk.tolist() == [0] and values.tolist() == [[-1, -1]] and len(others) == 0
+    with pytest.raises(CspFormatError, match="^line 3: expected 'f <value_a> <value_b>', "
+                                             "got 'f 1 1 1 1 "):
+        loads_csp("p bcsp 2 2 1\nk 0 1 1\n" + text)
 
 
 @pytest.mark.parametrize("seed", range(3))
